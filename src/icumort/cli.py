@@ -84,7 +84,7 @@ def cmd_run(args):
               f"/{row['algorithm']} failed: {row['error']}", file=sys.stderr)
     print(f"wrote {len(rows)} cells to {args.out} "
           f"({len(rows) - len(failed)} ok, {len(failed)} failed)")
-    return 0
+    return 2 if failed else 0
 
 
 def cmd_permtest(args):

@@ -252,42 +252,63 @@ def cell_dir(out_dir, feature_set, outcome, sampling, algo):
 # ---------------------------------------------------------------------------
 # per-fold featurization
 
-class _FoldFeatures:
-    """Transformers fitted on one set of training rows, applied to any rows.
+class _StructuredFeatures:
+    """Chained-equation imputation + standardizing encoder fitted on one set
+    of training rows, applied to any rows.
 
-    Structured: chained-equation imputation + standardizing encoder.
-    Notes: fold vocabulary + tf-idf.  Combined: both, index-partition fused.
-    Matrices are memoized per requested row set.
+    One instance per (outcome, fold) serves every view with a structured
+    block.  Encoded matrices are memoized per requested row set.
     """
 
-    def __init__(self, cohort, tokens, fit_rows, feature_set, min_df, seed):
+    def __init__(self, cohort, continuous, fit_rows, seed):
         self.cohort = cohort
-        self.tokens = tokens
         self.fit_rows = np.asarray(fit_rows)
-        self.feature_set = feature_set
+        self._cont = continuous
         self._lock = threading.Lock()
         self._memo = {}
-        self.vocab = None
-        if feature_set in ("structured", "combined"):
-            self._cont = cohort.continuous_matrix()
-            fit_imputed, self.imp_model = impute_fit_transform(
-                self._cont[self.fit_rows], seed=seed)
-            fit_cohort = cohort.subset(self.fit_rows).with_continuous(
-                fit_imputed)
-            self.encoder = fit_encoder(fit_cohort)
-            self._fit_imputed = fit_imputed
-        if feature_set in ("notes", "combined"):
-            self.vocab = build_vocab([tokens[i] for i in self.fit_rows],
-                                     min_df=min_df)
-            self.tfidf = tfidf_fit(self.vocab)
+        self._fit_imputed, self.imp_model = impute_fit_transform(
+            continuous[self.fit_rows], seed=seed)
+        fit_cohort = cohort.subset(self.fit_rows).with_continuous(
+            self._fit_imputed)
+        self.encoder = fit_encoder(fit_cohort)
 
-    def _structured(self, rows):
-        if np.array_equal(rows, self.fit_rows):
-            imputed = self._fit_imputed
-        else:
-            imputed = apply_imputation(self.imp_model, self._cont[rows])
-        sub = self.cohort.subset(rows).with_continuous(imputed)
-        return encode(self.encoder, sub)
+    def matrix(self, rows):
+        rows = np.asarray(rows)
+        key = rows.tobytes()
+        with self._lock:
+            if key not in self._memo:
+                if np.array_equal(rows, self.fit_rows):
+                    imputed = self._fit_imputed
+                else:
+                    imputed = apply_imputation(self.imp_model,
+                                               self._cont[rows])
+                sub = self.cohort.subset(rows).with_continuous(imputed)
+                self._memo[key] = encode(self.encoder, sub)
+            return self._memo[key]
+
+    def n_structured(self):
+        return self.encoder.n_columns
+
+    def feature_names(self):
+        return self.encoder.column_names()
+
+
+class _FoldFeatures:
+    """Fold vocabulary + tf-idf fitted on one set of training rows, applied
+    to any rows, optionally index-partition fused after a structured block.
+
+    Notes: tf-idf only.  Combined: the fold's shared _StructuredFeatures
+    block, then tf-idf.  Matrices are memoized per requested row set.
+    """
+
+    def __init__(self, tokens, fit_rows, min_df, structured=None):
+        self.tokens = tokens
+        self.structured = structured
+        self._lock = threading.Lock()
+        self._memo = {}
+        self.vocab = build_vocab([tokens[i] for i in fit_rows],
+                                 min_df=min_df)
+        self.tfidf = tfidf_fit(self.vocab)
 
     def _text(self, rows):
         return transform_corpus(self.tfidf, [self.tokens[i] for i in rows])
@@ -298,12 +319,11 @@ class _FoldFeatures:
         key = ("m", rows.tobytes())
         with self._lock:
             if key not in self._memo:
-                if self.feature_set == "structured":
-                    X = self._structured(rows)
-                elif self.feature_set == "notes":
+                if self.structured is None:
                     X = self._text(rows)
                 else:
-                    X = fuse_matrix(self._structured(rows), self._text(rows))
+                    X = fuse_matrix(self.structured.matrix(rows),
+                                    self._text(rows))
                 self._memo[key] = X
             return self._memo[key]
 
@@ -316,23 +336,21 @@ class _FoldFeatures:
                 ids = neural.tokens_to_ids(
                     [self.tokens[i] for i in rows], self.vocab)
                 padded = neural.pad_sequences(ids, max_len)
-                if self.feature_set == "combined":
-                    S = self._structured(rows)
-                else:
+                if self.structured is None:
                     S = np.zeros((rows.size, 0))
+                else:
+                    S = self.structured.matrix(rows)
                 self._memo[key] = (padded, S)
             return self._memo[key]
 
     def n_structured(self):
-        return self.encoder.n_columns if hasattr(self, "encoder") else 0
+        return 0 if self.structured is None else self.structured.n_structured()
 
     def feature_names(self):
         names = []
-        if self.feature_set in ("structured", "combined"):
-            names.extend(self.encoder.column_names())
-        if self.feature_set in ("notes", "combined"):
-            names.extend(self.vocab.tokens)
-        return names
+        if self.structured is not None:
+            names = self.structured.feature_names()
+        return names + list(self.vocab.tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -436,22 +454,43 @@ class _OutcomeContext:
         self.tokens = tokens
         self.config = config
         self.features = {}
+        self._structured = {}  # fold key -> _StructuredFeatures
+        self._continuous = None
+
+    def _structured_for(self, key, fit_rows, seed):
+        """The fold's structured featurizer, fitted on first use only."""
+        if key not in self._structured:
+            if self._continuous is None:
+                self._continuous = self.cohort.continuous_matrix()
+            self._structured[key] = _StructuredFeatures(
+                self.cohort, self._continuous, fit_rows, seed)
+        return self._structured[key]
 
     def build_features(self, feature_set, fold_val_sets):
-        """Fit fold-train and full-train transformers once per feature set."""
+        """Fit fold-train and full-train transformers once per feature set.
+
+        Feature sets with a structured block share one structured fit per
+        fold: same rows, same seed.
+        """
         train_idx = self.split.train_indices
-        bank = {}
+        fits = []
         for f, val_pos in enumerate(fold_val_sets):
             mask = np.ones(train_idx.size, dtype=bool)
             mask[val_pos] = False
-            fit_rows = train_idx[mask]
-            bank[np.asarray(val_pos).tobytes()] = _FoldFeatures(
-                self.cohort, self.tokens, fit_rows, feature_set,
-                self.config.min_df, seed=_derive_seed(self.search_seed, 1, f))
-        bank["full"] = _FoldFeatures(
-            self.cohort, self.tokens, train_idx, feature_set,
-            self.config.min_df,
-            seed=_derive_seed(self.search_seed, 1, self.config.folds))
+            fits.append((np.asarray(val_pos).tobytes(), train_idx[mask],
+                         _derive_seed(self.search_seed, 1, f)))
+        fits.append(("full", train_idx,
+                     _derive_seed(self.search_seed, 1, self.config.folds)))
+        bank = {}
+        for key, fit_rows, seed in fits:
+            structured = None
+            if feature_set in ("structured", "combined"):
+                structured = self._structured_for(key, fit_rows, seed)
+            if feature_set == "structured":
+                bank[key] = structured
+            else:
+                bank[key] = _FoldFeatures(self.tokens, fit_rows,
+                                          self.config.min_df, structured)
         self.features[feature_set] = bank
 
 

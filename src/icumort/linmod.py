@@ -197,7 +197,10 @@ def train_logreg(X, y, reg=L2, C=1.0, instance_weights=None, seed=0,
             theta_next = 1.0
             w_new, b_new, step = prox_step(w, b, step)
             F_new = objective(w_new, b_new)
-        assert F_new <= F + 1e-9 * max(1.0, abs(F)), "objective increased"
+        if not F_new <= F + 1e-9 * max(1.0, abs(F)):  # NaN raises too
+            raise LinModError(
+                f"objective increased from {F!r} to {F_new!r} at iteration "
+                f"{iterations}")
         w_prev, b_prev = w, b
         w, b = w_new, b_new
         theta = theta_next

@@ -134,7 +134,9 @@ class Conv1D:
         for o in range(self.width):
             out += np.tensordot(x[:, o:o + L_out, :], self.W.value[o],
                                 axes=([2], [0]))
-        assert out.shape[1] == L - self.width + 1
+        if out.shape[1] != L_out:
+            raise NetError(f"convolution output length {out.shape[1]}, "
+                           f"expected {L_out}")
         return out
 
     def backward(self, g):
@@ -510,7 +512,8 @@ def predict_proba_net(model, inputs, batch_size=256):
     for lo in range(0, n, batch_size):
         rows = np.arange(lo, min(lo + batch_size, n))
         probs = softmax_probs(model.forward(fetch(rows), train=False))
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+        if not np.allclose(probs.sum(axis=1), 1.0, atol=1e-9):
+            raise NetError("softmax probabilities do not sum to 1")
         out[rows] = probs[:, 1]
     return out
 

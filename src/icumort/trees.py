@@ -452,7 +452,7 @@ def train_gbt(X, y, params=None, seed=0):
 
     Each round fits a depth-limited tree to the gradient/hessian pairs
     g = p - y, h = p (1 - p); leaves carry -G/(H + lambda) and predictions
-    shrink by the learning rate. Training loss is asserted non-increasing.
+    shrink by the learning rate. A rise in training loss raises TreeError.
     """
     if params is None:
         params = GbtParams()
@@ -473,7 +473,9 @@ def train_gbt(X, y, params=None, seed=0):
         trees.append(tree)
         margins = margins + params.learning_rate * tree.predict_value(cols.X)
         loss = _log_loss_mean(margins, y)
-        assert loss <= losses[-1] + 1e-10, "boosting loss increased"
+        if not loss <= losses[-1] + 1e-10:  # NaN raises too
+            raise TreeError(f"boosting loss increased from {losses[-1]!r} "
+                            f"to {loss!r} in round {len(losses)}")
         losses.append(loss)
     return GradientBoostedTrees(base_score=base, params=params, trees=trees,
                                 seed=seed, n_features=cols.d,

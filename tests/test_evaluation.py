@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icumort.cohort import SynthConfig, synth_cohort_with_truth
 from icumort.evaluation import (
+    _PERM_BLOCK,
     EvalError,
+    PermTestResult,
     SplitSpec,
     auc,
     classification_report,
@@ -27,6 +31,61 @@ def brute_auc(scores, labels):
         for q in neg:
             total += 1.0 if p > q else (0.5 if p == q else 0.0)
     return total / (pos.size * neg.size)
+
+
+def loop_auc(scores, labels):
+    """Reference: the scalar tie-loop rank AUC that `auc` replaced."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(s.size, dtype=np.float64)
+    i = 0
+    while i < s.size:
+        j = i
+        while j + 1 < s.size and s[order[j + 1]] == s[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
+        i = j + 1
+    rank_sum = ranks[y == 1].sum()
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def loop_perm_test_auc(scores_a, scores_b, labels, n_perm, seed):
+    """Reference: one permutation at a time, as `perm_test_auc` once ran."""
+    a = np.asarray(scores_a, dtype=np.float64)
+    b = np.asarray(scores_b, dtype=np.float64)
+    y = np.asarray(labels)
+    observed = abs(loop_auc(a, y) - loop_auc(b, y))
+    rng = np.random.default_rng(seed)
+    count = 0
+    for _ in range(n_perm):
+        swap = rng.random(y.size) < 0.5
+        pa = np.where(swap, b, a)
+        pb = np.where(swap, a, b)
+        stat = abs(loop_auc(pa, y) - loop_auc(pb, y))
+        if stat >= observed - 1e-12:
+            count += 1
+    p = (1 + count) / (n_perm + 1)
+    return PermTestResult(observed, n_perm, count, p, seed)
+
+
+@st.composite
+def paired_scores(draw):
+    """Labels with both classes, and two score vectors over them."""
+    n = draw(st.integers(2, 40))
+    n_pos = draw(st.integers(1, n - 1))
+    labels = draw(st.permutations([1] * n_pos + [0] * (n - n_pos)))
+    coarse = st.integers(0, 4).map(lambda k: k / 4)  # heavy ties
+    fine = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    values = draw(st.sampled_from([coarse, fine]))
+    a = draw(st.lists(values, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        b = list(a)  # identical scorers
+    else:
+        b = draw(st.lists(values, min_size=n, max_size=n))
+    return np.array(a), np.array(b), np.array(labels)
 
 
 class TestSplit:
@@ -232,6 +291,18 @@ class TestPermTest:
     def test_length_mismatch(self):
         with pytest.raises(EvalError):
             perm_test_auc([0.5, 0.2], [0.5], [1, 0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(paired_scores(),
+           st.sampled_from([1, _PERM_BLOCK - 1, _PERM_BLOCK, _PERM_BLOCK + 1,
+                            2 * _PERM_BLOCK + 5]),
+           st.integers(0, 2**32 - 1))
+    def test_batched_equals_one_at_a_time(self, data, n_perm, seed):
+        a, b, y = data
+        assert auc(a, y) == loop_auc(a, y)
+        assert auc(b, y) == loop_auc(b, y)
+        assert perm_test_auc(a, b, y, n_perm=n_perm, seed=seed) == \
+            loop_perm_test_auc(a, b, y, n_perm, seed)
 
 
 class TestFolds:

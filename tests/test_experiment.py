@@ -183,6 +183,33 @@ class TestDeterminism:
                (tmp_path / "b" / "results.json").read_bytes()
 
 
+class TestSharedStructuredFit:
+    def test_structured_and_combined_share_each_fold_fit(self, tmp_path,
+                                                         monkeypatch):
+        import icumort.experiment as experiment
+
+        calls = []
+        real = experiment.impute_fit_transform
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "impute_fit_transform", counting)
+        both = _base_obj(feature_sets=["structured", "combined"], folds=3)
+        rows = run_experiment(ExperimentConfig.from_obj(both),
+                              tmp_path / "both")
+        assert all(r["error"] is None for r in rows)
+        assert len(calls) == 4  # 3 folds + the full training split
+
+        alone = _base_obj(feature_sets=["structured"], folds=3)
+        run_experiment(ExperimentConfig.from_obj(alone), tmp_path / "alone")
+        cell = Path("cells/structured/hospital/none/l2-lr")
+        for name in ("scores.tsv", "cv.tsv", "model.json"):
+            assert (tmp_path / "both" / cell / name).read_bytes() == \
+                   (tmp_path / "alone" / cell / name).read_bytes()
+
+
 class TestLeakage:
     def test_test_rows_do_not_touch_fitted_models(self, tmp_path):
         """Corrupting test-split rows must not change any fitted artifact."""
@@ -241,6 +268,34 @@ class TestFailureIsolation:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["cells"]["structured/hospital/none/l1-lr"][
             "status"] == "failed"
+
+    def test_cli_run_exits_2_when_a_cell_fails(self, tmp_path, monkeypatch,
+                                               capsys):
+        import icumort.experiment as experiment
+        from icumort import cli
+
+        real = experiment._fit_model
+
+        def failing_gbt(algo, *args, **kwargs):
+            if algo == "gbt":
+                raise RuntimeError("forced gbt failure")
+            return real(algo, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "_fit_model", failing_gbt)
+        obj = _base_obj(algorithms=["l2-lr", "gbt"],
+                        grids={"l2-lr": {"C": [1.0]}, "gbt": {"rounds": [2]}})
+        (tmp_path / "exp.json").write_text(json.dumps(obj))
+        rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
+                       "--out", str(tmp_path / "res")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert ("cell structured/hospital/none/gbt failed: "
+                "RuntimeError: forced gbt failure") in captured.err
+        assert "l2-lr failed" not in captured.err
+        assert "(1 ok, 1 failed)" in captured.out
+        manifest = json.loads((tmp_path / "res" / "manifest.json").read_text())
+        assert manifest["cells"]["structured/hospital/none/l2-lr"][
+            "status"] == "ok"
 
     def test_cnn_skipped_on_structured(self, tmp_path):
         obj = _base_obj(

@@ -149,6 +149,17 @@ class TestLogReg:
         assert m.diagnostics["converged"] is False
         assert m.diagnostics["iterations"] == 3
 
+    def test_objective_increase_raises(self, monkeypatch):
+        # a penalty that grows on every evaluation defeats the restart
+        import icumort.linmod as linmod
+
+        evaluations = iter(range(1, 10**6))
+        monkeypatch.setattr(linmod, "_penalty",
+                            lambda w, reg: 1e6 * next(evaluations))
+        X, y = _logreg_dataset()
+        with pytest.raises(LinModError, match="objective increased"):
+            train_logreg(X, y, reg=L2, C=1.0)
+
 
 class TestSvm:
     def test_max_margin_two_points(self):

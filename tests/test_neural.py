@@ -217,6 +217,18 @@ class TestMlp:
         acc = ((predict_proba_net(model, X) >= 0.5).astype(int) == y).mean()
         assert acc >= 0.95
 
+    def test_probabilities_not_summing_to_one_raise(self, monkeypatch):
+        import icumort.neural as neural
+
+        X = np.random.default_rng(4).normal(size=(10, 3))
+        y = np.array([0, 1] * 5)
+        params = MlpParams(hidden=4, dropout=0.0, max_epochs=2, patience=None)
+        model, _ = train_mlp(X, y, params, seed=0)
+        monkeypatch.setattr(neural, "softmax_probs",
+                            lambda logits: np.full(logits.shape, 0.4))
+        with pytest.raises(NetError, match="do not sum to 1"):
+            predict_proba_net(model, X)
+
     def test_full_model_gradient(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(6, 4))

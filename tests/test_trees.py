@@ -178,6 +178,17 @@ class TestGbt:
         assert (np.diff(losses) <= 1e-10).all()
         assert losses[-1] < losses[0]
 
+    def test_loss_increase_raises(self, monkeypatch):
+        import icumort.trees as trees
+
+        losses = iter(range(10**6))
+        monkeypatch.setattr(trees, "_log_loss_mean",
+                            lambda margins, y: float(next(losses)))
+        X = np.random.default_rng(3).normal(size=(20, 2))
+        y = (X[:, 0] > 0).astype(int)
+        with pytest.raises(TreeError, match="boosting loss increased"):
+            train_gbt(X, y, GbtParams(rounds=3))
+
     def test_learns_nonlinear_boundary(self):
         rng = np.random.default_rng(7)
         X = rng.random((300, 2))
