@@ -7,7 +7,7 @@ import sys
 from . import linmod
 from .cohort import CohortError, SynthConfig, save_cohort, synth_cohort
 from .evaluation import EvalError
-from .experiment import ConfigError, run_experiment, run_permtest
+from .experiment import ConfigError, cell_id, run_experiment, run_permtest
 
 
 def _build_parser():
@@ -28,8 +28,6 @@ def _build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel cells (output is order-independent)")
     p.add_argument("--stopwords", help="stop word list, one token per line")
     p.add_argument("--ranges", help="plausible-range table JSON")
     p.add_argument("--embeddings", help="pretrained embedding text file")
@@ -74,16 +72,24 @@ def cmd_run(args):
     config = _load_run_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
-    rows = run_experiment(config, args.out, jobs=args.jobs,
-                          stopwords_path=args.stopwords,
+    rows = run_experiment(config, args.out, stopwords_path=args.stopwords,
                           ranges_path=args.ranges,
                           embeddings_path=args.embeddings)
-    failed = [r for r in rows if r["error"] is not None]
-    for row in failed:
-        print(f"cell {row['feature_set']}/{row['outcome']}/{row['sampling']}"
-              f"/{row['algorithm']} failed: {row['error']}", file=sys.stderr)
+    failed = 0
+    unconverged = 0
+    for row in rows:
+        cell = cell_id(row["feature_set"], row["outcome"], row["sampling"],
+                       row["algorithm"])
+        if row["error"] is not None:
+            failed += 1
+            print(f"cell {cell} failed: {row['error']}", file=sys.stderr)
+        elif row["unconverged_fits"]:
+            unconverged += row["unconverged_fits"]
+            print(f"cell {cell}: {row['unconverged_fits']} of its linear "
+                  f"fits did not converge", file=sys.stderr)
     print(f"wrote {len(rows)} cells to {args.out} "
-          f"({len(rows) - len(failed)} ok, {len(failed)} failed)")
+          f"({len(rows) - failed} ok, {failed} failed); "
+          f"{unconverged} unconverged linear fits")
     return 2 if failed else 0
 
 

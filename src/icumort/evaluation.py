@@ -1,7 +1,6 @@
 """Splits, resampling, cross-validated grid search, metrics, permutation test."""
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,7 +283,6 @@ class GridSearchResult:
     best_index: int
     metric: str
     table: list = field(default_factory=list)
-    folds: list = field(default_factory=list)
 
 
 def _cell_seed(seed, cell, fold):
@@ -292,25 +290,26 @@ def _cell_seed(seed, cell, fold):
     return int(np.random.SeedSequence([seed, cell, fold]).generate_state(1)[0])
 
 
-def kfold_grid_search(trainer, grid, labels, k=5, metric="f1", seed=0,
-                      undersample_ratio=None, jobs=1, threshold=0.5):
+def kfold_grid_search(trainer, grid, labels, folds, metric="f1", seed=0,
+                      undersample_ratio=None, threshold=0.5):
     """Pick the grid cell with the best mean validation metric.
 
-    trainer(params, fit_indices, val_indices, seed) returns validation
-    scores; it must fit transformers and the model from fit/fold-train rows
-    only.  fit_indices are the fold-train rows after optional undersampling.
-    threshold is the F1 decision cut (margin scorers cut at 0).  Ties keep
-    the earliest grid entry.  Parallel execution over (cell, fold) tasks
-    writes to preassigned slots, so jobs > 1 changes nothing.
+    folds is the fold plan: one array of validation positions into labels
+    per fold, as stratified_folds returns.  trainer(params, fold,
+    fit_indices, val_indices, seed) returns validation scores; it must fit
+    transformers and the model from fit/fold-train rows only.  fit_indices
+    are the fold-train rows after optional undersampling, val_indices are
+    folds[fold].  threshold is the F1 decision cut (margin scorers cut at
+    0).  Ties keep the earliest grid entry.
     """
     if not grid:
         raise EvalError("empty parameter grid")
     if metric not in ("f1", "auc"):
         raise EvalError(f"unknown selection metric {metric!r}")
     y = _check_labels(labels)
-    folds = stratified_folds(y, k, seed)
+    k = len(folds)
     fit_sets = []
-    for f, val_idx in enumerate(folds):
+    for f in range(k):
         train_rows = np.sort(np.concatenate(
             [folds[g] for g in range(k) if g != f]))
         if undersample_ratio is not None:
@@ -319,32 +318,25 @@ def kfold_grid_search(trainer, grid, labels, k=5, metric="f1", seed=0,
             train_rows = train_rows[keep]
         fit_sets.append(train_rows)
 
-    def run_one(cell, f):
-        val_idx = folds[f]
-        scores = np.asarray(trainer(dict(grid[cell]), fit_sets[f], val_idx,
-                                    _cell_seed(seed, cell + 1, f)))
-        if scores.shape != val_idx.shape:
-            raise EvalError("trainer returned a wrong-length score vector")
-        if metric == "auc":
-            return auc(scores, y[val_idx])
-        return classification_report(scores, y[val_idx],
-                                     threshold=threshold).f1
-
-    tasks = [(c, f) for c in range(len(grid)) for f in range(k)]
     scores = np.empty((len(grid), k))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for (c, f), v in zip(tasks, pool.map(lambda t: run_one(*t), tasks)):
-                scores[c, f] = v
-    else:
-        for c, f in tasks:
-            scores[c, f] = run_one(c, f)
+    for c, params in enumerate(grid):
+        for f, val_idx in enumerate(folds):
+            fold_scores = np.asarray(trainer(
+                dict(params), f, fit_sets[f], val_idx,
+                _cell_seed(seed, c + 1, f)))
+            if fold_scores.shape != val_idx.shape:
+                raise EvalError("trainer returned a wrong-length score vector")
+            if metric == "auc":
+                scores[c, f] = auc(fold_scores, y[val_idx])
+            else:
+                scores[c, f] = classification_report(
+                    fold_scores, y[val_idx], threshold=threshold).f1
 
     means = scores.mean(axis=1)
     best = int(np.argmax(means))  # argmax keeps the first of tied cells
     table = [{"params": dict(grid[c]), "per_fold": scores[c].tolist(),
               "mean": float(means[c])} for c in range(len(grid))]
-    return GridSearchResult(dict(grid[best]), best, metric, table, folds)
+    return GridSearchResult(dict(grid[best]), best, metric, table)
 
 
 def cv_table_tsv(result):

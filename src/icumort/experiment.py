@@ -8,8 +8,6 @@ the permutation test.
 
 import itertools
 import json
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -264,7 +262,6 @@ class _StructuredFeatures:
         self.cohort = cohort
         self.fit_rows = np.asarray(fit_rows)
         self._cont = continuous
-        self._lock = threading.Lock()
         self._memo = {}
         self._fit_imputed, self.imp_model = impute_fit_transform(
             continuous[self.fit_rows], seed=seed)
@@ -275,16 +272,14 @@ class _StructuredFeatures:
     def matrix(self, rows):
         rows = np.asarray(rows)
         key = rows.tobytes()
-        with self._lock:
-            if key not in self._memo:
-                if np.array_equal(rows, self.fit_rows):
-                    imputed = self._fit_imputed
-                else:
-                    imputed = apply_imputation(self.imp_model,
-                                               self._cont[rows])
-                sub = self.cohort.subset(rows).with_continuous(imputed)
-                self._memo[key] = encode(self.encoder, sub)
-            return self._memo[key]
+        if key not in self._memo:
+            if np.array_equal(rows, self.fit_rows):
+                imputed = self._fit_imputed
+            else:
+                imputed = apply_imputation(self.imp_model, self._cont[rows])
+            sub = self.cohort.subset(rows).with_continuous(imputed)
+            self._memo[key] = encode(self.encoder, sub)
+        return self._memo[key]
 
     def n_structured(self):
         return self.encoder.n_columns
@@ -304,7 +299,6 @@ class _FoldFeatures:
     def __init__(self, tokens, fit_rows, min_df, structured=None):
         self.tokens = tokens
         self.structured = structured
-        self._lock = threading.Lock()
         self._memo = {}
         self.vocab = build_vocab([tokens[i] for i in fit_rows],
                                  min_df=min_df)
@@ -317,31 +311,29 @@ class _FoldFeatures:
         """Design matrix for the linear/tree/MLP families."""
         rows = np.asarray(rows)
         key = ("m", rows.tobytes())
-        with self._lock:
-            if key not in self._memo:
-                if self.structured is None:
-                    X = self._text(rows)
-                else:
-                    X = fuse_matrix(self.structured.matrix(rows),
-                                    self._text(rows))
-                self._memo[key] = X
-            return self._memo[key]
+        if key not in self._memo:
+            if self.structured is None:
+                X = self._text(rows)
+            else:
+                X = fuse_matrix(self.structured.matrix(rows),
+                                self._text(rows))
+            self._memo[key] = X
+        return self._memo[key]
 
     def cnn_inputs(self, rows, max_len):
         """(padded token ids, structured block) for the fusion CNN."""
         rows = np.asarray(rows)
         key = ("c", rows.tobytes(), max_len)
-        with self._lock:
-            if key not in self._memo:
-                ids = neural.tokens_to_ids(
-                    [self.tokens[i] for i in rows], self.vocab)
-                padded = neural.pad_sequences(ids, max_len)
-                if self.structured is None:
-                    S = np.zeros((rows.size, 0))
-                else:
-                    S = self.structured.matrix(rows)
-                self._memo[key] = (padded, S)
-            return self._memo[key]
+        if key not in self._memo:
+            ids = neural.tokens_to_ids(
+                [self.tokens[i] for i in rows], self.vocab)
+            padded = neural.pad_sequences(ids, max_len)
+            if self.structured is None:
+                S = np.zeros((rows.size, 0))
+            else:
+                S = self.structured.matrix(rows)
+            self._memo[key] = (padded, S)
+        return self._memo[key]
 
     def n_structured(self):
         return 0 if self.structured is None else self.structured.n_structured()
@@ -442,7 +434,11 @@ def _save_model(algo, model, feats, path_base):
 # the runner
 
 class _OutcomeContext:
-    """Split, labels, folds, and shared per-fold featurizations."""
+    """Split, labels, the fold plan, and shared per-fold featurizations.
+
+    Per-fold lists hold one entry per fold of the plan, then one for the
+    full training split at index k.
+    """
 
     def __init__(self, cohort, tokens, config, outcome, outcome_index):
         self.outcome = outcome
@@ -450,48 +446,38 @@ class _OutcomeContext:
         self.search_seed = _derive_seed(config.seed, outcome_index)
         self.split = stratified_split(self.labels, config.split_ratio,
                                       config.stratify, seed=self.search_seed)
+        train_idx = self.split.train_indices
+        self.folds = stratified_folds(self.labels[train_idx], config.folds,
+                                      self.search_seed)
+        self.fit_rows = ([np.delete(train_idx, val_pos)
+                          for val_pos in self.folds] + [train_idx])
         self.cohort = cohort
         self.tokens = tokens
         self.config = config
         self.features = {}
-        self._structured = {}  # fold key -> _StructuredFeatures
-        self._continuous = None
+        self._structured = None  # per-fold _StructuredFeatures
 
-    def _structured_for(self, key, fit_rows, seed):
-        """The fold's structured featurizer, fitted on first use only."""
-        if key not in self._structured:
-            if self._continuous is None:
-                self._continuous = self.cohort.continuous_matrix()
-            self._structured[key] = _StructuredFeatures(
-                self.cohort, self._continuous, fit_rows, seed)
-        return self._structured[key]
-
-    def build_features(self, feature_set, fold_val_sets):
+    def build_features(self, feature_set):
         """Fit fold-train and full-train transformers once per feature set.
 
         Feature sets with a structured block share one structured fit per
         fold: same rows, same seed.
         """
-        train_idx = self.split.train_indices
-        fits = []
-        for f, val_pos in enumerate(fold_val_sets):
-            mask = np.ones(train_idx.size, dtype=bool)
-            mask[val_pos] = False
-            fits.append((np.asarray(val_pos).tobytes(), train_idx[mask],
-                         _derive_seed(self.search_seed, 1, f)))
-        fits.append(("full", train_idx,
-                     _derive_seed(self.search_seed, 1, self.config.folds)))
-        bank = {}
-        for key, fit_rows, seed in fits:
-            structured = None
-            if feature_set in ("structured", "combined"):
-                structured = self._structured_for(key, fit_rows, seed)
-            if feature_set == "structured":
-                bank[key] = structured
-            else:
-                bank[key] = _FoldFeatures(self.tokens, fit_rows,
-                                          self.config.min_df, structured)
-        self.features[feature_set] = bank
+        structured = [None] * len(self.fit_rows)
+        if feature_set in ("structured", "combined"):
+            if self._structured is None:
+                continuous = self.cohort.continuous_matrix()
+                self._structured = [
+                    _StructuredFeatures(self.cohort, continuous, rows,
+                                        _derive_seed(self.search_seed, 1, f))
+                    for f, rows in enumerate(self.fit_rows)]
+            structured = self._structured
+        if feature_set == "structured":
+            self.features[feature_set] = structured
+        else:
+            self.features[feature_set] = [
+                _FoldFeatures(self.tokens, rows, self.config.min_df, block)
+                for rows, block in zip(self.fit_rows, structured)]
 
 
 def _run_cell(ctx, feature_set, sampling, algo, config, out_dir, pretrained):
@@ -502,20 +488,26 @@ def _run_cell(ctx, feature_set, sampling, algo, config, out_dir, pretrained):
     usr = config.undersample_ratio if sampling == "1:4" else None
     grid = config.grid_cells(algo)
     family_threshold = 0.0 if algo in ("l1-svm", "l2-svm") else 0.5
+    converged = []  # one flag per linear fit, CV folds and refit
 
-    def trainer(params, fit_pos, val_pos, seed):
-        feats = bank[np.asarray(val_pos).tobytes()]
-        fit_rows = train_idx[fit_pos]
-        _, score_fn, _ = _fit_model(algo, params, feats, fit_rows,
-                                    y[fit_rows], seed, config, pretrained)
+    def fit(params, feats, fit_rows, seed):
+        model, score_fn, threshold = _fit_model(
+            algo, params, feats, fit_rows, y[fit_rows], seed, config,
+            pretrained)
+        if isinstance(model, linmod.LinearModel):
+            converged.append(model.diagnostics["converged"])
+        return model, score_fn, threshold
+
+    def trainer(params, fold, fit_pos, val_pos, seed):
+        _, score_fn, _ = fit(params, bank[fold], train_idx[fit_pos], seed)
         return score_fn(train_idx[val_pos])
 
-    search = kfold_grid_search(trainer, grid, y_train, k=config.folds,
+    search = kfold_grid_search(trainer, grid, y_train, ctx.folds,
                                metric=config.selection_metric,
                                seed=ctx.search_seed, undersample_ratio=usr,
                                threshold=family_threshold)
 
-    feats = bank["full"]
+    feats = bank[len(ctx.folds)]
     fit_pos = np.arange(train_idx.size)
     if usr is not None:
         # one shared seed keeps the refit rows identical across algorithms
@@ -523,9 +515,8 @@ def _run_cell(ctx, feature_set, sampling, algo, config, out_dir, pretrained):
                            seed=_derive_seed(ctx.search_seed, 2))
         fit_pos = fit_pos[keep]
     refit_seed = _derive_seed(ctx.search_seed, 3, search.best_index)
-    model, score_fn, threshold = _fit_model(
-        algo, search.best_params, feats, train_idx[fit_pos], y_train[fit_pos],
-        refit_seed, config, pretrained)
+    model, score_fn, threshold = fit(search.best_params, feats,
+                                     train_idx[fit_pos], refit_seed)
     test_scores = np.asarray(score_fn(test_idx), dtype=float)
     report = classification_report(test_scores, y[test_idx],
                                    threshold=threshold)
@@ -552,7 +543,7 @@ def _run_cell(ctx, feature_set, sampling, algo, config, out_dir, pretrained):
         "auc": report.auc, "precision": report.precision,
         "recall": report.recall, "f1": report.f1,
         "threshold": threshold, "best_params": search.best_params,
-        "error": None,
+        "unconverged_fits": converged.count(False), "error": None,
     }
 
 
@@ -579,8 +570,8 @@ def _results_tsv(rows):
     return "\n".join(lines) + "\n"
 
 
-def run_experiment(config, out_dir, jobs=1, stopwords_path=None,
-                   ranges_path=None, embeddings_path=None):
+def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
+                   embeddings_path=None):
     """Execute every configured cell; returns the result rows.
 
     Writes per-feature-set results TSVs, per-cell artifacts, and a manifest
@@ -610,10 +601,8 @@ def run_experiment(config, out_dir, jobs=1, stopwords_path=None,
     contexts = {}
     for oi, outcome in enumerate(config.outcomes):
         ctx = _OutcomeContext(cohort, tokens, config, outcome, oi)
-        folds = stratified_folds(ctx.labels[ctx.split.train_indices],
-                                 config.folds, ctx.search_seed)
         for fs in config.feature_sets:
-            ctx.build_features(fs, folds)
+            ctx.build_features(fs)
         contexts[outcome] = ctx
 
     cells = [(fs, outcome, sampling, algo)
@@ -623,23 +612,19 @@ def run_experiment(config, out_dir, jobs=1, stopwords_path=None,
              for algo in config.algorithms
              if algo_allowed(algo, fs)]
 
-    def run_one(cell):
-        fs, outcome, sampling, algo = cell
+    rows = []
+    for fs, outcome, sampling, algo in cells:
         try:
-            return _run_cell(contexts[outcome], fs, sampling, algo, config,
-                             out, pretrained)
+            row = _run_cell(contexts[outcome], fs, sampling, algo, config,
+                            out, pretrained)
         except Exception as exc:  # record and continue with other cells
-            return {"feature_set": fs, "outcome": outcome,
-                    "sampling": sampling, "algorithm": algo,
-                    "auc": None, "precision": None, "recall": None,
-                    "f1": None, "threshold": None, "best_params": None,
-                    "error": f"{type(exc).__name__}: {exc}"}
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_one, cells))
-    else:
-        rows = [run_one(c) for c in cells]
+            row = {"feature_set": fs, "outcome": outcome,
+                   "sampling": sampling, "algorithm": algo,
+                   "auc": None, "precision": None, "recall": None,
+                   "f1": None, "threshold": None, "best_params": None,
+                   "unconverged_fits": None,
+                   "error": f"{type(exc).__name__}: {exc}"}
+        rows.append(row)
 
     for fs in config.feature_sets:
         fs_rows = [r for r in rows if r["feature_set"] == fs]
@@ -670,13 +655,13 @@ def run_experiment(config, out_dir, jobs=1, stopwords_path=None,
     return rows
 
 
-def replay_manifest(manifest_path, out_dir, jobs=1):
+def replay_manifest(manifest_path, out_dir):
     """Re-run an experiment exactly as its manifest recorded it."""
     with open(manifest_path, encoding="utf-8") as f:
         manifest = json.load(f)
     config = ExperimentConfig.from_obj(manifest["config"])
     inputs = manifest.get("inputs", {})
-    return run_experiment(config, out_dir, jobs=jobs,
+    return run_experiment(config, out_dir,
                           stopwords_path=inputs.get("stopwords"),
                           ranges_path=inputs.get("ranges"),
                           embeddings_path=inputs.get("embeddings"))

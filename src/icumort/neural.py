@@ -190,21 +190,6 @@ def softmax_xent(logits, labels):
     return float(-logp.mean()), grad / n
 
 
-def layer_forward_backward(layer, inputs, upstream, train=False, rng=None):
-    """One forward/backward pass; returns (outputs, input gradient).
-
-    Parameter gradients accumulate on the layer's Param objects. Dropout
-    needs train/rng; other layers ignore them.
-    """
-    for p in layer.params():
-        p.zero_grad()
-    if isinstance(layer, Dropout):
-        out = layer.forward(inputs, train, rng)
-    else:
-        out = layer.forward(inputs)
-    return out, layer.backward(upstream)
-
-
 class Adam:
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)

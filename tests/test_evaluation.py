@@ -332,7 +332,7 @@ class TestFolds:
 def _lstsq_trainer(X, y):
     """Score fold-validation rows with a least-squares fit on the fit rows."""
 
-    def trainer(params, fit_idx, val_idx, seed):
+    def trainer(params, fold, fit_idx, val_idx, seed):
         cols = params["cols"]
         A = np.column_stack([X[fit_idx][:, cols], np.ones(fit_idx.size)])
         w = np.linalg.lstsq(A, y[fit_idx], rcond=None)[0]
@@ -355,39 +355,48 @@ class TestGridSearch:
     def test_informative_cell_wins(self):
         X, y = self._data()
         grid = [{"cols": [2, 3]}, {"cols": [0, 1]}]
-        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y, k=5,
-                                metric="auc", seed=0)
+        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y,
+                                stratified_folds(y, 5, 0), metric="auc",
+                                seed=0)
         assert res.best_index == 1
         assert res.best_params["cols"] == [0, 1]
 
     def test_ties_take_first_grid_order(self):
         X, y = self._data()
         grid = [{"cols": [0, 1]}, {"cols": [0, 1]}]
-        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y, k=5, seed=0,
+        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y,
+                                stratified_folds(y, 5, 0), seed=0,
                                 metric="auc")
         assert res.best_index == 0
 
-    def test_parallel_equals_sequential(self):
-        X, y = self._data()
-        grid = [{"cols": [c]} for c in range(4)]
-        a = kfold_grid_search(_lstsq_trainer(X, y), grid, y, k=5, metric="auc",
-                              seed=3, jobs=1)
-        b = kfold_grid_search(_lstsq_trainer(X, y), grid, y, k=5, metric="auc",
-                              seed=3, jobs=3)
-        assert a.best_index == b.best_index
-        for ra, rb in zip(a.table, b.table):
-            assert ra["per_fold"] == rb["per_fold"]
+    def test_trainer_validates_on_the_given_plan(self):
+        y = np.array([0, 1] * 6)
+        plan = [np.array([0, 1, 5]), np.array([2, 3, 4, 7]),
+                np.array([6, 8, 9, 10, 11])]
+        seen = []
+
+        def spy(params, fold, fit_idx, val_idx, seed):
+            seen.append((fold, fit_idx, val_idx))
+            return np.full(val_idx.size, 0.5)
+
+        kfold_grid_search(spy, [{}, {}], y, plan, metric="f1", seed=0)
+        assert [fold for fold, _, _ in seen] == [0, 1, 2, 0, 1, 2]
+        for fold, fit_idx, val_idx in seen:
+            assert val_idx is plan[fold]
+            others = np.concatenate(
+                [plan[g] for g in range(3) if g != fold])
+            np.testing.assert_array_equal(fit_idx, np.sort(others))
 
     def test_undersampling_applied_to_fit_rows_only(self):
         X, y = self._data()
         seen = []
 
-        def spy(params, fit_idx, val_idx, seed):
+        def spy(params, fold, fit_idx, val_idx, seed):
             seen.append((fit_idx, val_idx))
             return np.zeros(val_idx.size) + 0.5
 
-        kfold_grid_search(spy, [{}], y, k=5, metric="f1", seed=0,
-                          undersample_ratio=1.0)
+        kfold_grid_search(spy, [{}], y, stratified_folds(y, 5, 0),
+                          metric="f1", seed=0, undersample_ratio=1.0)
         for fit_idx, val_idx in seen:
             c0, c1 = (y[fit_idx] == 0).sum(), (y[fit_idx] == 1).sum()
             assert max(c0, c1) <= min(c0, c1) + 1  # majority capped at 1:1
@@ -397,19 +406,23 @@ class TestGridSearch:
     def test_f1_metric_threshold_half(self):
         X, y = self._data()
         grid = [{"cols": [0, 1]}]
-        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y, k=5,
-                                metric="f1", seed=0)
+        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y,
+                                stratified_folds(y, 5, 0), metric="f1",
+                                seed=0)
         assert 0.0 <= res.table[0]["mean"] <= 1.0
 
     def test_empty_grid_rejected(self):
+        y = np.array([0, 1] * 10)
         with pytest.raises(EvalError):
-            kfold_grid_search(lambda *a: None, [], np.array([0, 1] * 10))
+            kfold_grid_search(lambda *a: None, [], y,
+                              stratified_folds(y, 5, 0))
 
     def test_cv_table_tsv_shape(self):
         X, y = self._data()
         grid = [{"cols": [0]}, {"cols": [1]}]
-        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y, k=5,
-                                metric="auc", seed=0)
+        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y,
+                                stratified_folds(y, 5, 0), metric="auc",
+                                seed=0)
         text = cv_table_tsv(res)
         lines = text.strip().split("\n")
         assert len(lines) == 3

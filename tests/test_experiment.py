@@ -173,14 +173,53 @@ class TestDeterminism:
         assert (tmp_path / "a" / "results.json").read_bytes() == \
                (tmp_path / "b" / "results.json").read_bytes()
 
-    def test_parallel_equals_sequential(self, tmp_path):
-        obj = _base_obj(algorithms=["l2-lr", "rf"],
+
+class TestFoldPlan:
+    def test_one_fold_plan_per_outcome(self, tmp_path, monkeypatch):
+        import icumort.evaluation as evaluation
+        import icumort.experiment as experiment
+
+        calls = []
+        real = evaluation.stratified_folds
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "stratified_folds", counting)
+        monkeypatch.setattr(evaluation, "stratified_folds", counting)
+        obj = _base_obj(outcomes=["hospital", "30day"],
+                        feature_sets=["structured", "notes"],
+                        sampling=["none", "1:4"],
+                        algorithms=["l2-lr", "rf"],
                         grids={"l2-lr": {"C": [1.0]},
-                               "rf": {"n_trees": [10], "max_depth": [3]}})
-        run_experiment(ExperimentConfig.from_obj(obj), tmp_path / "a", jobs=1)
-        run_experiment(ExperimentConfig.from_obj(obj), tmp_path / "b", jobs=3)
-        assert (tmp_path / "a" / "results.json").read_bytes() == \
-               (tmp_path / "b" / "results.json").read_bytes()
+                               "rf": {"n_trees": [3], "max_depth": [2]}})
+        rows = run_experiment(ExperimentConfig.from_obj(obj), tmp_path)
+        assert len(rows) == 16
+        assert all(r["error"] is None for r in rows)
+        assert len(calls) == 2
+
+
+class TestConvergence:
+    def test_unconverged_fits_counted_and_reported(self, tmp_path, capsys):
+        from icumort import cli
+
+        obj = _base_obj(algorithms=["l2-svm", "rf"], folds=3,
+                        grids={"l2-svm": {"C": [1.0], "max_epochs": [1]},
+                               "rf": {"n_trees": [3], "max_depth": [2]}})
+        (tmp_path / "exp.json").write_text(json.dumps(obj))
+        rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
+                       "--out", str(tmp_path / "res")])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        rows = json.loads((tmp_path / "res" / "results.json").read_text())
+        by_algo = {r["algorithm"]: r for r in rows}
+        assert by_algo["l2-svm"]["unconverged_fits"] == 3 + 1
+        assert by_algo["rf"]["unconverged_fits"] == 0
+        assert ("cell structured/hospital/none/l2-svm: 4 of its linear "
+                "fits did not converge") in captured.err
+        assert "rf:" not in captured.err
+        assert "4 unconverged linear fits" in captured.out
 
 
 class TestSharedStructuredFit:
@@ -263,6 +302,8 @@ class TestFailureIsolation:
         by_algo = {r["algorithm"]: r for r in rows}
         assert by_algo["l2-lr"]["error"] is None
         assert by_algo["l1-lr"]["error"] is not None
+        assert by_algo["l2-lr"]["unconverged_fits"] == 0
+        assert by_algo["l1-lr"]["unconverged_fits"] is None
         text = (tmp_path / "results-structured.tsv").read_text()
         assert "\tNA\t" in text
         manifest = json.loads((tmp_path / "manifest.json").read_text())
