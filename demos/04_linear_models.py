@@ -49,3 +49,5 @@ for name, coef in rank_coefficients(m2, names, 5):
 svm = train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=w)
 agree = ((predict_proba(m2, X) >= 0.5) == ((X @ svm.w + svm.b) >= 0.0)).mean()
 print(f"\nSVM / logistic decision agreement: {agree:.2%}")
+print(f"SVM relative duality gap: {svm.diagnostics['duality_gap']:.1e} "
+      f"after {svm.diagnostics['iterations']} iterations")

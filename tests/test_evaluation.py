@@ -328,6 +328,28 @@ class TestFolds:
         with pytest.raises(EvalError, match="single class"):
             stratified_folds(y, 5, seed=0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=80),
+           st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_plan_partitions_balances_and_repeats(self, labels, k, seed):
+        y = np.array(labels)
+        if min((y == 0).sum(), (y == 1).sum()) < k:
+            # some fold would miss a class
+            with pytest.raises(EvalError):
+                stratified_folds(y, k, seed)
+            return
+        folds = stratified_folds(y, k, seed)
+        assert len(folds) == k
+        np.testing.assert_array_equal(np.sort(np.concatenate(folds)),
+                                      np.arange(y.size))
+        sizes = [f.size for f in folds]
+        assert max(sizes) - min(sizes) <= 1
+        for c in (0, 1):
+            counts = [int((y[f] == c).sum()) for f in folds]
+            assert max(counts) - min(counts) <= 1
+        again = stratified_folds(y, k, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(folds, again))
+
 
 def _lstsq_trainer(X, y):
     """Score fold-validation rows with a least-squares fit on the fit rows."""

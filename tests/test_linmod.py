@@ -228,6 +228,35 @@ class TestSvm:
         d = train_linear_svm(sp.csr_matrix(X), y, reg=L1, C=1.0)
         np.testing.assert_allclose(c.w, d.w, atol=1e-10)
 
+    def test_hinge_duality_gap_certifies_optimum(self):
+        # two columns are sums of two others; dual coordinate descent ran
+        # out of its 1000 epochs on this set at C=1
+        from scipy.optimize import minimize
+
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(60, 6))
+        X = np.column_stack([X, X[:, :2] + X[:, 2:4]])
+        y = (X[:, 0] + rng.normal(size=60) > 0).astype(int)
+        C = 1.0
+        m = train_linear_svm(X, y, reg=L2, C=C)
+        gap = m.diagnostics["duality_gap"]
+        assert m.diagnostics["converged"]
+        assert 0.0 <= gap <= 1e-6
+
+        Z = (2.0 * y - 1.0)[:, None] * np.column_stack([X, np.ones(60)])
+
+        def dual(a):
+            v = Z.T @ a
+            return 0.5 * (v @ v) - a.sum(), Z @ v - 1.0
+
+        res = minimize(dual, np.zeros(60), jac=True, method="L-BFGS-B",
+                       bounds=[(0.0, C)] * 60,
+                       options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10**4})
+        reference = -res.fun / C  # a dual value: never above the optimum
+        primal = m.diagnostics["final_objective"]
+        assert reference <= primal
+        assert primal - reference <= gap * primal
+
     def test_l1_cdn_improves_on_zero(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(100, 5))
@@ -306,3 +335,9 @@ def test_json_round_trip():
     assert again.reg == m.reg
     assert again.C == m.C
     np.testing.assert_allclose(predict_scores(again, X), predict_scores(m, X))
+    assert again.diagnostics == m.diagnostics
+    assert type(again.diagnostics["iterations"]) is int
+    svm = train_linear_svm(X, y, reg=L2, C=1.0)
+    again = LinearModel.from_json(svm.to_json())
+    assert again.diagnostics == svm.diagnostics
+    assert "duality_gap" in again.diagnostics
