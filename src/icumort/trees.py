@@ -1,7 +1,15 @@
 """Random forest and second-order gradient-boosted trees.
 
-Both operate on dense or CSR/CSC sparse matrices; absent sparse entries mean
-feature value 0, which is exactly what a zero tf-idf weight encodes.
+Both learners take a dense matrix or any scipy sparse format; absent sparse
+entries mean feature value 0, which is exactly what a zero tf-idf weight
+encodes.  Each fit transposes X once (CSR if sparse, else a dense copy) so
+that a node gathers its candidate columns as rows.  One exact split search
+serves both learners: at every node it densifies the candidate columns in
+blocks of about _BLOCK_VALUES (2**18) values, stable-sorts each column's
+values and scores every boundary of the whole block at once, with Gini gain
+for the forest and second-order gain for boosting.  Scratch memory per node
+is a few arrays of one block, and a sparse X is never copied to n x d dense
+form.
 """
 
 from __future__ import annotations
@@ -9,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,33 +81,24 @@ class DecisionTree:
         return self.feature.size
 
     def predict_value(self, X):
-        """Route every row to its leaf value (vectorized level walk)."""
-        n = X.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        out = np.empty(n)
-        active = np.arange(n)
-        Xc = X.tocsc() if sp.issparse(X) else None
+        """Route every row of X to its leaf value.
+
+        Rows move down one level per step; each step reads every active
+        row's split value with one gather.
+        """
+        X = _as_matrix(X)
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        active = np.arange(X.shape[0])
         while active.size:
-            leaves = self.feature[node[active]] < 0
-            done = active[leaves]
-            out[done] = self.value[node[done]]
-            active = active[~leaves]
+            cur = node[active]
+            internal = self.feature[cur] >= 0
+            active, cur = active[internal], cur[internal]
             if not active.size:
                 break
-            cur = node[active]
-            feats = self.feature[cur]
-            thresholds = self.threshold[cur]
-            vals = np.empty(active.size)
-            for f in np.unique(feats):
-                rows_mask = feats == f
-                rows = active[rows_mask]
-                if Xc is not None:
-                    vals[rows_mask] = _gather_column(Xc, f, rows)
-                else:
-                    vals[rows_mask] = X[rows, f]
-            go_left = vals <= thresholds
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
-        return out
+            vals = np.asarray(X[active, self.feature[cur]]).ravel()
+            node[active] = np.where(vals <= self.threshold[cur],
+                                    self.left[cur], self.right[cur])
+        return self.value[node]
 
     def to_obj(self, idx=0):
         if self.feature[idx] < 0:
@@ -110,93 +110,18 @@ class DecisionTree:
 
     @classmethod
     def from_obj(cls, obj):
-        feature, threshold, left, right, value = [], [], [], [], []
+        tb = _TreeBuilder()
 
         def walk(o):
-            idx = len(feature)
             if "leaf" in o:
-                feature.append(-1)
-                threshold.append(np.nan)
-                left.append(-1)
-                right.append(-1)
-                value.append(o["leaf"])
-                return idx
-            feature.append(o["feature"])
-            threshold.append(o["threshold"])
-            left.append(-2)
-            right.append(-2)
-            value.append(0.0)
-            left[idx] = walk(o["left"])
-            right[idx] = walk(o["right"])
+                return tb.add_leaf(o["leaf"])
+            idx = tb.add_internal(o["feature"], o["threshold"])
+            tb.left[idx] = walk(o["left"])
+            tb.right[idx] = walk(o["right"])
             return idx
 
         walk(obj)
-        return cls(feature, threshold, left, right, value)
-
-
-def _gather_column(Xc, j, rows):
-    """Column j values at the given sorted row indices; absent entries are 0."""
-    lo, hi = Xc.indptr[j], Xc.indptr[j + 1]
-    nz_rows = Xc.indices[lo:hi]
-    nz_vals = Xc.data[lo:hi]
-    out = np.zeros(rows.size)
-    pos = np.searchsorted(rows, nz_rows)
-    ok = (pos < rows.size)
-    ok[ok] = rows[pos[ok]] == nz_rows[ok]
-    out[pos[ok]] = nz_vals[ok]
-    return out
-
-
-class _Cols:
-    def __init__(self, X):
-        self.sparse = sp.issparse(X)
-        self.X = X.tocsc() if self.sparse else np.asarray(X, dtype=float)
-        self.n, self.d = X.shape
-
-    def values(self, j, rows):
-        if self.sparse:
-            return _gather_column(self.X, j, rows)
-        return self.X[rows, j]
-
-
-def _weighted_gini(w_pos, w_tot):
-    # 2 p (1-p) scaled by total weight
-    if w_tot <= 0:
-        return 0.0
-    p = w_pos / w_tot
-    return 2.0 * p * (1.0 - p)
-
-
-def _best_split_gini(values, y, u):
-    """Best midpoint threshold for one feature by weighted Gini gain.
-
-    Returns (gain, threshold) or None when the column is constant.
-    """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    yw = (u * y)[order]
-    uw = u[order]
-    boundaries = np.nonzero(v[1:] > v[:-1])[0]
-    if boundaries.size == 0:
-        return None
-    cw = np.cumsum(uw)
-    cp = np.cumsum(yw)
-    w_tot, p_tot = cw[-1], cp[-1]
-    parent = _weighted_gini(p_tot, w_tot)
-    wl = cw[boundaries]
-    pl = cp[boundaries]
-    wr = w_tot - wl
-    pr = p_tot - pl
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gl = 2.0 * (pl / wl) * (1.0 - pl / wl)
-        gr = 2.0 * (pr / wr) * (1.0 - pr / wr)
-        gains = parent - (wl / w_tot) * gl - (wr / w_tot) * gr
-    gains = np.nan_to_num(gains, nan=-np.inf)
-    k = int(np.argmax(gains))
-    if gains[k] <= 1e-12:
-        return None
-    b = boundaries[k]
-    return float(gains[k]), 0.5 * (v[b] + v[b + 1])
+        return tb.build()
 
 
 class _TreeBuilder:
@@ -230,42 +155,114 @@ class _TreeBuilder:
                             self.right, self.value)
 
 
-def _grow_gini_tree(cols, y, u, params, rng):
-    m_try = max(1, math.ceil(math.sqrt(cols.d)))
+def _as_matrix(X):
+    """X as a CSR matrix if sparse, else as a float ndarray; must be 2-d."""
+    if not sp.issparse(X):
+        X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise TreeError("expected a 2-d matrix")
+    return X.tocsr().astype(float, copy=False) if sp.issparse(X) else X
+
+
+def _fit_inputs(X, y):
+    """(X, X transposed, labels) for a fit; XT is CSR when X is sparse."""
+    X = _as_matrix(X)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (X.shape[0],):
+        raise TreeError("labels must align with rows")
+    XT = X.T.tocsr() if sp.issparse(X) else np.ascontiguousarray(X.T)
+    return X, XT, y
+
+
+# Values densified per block of candidate columns; a node's block width is
+# this divided by its row count, which bounds the search's scratch memory.
+_BLOCK_VALUES = 2 ** 18
+
+
+def _best_split(XT, rows, cols, a, b, gain):
+    """Best split of the node `rows` (sorted) over candidate columns `cols`.
+
+    Each candidate column's node values are stable-sorted; gain(al, bl, at,
+    bt) scores every boundary between distinct values from the prefix sums
+    al, bl of the per-row statistics a, b and their totals at, bt.  The
+    threshold is the boundary's midpoint.  Returns (column, threshold, left
+    mask over rows) or None when no gain exceeds 1e-12.  Ties resolve as a
+    left-to-right scan with a strict '>' would: the first column in `cols`
+    and its first boundary win, and a NaN gain wins only when it comes first.
+    """
+    if rows.size < 2:
+        return None
+    a, b = a[rows], b[rows]
+    width = max(1, _BLOCK_VALUES // rows.size)
+    best = None  # (gain, column, threshold, left mask)
+    for start in range(0, len(cols), width):
+        block = cols[start:start + width]
+        V = XT[np.ix_(block, rows)]
+        if sp.issparse(V):
+            V = V.toarray()
+        order = np.argsort(V, axis=1, kind="stable")
+        Vs = np.take_along_axis(V, order, axis=1)
+        ca = np.cumsum(a[order], axis=1)
+        cb = np.cumsum(b[order], axis=1)
+        gains = gain(ca[:, :-1], cb[:, :-1], ca[:, -1:], cb[:, -1:])
+        gains[~(Vs[:, 1:] > Vs[:, :-1])] = -np.inf
+        k = np.argmax(gains, axis=1)
+        top = gains[np.arange(block.size), k]
+        ok = np.flatnonzero(~(top <= 1e-12))
+        if not ok.size:
+            continue
+        t = top[ok]
+        if best is None and np.isnan(t[0]):
+            i = 0
+        else:
+            i = int(np.argmax(np.where(np.isnan(t), -np.inf, t)))
+        if best is None or t[i] > best[0]:
+            c = ok[i]
+            thr = 0.5 * (Vs[c, k[c]] + Vs[c, k[c] + 1])
+            best = (t[i], int(block[c]), thr, V[c] <= thr)
+    return None if best is None else best[1:]
+
+
+def _gini_gain(pl, wl, p_tot, w_tot):
+    """Weighted Gini decrease from positive weight pl of left weight wl."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = p_tot / w_tot
+        parent = np.where(w_tot <= 0, 0.0, 2.0 * p * (1.0 - p))
+        pr, wr = p_tot - pl, w_tot - wl
+        gl = 2.0 * (pl / wl) * (1.0 - pl / wl)
+        gr = 2.0 * (pr / wr) * (1.0 - pr / wr)
+        gains = parent - (wl / w_tot) * gl - (wr / w_tot) * gr
+    return np.nan_to_num(gains, nan=-np.inf)
+
+
+def _second_order_gain(gl, hl, G, H, lam):
+    """Loss reduction of splitting gradient/hessian sums (G, H) at (gl, hl)."""
+    gr, hr = G - gl, H - hl
+    # float_power calls libm pow, as G ** 2 on a NumPy scalar does; an
+    # array's ** 2 squares instead, which can differ in the last bit
+    return 0.5 * (gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam)
+                  - np.float_power(G, 2) / (H + lam))
+
+
+def _grow(rows, max_depth, split, leaf):
+    """Depth-first tree over row set `rows`.
+
+    Below max_depth, split(rows) gives (column, threshold, left mask) or
+    None to stop; leaf(rows) gives a leaf's value.
+    """
     tb = _TreeBuilder()
 
-    def leaf_value(rows):
-        w = u[rows].sum()
-        if w <= 0:
-            return 0.5
-        return float((u[rows] * y[rows]).sum() / w)
-
     def grow(rows, depth):
-        w = u[rows].sum()
-        ys = y[rows]
-        pure = (ys == ys[0]).all() if rows.size else True
-        if depth >= params.max_depth or w < params.min_node_weight or pure:
-            return tb.add_leaf(leaf_value(rows))
-        candidates = rng.choice(cols.d, size=m_try, replace=False)
-        best = None
-        for j in candidates:
-            values = cols.values(j, rows)
-            found = _best_split_gini(values, ys, u[rows])
-            if found is None:
-                continue
-            gain, thr = found
-            if best is None or gain > best[0]:
-                best = (gain, int(j), thr)
-        if best is None:
-            return tb.add_leaf(leaf_value(rows))
-        _, j, thr = best
-        go_left = cols.values(j, rows) <= thr
+        found = split(rows) if depth < max_depth else None
+        if found is None:
+            return tb.add_leaf(leaf(rows))
+        j, thr, go_left = found
         idx = tb.add_internal(j, thr)
         tb.left[idx] = grow(rows[go_left], depth + 1)
         tb.right[idx] = grow(rows[~go_left], depth + 1)
         return idx
 
-    grow(np.arange(cols.n), 0)
+    grow(rows, 0)
     return tb.build()
 
 
@@ -296,33 +293,30 @@ class RandomForest:
                    n_features=o["n_features"])
 
 
-def _single_tree(X, y, u, params, tree_seed):
-    cols = _Cols(X)
-    n = cols.n
+def _single_tree(XT, y, u, params, tree_seed):
+    d, n = XT.shape
     rng = np.random.default_rng(tree_seed)
     if params.bootstrap:
-        p = u / u.sum()
-        picks = rng.choice(n, size=n, replace=True, p=p)
-        mult = np.bincount(picks, minlength=n).astype(float)
-        weights = mult  # sampling already folded the instance weights in
+        picks = rng.choice(n, size=n, replace=True, p=u / u.sum())
+        # sampling already folded the instance weights in
+        weights = np.bincount(picks, minlength=n).astype(float)
     else:
-        weights = u.copy()
-    rows = np.nonzero(weights > 0)[0]
-    sub = _Sub(cols, rows)
-    return _grow_gini_tree(sub, y[rows], weights[rows], params, rng)
+        weights = u
+    wy = weights * y
+    m_try = max(1, math.ceil(math.sqrt(d)))
 
+    def split(rows):
+        ys = y[rows]
+        if weights[rows].sum() < params.min_node_weight or (ys == ys[0]).all():
+            return None
+        candidates = rng.choice(d, size=m_try, replace=False)
+        return _best_split(XT, rows, candidates, wy, weights, _gini_gain)
 
-class _Sub:
-    """View of a column accessor restricted to a fixed row subset."""
+    def leaf(rows):
+        w = weights[rows].sum()
+        return 0.5 if w <= 0 else float(wy[rows].sum() / w)
 
-    def __init__(self, cols, rows):
-        self.cols = cols
-        self.rows = rows  # sorted
-        self.n = rows.size
-        self.d = cols.d
-
-    def values(self, j, local_rows):
-        return self.cols.values(j, self.rows[local_rows])
+    return _grow(np.nonzero(weights > 0)[0], params.max_depth, split, leaf)
 
 
 def train_random_forest(X, y, params=None, instance_weights=None, seed=0):
@@ -334,14 +328,8 @@ def train_random_forest(X, y, params=None, instance_weights=None, seed=0):
     if params is None:
         params = ForestParams()
     params.validate()
-    y = np.asarray(y, dtype=float)
-    if sp.issparse(X):
-        n = X.shape[0]
-    else:
-        X = np.asarray(X, dtype=float)
-        n = X.shape[0]
-    if y.shape != (n,):
-        raise TreeError("labels must align with rows")
+    X, XT, y = _fit_inputs(X, y)
+    n = X.shape[0]
     if instance_weights is None:
         u = np.ones(n)
     else:
@@ -350,7 +338,7 @@ def train_random_forest(X, y, params=None, instance_weights=None, seed=0):
             raise TreeError("instance weights must be non-negative and aligned")
         if u.sum() <= 0:
             raise TreeError("instance weights sum to zero")
-    trees = [_single_tree(X, y, u, params, np.random.SeedSequence([seed, t]))
+    trees = [_single_tree(XT, y, u, params, np.random.SeedSequence([seed, t]))
              for t in range(params.n_trees)]
     return RandomForest(trees=trees, params=params, seed=seed,
                         n_features=X.shape[1])
@@ -389,60 +377,6 @@ class GradientBoostedTrees:
                    train_loss=o.get("train_loss", []))
 
 
-def _best_split_second_order(values, g, h, lam):
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    gs = g[order]
-    hs = h[order]
-    boundaries = np.nonzero(v[1:] > v[:-1])[0]
-    if boundaries.size == 0:
-        return None
-    cg = np.cumsum(gs)
-    ch = np.cumsum(hs)
-    G, H = cg[-1], ch[-1]
-    gl, hl = cg[boundaries], ch[boundaries]
-    gr, hr = G - gl, H - hl
-    gains = 0.5 * (gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam)
-                   - G ** 2 / (H + lam))
-    k = int(np.argmax(gains))
-    if gains[k] <= 1e-12:
-        return None
-    b = boundaries[k]
-    return float(gains[k]), 0.5 * (v[b] + v[b + 1])
-
-
-def _grow_gbt_tree(cols, g, h, params):
-    tb = _TreeBuilder()
-    lam = params.reg_lambda
-
-    def leaf_weight(rows):
-        return float(-g[rows].sum() / (h[rows].sum() + lam))
-
-    def grow(rows, depth):
-        if depth >= params.max_depth:
-            return tb.add_leaf(leaf_weight(rows))
-        best = None
-        for j in range(cols.d):
-            values = cols.values(j, rows)
-            found = _best_split_second_order(values, g[rows], h[rows], lam)
-            if found is None:
-                continue
-            gain, thr = found
-            if best is None or gain > best[0]:
-                best = (gain, j, thr)
-        if best is None:
-            return tb.add_leaf(leaf_weight(rows))
-        _, j, thr = best
-        go_left = cols.values(j, rows) <= thr
-        idx = tb.add_internal(j, thr)
-        tb.left[idx] = grow(rows[go_left], depth + 1)
-        tb.right[idx] = grow(rows[~go_left], depth + 1)
-        return idx
-
-    grow(np.arange(cols.n), 0)
-    return tb.build()
-
-
 def _log_loss_mean(margins, y):
     return float(np.mean(np.logaddexp(0.0, margins) - y * margins))
 
@@ -457,41 +391,37 @@ def train_gbt(X, y, params=None, seed=0):
     if params is None:
         params = GbtParams()
     params.validate()
-    y = np.asarray(y, dtype=float)
-    cols = _Cols(X)
-    if y.shape != (cols.n,):
-        raise TreeError("labels must align with rows")
+    X, XT, y = _fit_inputs(X, y)
+    n, d = X.shape
+    lam = params.reg_lambda
+    gain = partial(_second_order_gain, lam=lam)
+    cols = np.arange(d)
     base = 0.0
-    margins = np.full(cols.n, base)
+    margins = np.full(n, base)
     losses = [_log_loss_mean(margins, y)]
     trees = []
     for _ in range(params.rounds):
         p = 1.0 / (1.0 + np.exp(-margins))
         g = p - y
         h = p * (1.0 - p)
-        tree = _grow_gbt_tree(cols, g, h, params)
+        tree = _grow(np.arange(n), params.max_depth,
+                     lambda rows: _best_split(XT, rows, cols, g, h, gain),
+                     lambda rows: float(-g[rows].sum() / (h[rows].sum() + lam)))
         trees.append(tree)
-        margins = margins + params.learning_rate * tree.predict_value(cols.X)
+        margins = margins + params.learning_rate * tree.predict_value(X)
         loss = _log_loss_mean(margins, y)
         if not loss <= losses[-1] + 1e-10:  # NaN raises too
             raise TreeError(f"boosting loss increased from {losses[-1]!r} "
                             f"to {loss!r} in round {len(losses)}")
         losses.append(loss)
     return GradientBoostedTrees(base_score=base, params=params, trees=trees,
-                                seed=seed, n_features=cols.d,
-                                train_loss=losses)
+                                seed=seed, n_features=d, train_loss=losses)
 
 
 def predict_proba_trees(model, X):
     """Forest: mean per-tree class-1 fraction. Boosted: sigmoid of margins."""
-    if sp.issparse(X):
-        X = X.tocsc()  # single conversion shared by every tree walk
-        n, d = X.shape
-    else:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise TreeError("expected a 2-d matrix")
-        n, d = X.shape
+    X = _as_matrix(X)
+    n, d = X.shape
     if d != model.n_features:
         raise TreeError(f"feature dimension {d} does not match "
                         f"training dimension {model.n_features}")

@@ -1,7 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import icumort.trees as trees
 from icumort.trees import (
     ForestParams,
     GbtParams,
@@ -112,17 +117,18 @@ class TestForest:
         f0 = train_random_forest(X, y, ForestParams(n_trees=10), seed=3)
         assert predict_proba_trees(f, X).mean() > predict_proba_trees(f0, X).mean()
 
-    def test_sparse_matches_dense(self):
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_sparse_matches_dense(self, fmt):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(70, 6))
         X[np.abs(X) < 0.8] = 0.0
         y = (X[:, 0] > 0).astype(int)
+        Xs = sp.csr_matrix(X).asformat(fmt)
         a = train_random_forest(X, y, ForestParams(n_trees=4), seed=5)
-        b = train_random_forest(sp.csr_matrix(X), y, ForestParams(n_trees=4),
-                                seed=5)
+        b = train_random_forest(Xs, y, ForestParams(n_trees=4), seed=5)
         assert a.to_json() == b.to_json()
         np.testing.assert_allclose(predict_proba_trees(a, X),
-                                   predict_proba_trees(b, sp.csr_matrix(X)))
+                                   predict_proba_trees(b, Xs))
 
     def test_leaf_rowsets_partition(self):
         # every row lands in exactly one leaf: routing never loses a row
@@ -215,14 +221,18 @@ class TestGbt:
         with pytest.raises(TreeError):
             predict_proba_trees(m, rng.normal(size=(10, 5)))
 
-    def test_sparse_matches_dense(self):
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_sparse_matches_dense(self, fmt):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(90, 5))
         X[np.abs(X) < 0.9] = 0.0
         y = (X[:, 1] > 0).astype(int)
+        Xs = sp.csr_matrix(X).asformat(fmt)
         a = train_gbt(X, y, GbtParams(rounds=8))
-        b = train_gbt(sp.csr_matrix(X), y, GbtParams(rounds=8))
+        b = train_gbt(Xs, y, GbtParams(rounds=8))
         assert a.to_json() == b.to_json()
+        np.testing.assert_array_equal(predict_proba_trees(a, X),
+                                      predict_proba_trees(b, Xs))
 
     def test_param_validation(self):
         with pytest.raises(TreeError):
@@ -268,3 +278,183 @@ def test_gbt_json_round_trip():
                                predict_proba_trees(m, X))
     assert again.base_score == m.base_score
     assert again.params == m.params
+
+
+@pytest.mark.parametrize("train", [train_random_forest, train_gbt])
+@pytest.mark.parametrize("shape", [(6,), (3, 2, 2)])
+def test_trainers_reject_non_matrix_input(train, shape):
+    with pytest.raises(TreeError, match="2-d"):
+        train(np.zeros(shape), np.zeros(shape[0]))
+
+
+# Reference split search: one column at a time, each sorted on its own, the
+# best kept by a strict '>'.  The block search must agree with it bit for bit.
+
+def _ref_gini(values, a, b):
+    """(gain, threshold) of one column; a = weight * label, b = weight."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    boundaries = np.nonzero(v[1:] > v[:-1])[0]
+    if boundaries.size == 0:
+        return None
+    cp = np.cumsum(a[order])
+    cw = np.cumsum(b[order])
+    p_tot, w_tot = cp[-1], cw[-1]
+    parent = 0.0 if w_tot <= 0 else 2.0 * (p_tot / w_tot) * (1.0 - p_tot / w_tot)
+    pl, wl = cp[boundaries], cw[boundaries]
+    pr, wr = p_tot - pl, w_tot - wl
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gl = 2.0 * (pl / wl) * (1.0 - pl / wl)
+        gr = 2.0 * (pr / wr) * (1.0 - pr / wr)
+        gains = parent - (wl / w_tot) * gl - (wr / w_tot) * gr
+    gains = np.nan_to_num(gains, nan=-np.inf)
+    k = int(np.argmax(gains))
+    if gains[k] <= 1e-12:
+        return None
+    b = boundaries[k]
+    return float(gains[k]), 0.5 * (v[b] + v[b + 1])
+
+
+def _ref_second_order(values, g, h, lam):
+    """(gain, threshold) of one column from gradients g and hessians h."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    boundaries = np.nonzero(v[1:] > v[:-1])[0]
+    if boundaries.size == 0:
+        return None
+    cg = np.cumsum(g[order])
+    ch = np.cumsum(h[order])
+    gains = _ref_second_order_gains(cg[boundaries], ch[boundaries],
+                                    cg[-1], ch[-1], lam)
+    k = int(np.argmax(gains))
+    if gains[k] <= 1e-12:
+        return None
+    b = boundaries[k]
+    return float(gains[k]), 0.5 * (v[b] + v[b + 1])
+
+
+def _ref_second_order_gains(gl, hl, G, H, lam):
+    """Gains at one column's boundaries; G and H are NumPy scalars."""
+    gr, hr = G - gl, H - hl
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return 0.5 * (gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam)
+                      - G ** 2 / (H + lam))
+
+
+def _ref_best_split(X, rows, cols, a, b, score):
+    best = None
+    for j in cols:
+        found = score(X[rows, j], a[rows], b[rows])
+        if found is not None and (best is None or found[0] > best[0]):
+            best = (found[0], int(j), found[1])
+    if best is None:
+        return None
+    _, j, thr = best
+    return j, thr, X[rows, j] <= thr
+
+
+def _reference_for(gain):
+    if gain is trees._gini_gain:
+        return _ref_gini
+    return partial(_ref_second_order, lam=gain.keywords["lam"])
+
+
+@st.composite
+def split_cases(draw):
+    """A node of a matrix with ties, exact zeros and one duplicated column."""
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 6))
+    cell = st.sampled_from([0.0, 0.0, 0.0, -1.5, 0.25, 1.0, 2.0, 3.5])
+    X = np.array(draw(st.lists(cell, min_size=n * d, max_size=n * d)),
+                 dtype=float).reshape(n, d)
+    dup = draw(st.integers(0, d - 1))
+    X = np.insert(X, dup + 1, X[:, dup], axis=1)
+    in_node = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rows = np.flatnonzero(in_node)
+    if rows.size < 2:
+        rows = np.arange(n)
+    order = draw(st.permutations(range(d + 1)))
+    cols = np.array(order[:draw(st.integers(1, d + 1))])
+    label = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                     dtype=float)
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.0]),
+                                   min_size=n, max_size=n)))
+        a, b, gain = w * label, w, trees._gini_gain
+    else:
+        # p of exactly 0 or 1 gives zero hessians, and with lam 0 NaN gains
+        p = np.array(draw(st.lists(
+            st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.5, 0.8, 1.0]),
+            min_size=n, max_size=n)))
+        lam = draw(st.sampled_from([0.0, 1.0]))
+        a, b = p - label, p * (1.0 - p)
+        gain = partial(trees._second_order_gain, lam=lam)
+    return X, rows, cols, a, b, gain, dup
+
+
+@pytest.mark.parametrize("width", ["default", "one", "split_duplicates"])
+@pytest.mark.parametrize("sparse", [False, True])
+@settings(max_examples=150, deadline=None)
+@given(case=split_cases())
+def test_block_split_search_matches_reference(width, sparse, case):
+    X, rows, cols, a, b, gain, dup = case
+    block_values = trees._BLOCK_VALUES
+    if width == "one":
+        block_values = 1
+    elif width == "split_duplicates" and {dup, dup + 1} <= set(cols):
+        # the later of the pair is the first column of the second block
+        pos = [int(np.flatnonzero(cols == c)[0]) for c in (dup, dup + 1)]
+        block_values = max(pos) * rows.size
+    XT = sp.csr_matrix(X.T) if sparse else np.ascontiguousarray(X.T)
+    with pytest.MonkeyPatch.context() as mp, \
+            np.errstate(invalid="ignore", divide="ignore"):
+        mp.setattr(trees, "_BLOCK_VALUES", block_values)
+        got = trees._best_split(XT, rows, cols, a, b, gain)
+        want = _ref_best_split(X, rows, cols, a, b, _reference_for(gain))
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got[0] == want[0]
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+    np.testing.assert_array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_fits_match_reference_split_search(monkeypatch, sparse):
+    """Whole forests and boosted models equal those grown by the reference."""
+    rng = np.random.default_rng(21)
+    X = np.round(rng.normal(size=(120, 9)), 1)
+    X[rng.random(X.shape) < 0.6] = 0.0
+    X[:, 4] = X[:, 3]
+    y = (X[:, 0] - X[:, 3] + 0.5 * rng.normal(size=120) > 0).astype(int)
+    Xin = sp.csr_matrix(X) if sparse else X
+    monkeypatch.setattr(trees, "_BLOCK_VALUES", 300)
+    forest = train_random_forest(Xin, y, ForestParams(n_trees=4), seed=2)
+    boosted = train_gbt(Xin, y, GbtParams(rounds=6))
+
+    def reference(XT, rows, cols, a, b, gain):
+        return _ref_best_split(X, rows, cols, a, b, _reference_for(gain))
+
+    monkeypatch.setattr(trees, "_best_split", reference)
+    assert forest.to_json() == train_random_forest(
+        Xin, y, ForestParams(n_trees=4), seed=2).to_json()
+    assert boosted.to_json() == train_gbt(
+        Xin, y, GbtParams(rounds=6)).to_json()
+
+
+def test_second_order_gain_matches_scalar_totals():
+    """Column totals enter the block gain as the reference's scalars do.
+
+    G ** 2 on a NumPy scalar calls libm pow, which need not round like the
+    array square; the block search must reproduce the scalar bits.
+    """
+    rng = np.random.default_rng(22)
+    gl = rng.normal(size=(2000, 5))
+    hl = rng.random((2000, 5))
+    G = rng.normal(size=(2000, 1)) * 10.0 ** rng.uniform(-4, 2, (2000, 1))
+    H = 5.0 + rng.random((2000, 1))
+    got = trees._second_order_gain(gl, hl, G, H, lam=1.0)
+    want = np.array([_ref_second_order_gains(gl[i], hl[i], G[i, 0], H[i, 0], 1.0)
+                     for i in range(G.shape[0])])
+    np.testing.assert_array_equal(got, want)
