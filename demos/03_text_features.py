@@ -1,8 +1,8 @@
 """From raw note text to tf-idf vectors.
 
 Lowercasing, PHI-mask removal, stopword filtering, a document-frequency
-cutoff, then tf-idf weighting. Sparse vectors fuse with a dense structured
-row for the combined feature set.
+cutoff, then tf-idf weighting straight into a CSR matrix. Its rows fuse
+with dense structured rows for the combined feature set.
 """
 
 import numpy as np
@@ -11,9 +11,8 @@ from icumort.cohort import SynthConfig, synth_cohort
 from icumort.textfeat import (
     build_vocab,
     default_stopwords,
-    fuse,
+    fuse_matrix,
     tfidf_fit,
-    tfidf_transform,
     tokenize_corpus,
     transform_corpus,
 )
@@ -33,8 +32,9 @@ print(f"\nvocabulary: {len(vocab)} tokens kept at min_df=5 "
       f"over {vocab.n_docs} documents")
 
 model = tfidf_fit(vocab)
-vec = tfidf_transform(model, docs[0])
-top = sorted(zip(vec.indices, vec.weights), key=lambda t: -t[1])[:8]
+csr = transform_corpus(model, docs)
+row = csr[0]
+top = sorted(zip(row.indices, row.data), key=lambda t: -t[1])[:8]
 print("heaviest tf-idf terms in document 0:")
 for j, w in top:
     print(f"  {vocab.tokens[j]:<18} {w:.4f}")
@@ -43,12 +43,11 @@ for j, w in top:
 dfs = np.array(vocab.dfs)
 print(f"\ndf range: {dfs.min()} to {dfs.max()}")
 
-# fuse a structured row with the sparse text vector
-row = np.array([0.5, -1.2, 3.0])
-fused = fuse(row, vec)
-print(f"fused vector length: 3 dense + {len(vocab)} sparse slots")
-print("fused head:", np.asarray(fused.to_dense()[:5]).round(3))
+# fuse a structured row with document 0's text row
+structured = np.array([[0.5, -1.2, 3.0]])
+fused = fuse_matrix(structured, row)
+print(f"fused row length: 3 dense + {len(vocab)} sparse slots")
+print("fused head:", fused[:, :5].toarray().ravel().round(3))
 
-csr = transform_corpus(model, docs)
 print(f"\ncorpus matrix: {csr.shape}, {csr.nnz} stored values, "
       f"density {csr.nnz / (csr.shape[0] * csr.shape[1]):.4f}")

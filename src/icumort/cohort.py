@@ -318,6 +318,18 @@ def filter_outliers(cohort, ranges=None):
     return Cohort(cohort.schema, records), report
 
 
+def _layout(schema):
+    """((feature name, first column, end column) per feature in schema
+    order, total column count)."""
+    layout = []
+    col = 0
+    for d in schema.descriptors:
+        width = len(d.categories) if d.kind == CATEGORICAL else 1
+        layout.append((d.name, col, col + width))
+        col += width
+    return tuple(layout), col
+
+
 class StructuredEncoder:
     """One-hot layout plus per-continuous-column standardization statistics.
 
@@ -330,22 +342,44 @@ class StructuredEncoder:
         self.means = np.asarray(means, dtype=float)
         self.sds = np.asarray(sds, dtype=float)
         self.constant_columns = tuple(constant_columns)
-        layout = []
-        col = 0
-        for d in schema.descriptors:
-            width = len(d.categories) if d.kind == CATEGORICAL else 1
-            layout.append((d.name, col, col + width))
-            col += width
-        self.layout = tuple(layout)
-        self.n_columns = col
+        self.layout, self.n_columns = _layout(schema)
+        first = {n: a for n, a, _ in self.layout}
+        self.continuous_columns = np.array(
+            [first[name] for name in schema.continuous], dtype=np.intp)
         if np.any(self.sds <= 0):
             raise CohortError("encoder standard deviations must be positive")
 
-    def column_span(self, name):
-        for n, a, b in self.layout:
-            if n == name:
-                return a, b
-        raise CohortError(f"feature {name!r} not in encoder layout")
+    @classmethod
+    def fit(cls, schema, continuous):
+        """Fit standardization statistics on a completed continuous block.
+
+        `continuous` has one column per schema.continuous feature. Population
+        (1/n) standard deviation; constant columns get sd 1 and a recorded
+        warning. Missing values are rejected with a pointer to the impute
+        module.
+        """
+        # C order: the column reductions' summation order depends on layout
+        X = np.ascontiguousarray(continuous, dtype=float)
+        if X.ndim != 2 or X.shape[1] != len(schema.continuous):
+            raise CohortError(
+                f"continuous block shape {X.shape} does not match "
+                f"(n, {len(schema.continuous)})")
+        if X.shape[0] == 0:
+            raise CohortError("cannot fit an encoder on an empty cohort")
+        if np.isnan(X).any():
+            bad = [schema.continuous[j] for j in np.where(np.isnan(X).any(axis=0))[0]]
+            raise CohortError(
+                f"continuous features {bad} contain missing values; run the impute "
+                "module (impute_fit_transform) before fitting the encoder")
+        means = X.mean(axis=0)
+        sds = X.std(axis=0)  # ddof=0
+        constant = []
+        for j, name in enumerate(schema.continuous):
+            if sds[j] == 0.0:
+                sds[j] = 1.0
+                constant.append(name)
+                warnings.warn(f"continuous feature {name!r} is constant; sd set to 1")
+        return cls(schema, means, sds, constant)
 
     def column_names(self):
         names = []
@@ -357,60 +391,70 @@ class StructuredEncoder:
         return names
 
 
-def fit_encoder(cohort):
-    """Fit standardization statistics on a fully imputed cohort.
+class CohortArrays:
+    """A cohort decoded once into the two arrays that fold encoding needs.
 
-    Population (1/n) standard deviation; constant columns get sd 1 and a
-    recorded warning. Missing continuous values are rejected with a pointer
-    to the impute module.
+    `continuous` is the continuous block with NaN for missing values.
+    `fixed` is the design matrix in encoder layout with binary and one-hot
+    columns set and continuous columns zero; no fold changes it. A missing
+    binary or categorical value is NaN in its columns, so encoding a row that
+    holds one raises.
     """
-    if len(cohort) == 0:
-        raise CohortError("cannot fit an encoder on an empty cohort")
-    X = cohort.continuous_matrix()
-    if np.isnan(X).any():
-        bad = [cohort.schema.continuous[j] for j in np.where(np.isnan(X).any(axis=0))[0]]
-        raise CohortError(
-            f"continuous features {bad} contain missing values; run the impute "
-            "module (impute_fit_transform) before fitting the encoder")
-    means = X.mean(axis=0)
-    sds = X.std(axis=0)  # ddof=0
-    constant = []
-    for j, name in enumerate(cohort.schema.continuous):
-        if sds[j] == 0.0:
-            sds[j] = 1.0
-            constant.append(name)
-            warnings.warn(f"continuous feature {name!r} is constant; sd set to 1")
-    return StructuredEncoder(cohort.schema, means, sds, constant)
+
+    def __init__(self, cohort):
+        self.schema = cohort.schema
+        self.ids = [r.id for r in cohort.records]
+        self.continuous = cohort.continuous_matrix()
+        layout, width = _layout(self.schema)
+        self.fixed = np.zeros((len(cohort), width))
+        for d, (_, a, b) in zip(self.schema.descriptors, layout):
+            if d.kind == CONTINUOUS:
+                continue
+            for i, r in enumerate(cohort.records):
+                v = r.values.get(d.name)
+                if v is None:
+                    self.fixed[i, a:b] = np.nan
+                elif d.kind == BINARY:
+                    self.fixed[i, a] = float(v)
+                else:
+                    self.fixed[i, a + d.categories.index(v)] = 1.0
+
+    def encode(self, encoder, rows, continuous):
+        """Design matrix of `rows`: their fixed block with
+        (continuous - means) / sds written into the continuous columns.
+
+        `continuous` is the rows' completed continuous block, in `rows` order.
+        """
+        if self.schema != encoder.schema:
+            raise CohortError("cohort schema does not match the fitted encoder")
+        rows = np.asarray(rows, dtype=np.intp)
+        continuous = np.asarray(continuous, dtype=float)
+        if continuous.shape != (rows.size, encoder.means.size):
+            raise CohortError(
+                f"continuous block shape {continuous.shape} does not match "
+                f"({rows.size}, {encoder.means.size})")
+        X = self.fixed[rows]
+        X[:, encoder.continuous_columns] = (continuous - encoder.means) / encoder.sds
+        missing = np.isnan(X)
+        if missing.any():
+            i, col = np.argwhere(missing)[0]
+            name = next(n for n, a, b in encoder.layout if a <= col < b)
+            raise CohortError(
+                f"missing value for {name!r} in record {self.ids[rows[i]]!r}; "
+                "encode requires a fully imputed cohort")
+        return X
+
+
+def fit_encoder(cohort):
+    """Fit standardization statistics on a fully imputed cohort
+    (StructuredEncoder.fit on its continuous block)."""
+    return StructuredEncoder.fit(cohort.schema, cohort.continuous_matrix())
 
 
 def encode(encoder, cohort):
     """Encode a cohort into the dense structured design matrix."""
-    if cohort.schema != encoder.schema:
-        raise CohortError("cohort schema does not match the fitted encoder")
-    n = len(cohort)
-    X = np.zeros((n, encoder.n_columns))
-    cont_index = {name: j for j, name in enumerate(encoder.schema.continuous)}
-    for i, r in enumerate(cohort.records):
-        for d in encoder.schema.descriptors:
-            a, b = encoder.column_span(d.name)
-            v = r.values.get(d.name)
-            if v is None:
-                raise CohortError(
-                    f"missing value for {d.name!r} in record {r.id!r}; encode "
-                    "requires a fully imputed cohort")
-            if d.kind == CONTINUOUS:
-                j = cont_index[d.name]
-                X[i, a] = (float(v) - encoder.means[j]) / encoder.sds[j]
-            elif d.kind == BINARY:
-                X[i, a] = float(v)
-            else:
-                try:
-                    k = d.categories.index(v)
-                except ValueError:
-                    raise CohortError(
-                        f"unseen categorical value {v!r} for {d.name!r}") from None
-                X[i, a + k] = 1.0
-    return X
+    arrays = CohortArrays(cohort)
+    return arrays.encode(encoder, np.arange(len(cohort)), arrays.continuous)
 
 
 # ---------------------------------------------------------------------------

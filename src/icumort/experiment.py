@@ -16,11 +16,11 @@ import scipy
 
 from . import __version__, linmod, neural, trees
 from .cohort import (
+    CohortArrays,
     PlausibleRangeTable,
+    StructuredEncoder,
     SynthConfig,
-    encode,
     filter_outliers,
-    fit_encoder,
     load_cohort,
     synth_cohort,
 )
@@ -252,22 +252,19 @@ def cell_dir(out_dir, feature_set, outcome, sampling, algo):
 
 class _StructuredFeatures:
     """Chained-equation imputation + standardizing encoder fitted on one set
-    of training rows, applied to any rows.
+    of training rows, applied to any rows of the run's decoded cohort.
 
     One instance per (outcome, fold) serves every view with a structured
     block.  Encoded matrices are memoized per requested row set.
     """
 
-    def __init__(self, cohort, continuous, fit_rows, seed):
-        self.cohort = cohort
+    def __init__(self, arrays, fit_rows, seed):
+        self.arrays = arrays
         self.fit_rows = np.asarray(fit_rows)
-        self._cont = continuous
         self._memo = {}
         self._fit_imputed, self.imp_model = impute_fit_transform(
-            continuous[self.fit_rows], seed=seed)
-        fit_cohort = cohort.subset(self.fit_rows).with_continuous(
-            self._fit_imputed)
-        self.encoder = fit_encoder(fit_cohort)
+            arrays.continuous[self.fit_rows], seed=seed)
+        self.encoder = StructuredEncoder.fit(arrays.schema, self._fit_imputed)
 
     def matrix(self, rows):
         rows = np.asarray(rows)
@@ -276,9 +273,9 @@ class _StructuredFeatures:
             if np.array_equal(rows, self.fit_rows):
                 imputed = self._fit_imputed
             else:
-                imputed = apply_imputation(self.imp_model, self._cont[rows])
-            sub = self.cohort.subset(rows).with_continuous(imputed)
-            self._memo[key] = encode(self.encoder, sub)
+                imputed = apply_imputation(self.imp_model,
+                                           self.arrays.continuous[rows])
+            self._memo[key] = self.arrays.encode(self.encoder, rows, imputed)
         return self._memo[key]
 
     def n_structured(self):
@@ -437,10 +434,13 @@ class _OutcomeContext:
     """Split, labels, the fold plan, and shared per-fold featurizations.
 
     Per-fold lists hold one entry per fold of the plan, then one for the
-    full training split at index k.
+    full training split at index k.  `arrays` is the run's decoded cohort
+    (None when no feature set has a structured block), `tokens` its
+    tokenized notes (None when none has notes).
     """
 
-    def __init__(self, cohort, tokens, config, outcome, outcome_index):
+    def __init__(self, cohort, arrays, tokens, config, outcome,
+                 outcome_index):
         self.outcome = outcome
         self.labels = cohort.labels(outcome)
         self.search_seed = _derive_seed(config.seed, outcome_index)
@@ -451,7 +451,7 @@ class _OutcomeContext:
                                       self.search_seed)
         self.fit_rows = ([np.delete(train_idx, val_pos)
                           for val_pos in self.folds] + [train_idx])
-        self.cohort = cohort
+        self.arrays = arrays
         self.tokens = tokens
         self.config = config
         self.features = {}
@@ -466,9 +466,8 @@ class _OutcomeContext:
         structured = [None] * len(self.fit_rows)
         if feature_set in ("structured", "combined"):
             if self._structured is None:
-                continuous = self.cohort.continuous_matrix()
                 self._structured = [
-                    _StructuredFeatures(self.cohort, continuous, rows,
+                    _StructuredFeatures(self.arrays, rows,
                                         _derive_seed(self.search_seed, 1, f))
                     for f, rows in enumerate(self.fit_rows)]
             structured = self._structured
@@ -595,12 +594,15 @@ def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
     needs_text = bool(set(config.feature_sets) & {"notes", "combined"})
     tokens = (tokenize_corpus(cohort.notes(), stopwords) if needs_text
               else None)
+    needs_structured = bool(set(config.feature_sets)
+                            & {"structured", "combined"})
+    arrays = CohortArrays(cohort) if needs_structured else None
     pretrained = (neural.load_embedding_file(embeddings_path)
                   if embeddings_path else None)
 
     contexts = {}
     for oi, outcome in enumerate(config.outcomes):
-        ctx = _OutcomeContext(cohort, tokens, config, outcome, oi)
+        ctx = _OutcomeContext(cohort, arrays, tokens, config, outcome, oi)
         for fs in config.feature_sets:
             ctx.build_features(fs)
         contexts[outcome] = ctx

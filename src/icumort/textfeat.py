@@ -1,12 +1,12 @@
 """Clinical note featurization: masking-aware tokenization, document-frequency
-vocabulary pruning, tf-idf weighting, and fusion with structured features.
+vocabulary pruning, tf-idf weighting straight into CSR, and fusion with
+structured features.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import re
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -49,48 +49,6 @@ def preprocess_note(text, stopwords):
     text = _MASK_RE.sub(" ", text)
     tokens = _TOKEN_RE.findall(text.lower())
     return [t for t in tokens if not _DIGITS_RE.match(t) and t not in stopwords]
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Sorted sparse representation; invariants checked on construction."""
-
-    dimension: int
-    indices: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.weights):
-            raise TextFeatError("indices and weights must align")
-        prev = -1
-        for i, w in zip(self.indices, self.weights):
-            if not prev < i < self.dimension:
-                raise TextFeatError(
-                    f"index {i} breaks strict ordering within dimension "
-                    f"{self.dimension}")
-            if not math.isfinite(w) or w == 0.0:
-                raise TextFeatError(f"weight {w!r} at index {i} must be finite and non-zero")
-            prev = i
-
-    @property
-    def nnz(self):
-        return len(self.indices)
-
-    def to_dense(self):
-        out = np.zeros(self.dimension)
-        if self.indices:
-            out[list(self.indices)] = self.weights
-        return out
-
-    def norm(self):
-        return math.sqrt(sum(w * w for w in self.weights))
-
-    @classmethod
-    def from_dense(cls, values):
-        values = np.asarray(values, dtype=float)
-        nz = np.nonzero(values)[0]
-        return cls(int(values.size), tuple(int(i) for i in nz),
-                   tuple(float(values[i]) for i in nz))
 
 
 class Vocabulary:
@@ -181,62 +139,34 @@ def tfidf_fit(vocab):
     return TfIdfModel(vocab, idf)
 
 
-def tfidf_transform(model, tokens):
-    counts = {}
-    for t in tokens:
-        j = model.vocab.index.get(t)
-        if j is not None:
-            counts[j] = counts.get(j, 0) + 1
-    if not counts:
-        return SparseVector(model.dimension, (), ())
-    idx = sorted(counts)
-    weights = np.array([counts[j] * model.idf[j] for j in idx])
-    weights = weights / np.linalg.norm(weights)
-    return SparseVector(model.dimension, tuple(idx), tuple(float(w) for w in weights))
-
-
-def fuse(structured_row, text_vec):
-    """Concatenate a dense structured row with a sparse text vector.
-
-    Structured entries keep indices 0..d_s-1 (zeros dropped); text indices
-    shift by d_s. The blocks stay recoverable by index partition.
-    """
-    structured_row = np.asarray(structured_row, dtype=float)
-    if structured_row.ndim != 1:
-        raise TextFeatError("structured_row must be 1-d")
-    d_s = structured_row.size
-    indices, weights = [], []
-    for i in np.nonzero(structured_row)[0]:
-        indices.append(int(i))
-        weights.append(float(structured_row[i]))
-    for i, w in zip(text_vec.indices, text_vec.weights):
-        indices.append(d_s + i)
-        weights.append(w)
-    return SparseVector(d_s + text_vec.dimension, tuple(indices), tuple(weights))
-
-
-def vectors_to_csr(vectors):
-    """Stack SparseVectors of one common dimension into a CSR matrix."""
-    vectors = list(vectors)
-    if not vectors:
-        raise TextFeatError("need at least one vector")
-    dim = vectors[0].dimension
-    if any(v.dimension != dim for v in vectors):
-        raise TextFeatError("vectors must share a dimension")
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    for i, v in enumerate(vectors):
-        indptr[i + 1] = indptr[i] + v.nnz
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.empty(indptr[-1])
-    for i, v in enumerate(vectors):
-        indices[indptr[i]:indptr[i + 1]] = v.indices
-        data[indptr[i]:indptr[i + 1]] = v.weights
-    return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dim))
-
-
 def transform_corpus(model, token_docs):
-    """tf-idf transform a whole corpus into one CSR matrix."""
-    return vectors_to_csr([tfidf_transform(model, doc) for doc in token_docs])
+    """tf-idf transform a corpus into one CSR matrix, one row per document.
+
+    Each row holds count x idf for the document's vocabulary tokens, in
+    column order, divided by its L2 norm; out-of-vocabulary tokens are
+    dropped, and a document with none of the vocabulary is an empty row.
+    """
+    token_docs = list(token_docs)
+    n, width = len(token_docs), model.dimension
+    lengths = np.fromiter(map(len, token_docs), dtype=np.int64, count=n)
+    index = model.vocab.index
+    tokens = itertools.chain.from_iterable(token_docs)
+    cols = np.fromiter(map(index.get, tokens, itertools.repeat(-1)),
+                       dtype=np.int64, count=int(lengths.sum()))
+    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    known = cols >= 0
+    # sorted unique (row, col) keys are CSR order: by row, then by column
+    keys, counts = np.unique(rows[known] * width + cols[known],
+                             return_counts=True)
+    rows, cols = np.divmod(keys, width)
+    data = counts * model.idf[cols]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    for start, end in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        if end > start:
+            # one norm per row: a batched norm rounds differently
+            data[start:end] /= np.linalg.norm(data[start:end])
+    return sp.csr_matrix((data, cols, indptr), shape=(n, width))
 
 
 def tokenize_corpus(notes, stopwords=None):

@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icumort.cohort import (
     Cohort,
+    CohortArrays,
     CohortError,
     FeatureDescriptor,
     FeatureSchema,
@@ -262,6 +265,148 @@ class TestEncoder:
         # untouched parts carried over
         assert c2.records[0].note_text == c.records[0].note_text
         assert c2.records[0].get("race") == c.records[0].get("race")
+
+
+    def test_missing_binary_value_raises(self):
+        sch = _tiny_schema()
+        rs = [PatientRecord("a", {"x": 1.0, "flag": 0, "color": "red"}, "", False, False),
+              PatientRecord("b", {"x": 2.0, "color": "blue"}, "", False, False)]
+        enc = fit_encoder(Cohort(sch, rs))
+        with pytest.raises(CohortError, match="missing value for 'flag' in record 'b'"):
+            encode(enc, Cohort(sch, rs))
+        arrays = CohortArrays(Cohort(sch, rs))
+        # rows without the gap still encode
+        np.testing.assert_array_equal(
+            arrays.encode(enc, [0], [[1.0]]), encode(enc, Cohort(sch, rs[:1])))
+
+    def test_missing_continuous_value_raises(self):
+        sch = _tiny_schema()
+        rs = [PatientRecord("a", {"x": 1.0, "flag": 0, "color": "red"}, "", False, False),
+              PatientRecord("c", {"x": 3.0, "flag": 0, "color": "red"}, "", False, False),
+              PatientRecord("b", {"flag": 1, "color": "blue"}, "", False, False)]
+        enc = fit_encoder(Cohort(sch, rs[:2]))
+        with pytest.raises(CohortError, match="missing value for 'x' in record 'b'"):
+            encode(enc, Cohort(sch, rs))
+
+    def test_block_shape_mismatch_raises(self):
+        sch = _tiny_schema()
+        rs = [PatientRecord(f"p{i}", {"x": float(i), "flag": 0, "color": "red"}, "",
+                            False, False) for i in range(3)]
+        arrays = CohortArrays(Cohort(sch, rs))
+        enc = fit_encoder(Cohort(sch, rs))
+        with pytest.raises(CohortError, match="shape"):
+            arrays.encode(enc, [0, 1], np.zeros((3, 1)))
+        with pytest.raises(CohortError, match="shape"):
+            StructuredEncoder.fit(sch, np.zeros((3, 2)))
+        with pytest.raises(CohortError, match="empty"):
+            StructuredEncoder.fit(sch, np.zeros((0, 1)))
+
+
+# Reference encoder: the record-based path the runner took before the cohort
+# was decoded into arrays -- subset, then with_continuous, then statistics
+# and encoding one record and one feature at a time.  StructuredEncoder.fit
+# and CohortArrays.encode must agree with it bit for bit.
+
+def _ref_fit_stats(cohort):
+    X = cohort.continuous_matrix()
+    means = X.mean(axis=0)
+    sds = X.std(axis=0)  # ddof=0
+    constant = []
+    for j, name in enumerate(cohort.schema.continuous):
+        if sds[j] == 0.0:
+            sds[j] = 1.0
+            constant.append(name)
+    return means, sds, constant
+
+
+def _ref_encode(encoder, cohort):
+    X = np.zeros((len(cohort), encoder.n_columns))
+    cont_index = {name: j for j, name in enumerate(encoder.schema.continuous)}
+    first = {name: a for name, a, _ in encoder.layout}
+    for i, r in enumerate(cohort.records):
+        for d in encoder.schema.descriptors:
+            a = first[d.name]
+            v = r.values[d.name]
+            if d.kind == "continuous":
+                j = cont_index[d.name]
+                X[i, a] = (float(v) - encoder.means[j]) / encoder.sds[j]
+            elif d.kind == "binary":
+                X[i, a] = float(v)
+            else:
+                X[i, a + d.categories.index(v)] = 1.0
+    return X
+
+
+def _ref_fold_stats(cohort, fit_rows, fit_block):
+    return _ref_fit_stats(cohort.subset(fit_rows).with_continuous(fit_block))
+
+
+def _ref_fold_matrix(encoder, cohort, rows, block):
+    return _ref_encode(encoder, cohort.subset(rows).with_continuous(block))
+
+
+_SMALL_SCHEMA = FeatureSchema([
+    FeatureDescriptor("x", "continuous"),
+    FeatureDescriptor("flag", "binary"),
+    FeatureDescriptor("y", "continuous"),
+    FeatureDescriptor("color", "categorical", categories=("red", "green", "blue")),
+    FeatureDescriptor("z", "continuous"),
+])
+_FLOATS = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+
+
+@st.composite
+def encoder_cases(draw):
+    """A cohort with missing continuous values, fit rows and a completed
+    block for them (one column constant on request), and a second row
+    request with its block: rows unsorted, possibly none."""
+    n = draw(st.integers(1, 12))
+    records = []
+    for i in range(n):
+        values = {name: draw(st.one_of(st.none(), _FLOATS))
+                  for name in _SMALL_SCHEMA.continuous}
+        values["flag"] = draw(st.sampled_from([0, 1]))
+        values["color"] = draw(st.sampled_from(["red", "green", "blue"]))
+        records.append(PatientRecord(f"r{i}", values, "", False, False))
+    cohort = Cohort(_SMALL_SCHEMA, records)
+    fit_rows = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    fit_block = np.array(draw(st.lists(
+        st.lists(_FLOATS, min_size=3, max_size=3),
+        min_size=len(fit_rows), max_size=len(fit_rows))))
+    constant = draw(st.sampled_from([None, 0, 1, 2]))
+    if constant is not None:
+        # an integer keeps the column mean exact, so its sd is exactly 0
+        fit_block[:, constant] = draw(st.integers(-1000, 1000))
+    rows = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    block = np.array(draw(st.lists(
+        st.lists(_FLOATS, min_size=3, max_size=3),
+        min_size=len(rows), max_size=len(rows)))).reshape(len(rows), 3)
+    return cohort, list(fit_rows), fit_block, list(rows), block, constant
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=encoder_cases())
+def test_arrays_match_record_reference(case):
+    cohort, fit_rows, fit_block, rows, block, constant = case
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        enc = StructuredEncoder.fit(cohort.schema, fit_block)
+    means, sds, const_names = _ref_fold_stats(cohort, fit_rows, fit_block)
+    assert enc.means.tobytes() == means.tobytes()
+    assert enc.sds.tobytes() == sds.tobytes()
+    assert enc.constant_columns == tuple(const_names)
+    assert [str(w.message) for w in caught] == [
+        f"continuous feature {name!r} is constant; sd set to 1"
+        for name in const_names]
+    if constant is not None:
+        assert cohort.schema.continuous[constant] in const_names
+
+    arrays = CohortArrays(cohort)
+    for request, values in ((fit_rows, fit_block), (rows, block)):
+        got = arrays.encode(enc, request, values)
+        want = _ref_fold_matrix(enc, cohort, request, values)
+        assert got.shape == want.shape == (len(request), enc.n_columns)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSynth:

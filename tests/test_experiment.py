@@ -6,17 +6,35 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import icumort
-from icumort.cohort import load_cohort, save_cohort
+from icumort.cohort import (
+    Cohort,
+    CohortArrays,
+    FeatureSchema,
+    PatientRecord,
+    StructuredEncoder,
+    SynthConfig,
+    load_cohort,
+    save_cohort,
+    synth_cohort,
+)
 from icumort.experiment import (
     ConfigError,
     ExperimentConfig,
+    _FoldFeatures,
+    _StructuredFeatures,
     cell_dir,
     replay_manifest,
     run_experiment,
     run_permtest,
 )
+from icumort.impute import apply_imputation, impute_fit_transform
+from icumort.textfeat import build_vocab, fuse_matrix, tfidf_fit, tokenize_corpus
+from test_cohort import _ref_fold_matrix, _ref_fold_stats
+from test_textfeat import _ref_corpus, assert_csr_identical
 
 
 def _base_obj(**overrides):
@@ -291,6 +309,114 @@ class TestLeakage:
         rel = Path("cells/structured/hospital/none/l2-lr/scores.tsv")
         assert (tmp_path / "ra" / rel).read_bytes() != \
                (tmp_path / "rb" / rel).read_bytes()
+
+
+# Generated cohorts for the fold properties: a few features of the default
+# schema, missing values in two continuous columns, short notes.
+_FOLD_SCHEMA = FeatureSchema([FeatureSchema.default().by_name[n] for n in (
+    "age", "lactate", "diabetes", "sofa", "admission_type", "albumin")])
+_FOLD_MIN_DF = 2
+
+
+@st.composite
+def fold_plans(draw):
+    """(cohort, fit rows per fold, fold seed): n from 30 to 120, any plan
+    of 2-4 folds, each fold's rows in the plan's (unsorted) order."""
+    n = draw(st.integers(30, 120))
+    config = SynthConfig(n=n, note_length=(5, 12), missing_rates={
+        "lactate": draw(st.sampled_from([0.0, 0.1, 0.3])),
+        "albumin": draw(st.sampled_from([0.1, 0.3]))})
+    cohort = synth_cohort(config, seed=draw(st.integers(0, 2**16)),
+                          schema=_FOLD_SCHEMA)
+    order = np.array(draw(st.permutations(range(n))))
+    k = draw(st.integers(2, 4))
+    fit_rows = [np.concatenate([order[g::k] for g in range(k) if g != f])
+                for f in range(k)]
+    return cohort, fit_rows, draw(st.integers(0, 2**16))
+
+
+def _fold(cohort, fit_rows, seed):
+    """A fold's structured block and its combined view, as the runner
+    builds them."""
+    structured = _StructuredFeatures(CohortArrays(cohort), fit_rows, seed)
+    tokens = tokenize_corpus(cohort.notes())
+    return structured, _FoldFeatures(tokens, fit_rows, _FOLD_MIN_DF, structured)
+
+
+def _ref_fold(cohort, fit_rows, seed):
+    """The same fold through the record-based reference path: a function
+    from requested rows to (structured matrix, combined matrix)."""
+    continuous = cohort.continuous_matrix()
+    fit_block, imputer = impute_fit_transform(continuous[fit_rows], seed=seed)
+    encoder = StructuredEncoder(cohort.schema,
+                                *_ref_fold_stats(cohort, fit_rows, fit_block))
+    tokens = tokenize_corpus(cohort.notes())
+    tfidf = tfidf_fit(build_vocab([tokens[i] for i in fit_rows],
+                                  min_df=_FOLD_MIN_DF))
+
+    def matrices(rows):
+        block = (fit_block if np.array_equal(rows, fit_rows)
+                 else apply_imputation(imputer, continuous[rows]))
+        S = _ref_fold_matrix(encoder, cohort, rows, block)
+        return S, fuse_matrix(S, _ref_corpus(tfidf, [tokens[i] for i in rows]))
+    return matrices
+
+
+class TestFoldFeatures:
+    @settings(max_examples=30, deadline=None)
+    @given(plan=fold_plans(), data=st.data())
+    def test_fold_matrices_match_record_reference(self, plan, data):
+        """Fit rows, held-out rows, an unsorted subset and no rows at all
+        encode bit for bit as the record-based path encodes them."""
+        cohort, fit_rows, seed = plan
+        n = len(cohort)
+        for rows in fit_rows[:2]:
+            structured, combined = _fold(cohort, rows, seed)
+            reference = _ref_fold(cohort, rows, seed)
+            held_out = np.setdiff1d(np.arange(n), rows)
+            subset = np.array(data.draw(st.permutations(range(n))))
+            subset = subset[:data.draw(st.integers(1, n))]
+            for request in (rows, held_out, subset, np.zeros(0, dtype=np.int64)):
+                want_s, want_c = reference(request)
+                got_s = structured.matrix(request)
+                assert got_s.shape == want_s.shape
+                assert got_s.tobytes() == want_s.tobytes()
+                assert_csr_identical(combined.matrix(request), want_c)
+
+    @settings(max_examples=30, deadline=None)
+    @given(plan=fold_plans())
+    def test_fold_state_ignores_non_fit_rows(self, plan):
+        """Leakage: rewriting every row outside a fold's fit rows (continuous
+        values and note text) leaves the fold's imputer, encoder statistics,
+        vocabulary, idf and fit-row matrices unchanged."""
+        cohort, fit_rows, seed = plan
+        for rows in fit_rows:
+            fit = set(rows.tolist())
+            records = []
+            for i, r in enumerate(cohort.records):
+                if i not in fit:
+                    values = dict(r.values)
+                    for j, name in enumerate(cohort.schema.continuous):
+                        values[name] = None if (i + j) % 3 == 0 else 7.0 * i + j
+                    r = PatientRecord(r.id, values, f"leaked{i % 4} pressors w{i}",
+                                      r.label_hospital, r.label_30day)
+                records.append(r)
+            mutated = Cohort(cohort.schema, records)
+            (s_a, c_a), (s_b, c_b) = (_fold(cohort, rows, seed),
+                                      _fold(mutated, rows, seed))
+            assert s_a.imp_model.to_json() == s_b.imp_model.to_json()
+            assert s_a.encoder.means.tobytes() == s_b.encoder.means.tobytes()
+            assert s_a.encoder.sds.tobytes() == s_b.encoder.sds.tobytes()
+            assert c_a.vocab.tokens == c_b.vocab.tokens
+            assert c_a.vocab.dfs == c_b.vocab.dfs
+            assert c_a.vocab.n_docs == c_b.vocab.n_docs
+            assert c_a.tfidf.idf.tobytes() == c_b.tfidf.idf.tobytes()
+            assert s_a.matrix(rows).tobytes() == s_b.matrix(rows).tobytes()
+            assert_csr_identical(c_a.matrix(rows), c_b.matrix(rows))
+            # the rewrite reached the other rows
+            others = np.setdiff1d(np.arange(len(cohort)), rows)
+            assert (s_a.matrix(others).tobytes()
+                    != s_b.matrix(others).tobytes())
 
 
 class TestFailureIsolation:

@@ -1,23 +1,85 @@
-import math
-
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icumort.textfeat import (
-    SparseVector,
     TextFeatError,
     Vocabulary,
     build_vocab,
     default_stopwords,
-    fuse,
     fuse_matrix,
     load_stopwords,
     preprocess_note,
     tfidf_fit,
-    tfidf_transform,
     transform_corpus,
-    vectors_to_csr,
 )
+
+
+# Reference tf-idf: one document at a time, counts in a dict, the weights
+# divided by their norm.  transform_corpus must agree with it bit for bit.
+
+def _ref_tfidf(model, tokens):
+    """(sorted column indices, unit-norm weights) of one document."""
+    counts = {}
+    for t in tokens:
+        j = model.vocab.index.get(t)
+        if j is not None:
+            counts[j] = counts.get(j, 0) + 1
+    if not counts:
+        return [], np.zeros(0)
+    idx = sorted(counts)
+    weights = np.array([counts[j] * model.idf[j] for j in idx])
+    return idx, weights / np.linalg.norm(weights)
+
+
+def _ref_corpus(model, docs):
+    """Reference CSR: the per-document rows stacked in order."""
+    indptr, indices, data = [0], [], []
+    for doc in docs:
+        idx, weights = _ref_tfidf(model, doc)
+        indices.extend(idx)
+        data.extend(weights.tolist())
+        indptr.append(len(indices))
+    return sp.csr_matrix((np.array(data, dtype=float),
+                          np.array(indices, dtype=np.int64),
+                          np.array(indptr, dtype=np.int64)),
+                         shape=(len(docs), model.dimension))
+
+
+def assert_csr_identical(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def assert_tfidf_rows(M):
+    """Sorted unique column indices per row; finite, positive data; every
+    row of unit L2 norm or empty."""
+    assert M.format == "csr"
+    for i in range(M.shape[0]):
+        cols = M.indices[M.indptr[i]:M.indptr[i + 1]]
+        vals = M.data[M.indptr[i]:M.indptr[i + 1]]
+        assert np.all(np.diff(cols) > 0)
+        assert np.all((cols >= 0) & (cols < M.shape[1]))
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0)
+        assert vals.size == 0 or abs(np.linalg.norm(vals) - 1.0) < 1e-12
+
+
+_WORDS = ["w%d" % i for i in range(12)]
+
+
+@st.composite
+def corpora(draw):
+    """(fit corpus, corpus to transform) over a small alphabet.  Words past
+    the fit corpus are out of vocabulary, so documents may come out empty;
+    documents repeat tokens, and the transformed corpus may be empty."""
+    doc = st.lists(st.sampled_from(_WORDS), max_size=12)
+    fit_docs = draw(st.lists(st.lists(st.sampled_from(_WORDS[:8]),
+                                      max_size=10), min_size=1, max_size=8))
+    return fit_docs, draw(st.lists(doc, max_size=10)), draw(st.integers(1, 3))
 
 
 class TestPreprocess:
@@ -122,15 +184,17 @@ class TestTfIdf:
         v = build_vocab(docs, min_df=1)
         assert v.tokens == ("fever", "sepsis", "shock")
         m = tfidf_fit(v)
-        vec = tfidf_transform(m, docs[0]).to_dense()
-        np.testing.assert_allclose(vec, [0.0, 0.6053, 0.7960], atol=1e-4)
+        M = transform_corpus(m, docs)
+        np.testing.assert_allclose(M[0].toarray().ravel(), [0.0, 0.6053, 0.7960],
+                                   atol=1e-4)
+        assert_tfidf_rows(M)
 
     def test_oov_only_doc_gives_zero_vector(self):
         v = build_vocab([["a"], ["a"]], min_df=1)
         m = tfidf_fit(v)
-        vec = tfidf_transform(m, ["zebra", "yak"])
-        assert vec.dimension == 1
-        assert vec.nnz == 0
+        M = transform_corpus(m, [["zebra", "yak"]])
+        assert M.shape == (1, 1)
+        assert M.nnz == 0
 
     def test_unit_norm_or_zero(self):
         rng = np.random.default_rng(4)
@@ -139,98 +203,117 @@ class TestTfIdf:
                 for _ in range(40)]
         v = build_vocab(docs, min_df=1)
         m = tfidf_fit(v)
-        for doc in docs:
-            n = tfidf_transform(m, doc).norm()
+        norms = sp.linalg.norm(transform_corpus(m, docs + [["zzz"]]), axis=1)
+        for n in norms:
             assert n == pytest.approx(1.0, abs=1e-12) or n == 0.0
+        assert norms[-1] == 0.0
 
     def test_transform_does_not_mutate_model(self):
         v = build_vocab([["a", "b"], ["b"]], min_df=1)
         m = tfidf_fit(v)
         before = m.idf.copy()
-        tfidf_transform(m, ["a", "a", "b", "zzz"])
+        transform_corpus(m, [["a", "a", "b", "zzz"]])
         np.testing.assert_array_equal(m.idf, before)
         assert v.dfs == (1, 2)
 
     def test_repeated_token_raises_tf(self):
         v = build_vocab([["a", "b"], ["a"], ["b"]], min_df=1)
         m = tfidf_fit(v)
-        single = tfidf_transform(m, ["a", "b"]).to_dense()
-        doubled = tfidf_transform(m, ["a", "a", "b"]).to_dense()
+        single, doubled = transform_corpus(m, [["a", "b"], ["a", "a", "b"]]).toarray()
         assert doubled[0] / doubled[1] > single[0] / single[1]
 
 
-class TestSparseVector:
-    def test_invariants_enforced(self):
-        with pytest.raises(TextFeatError):
-            SparseVector(3, (0, 0), (1.0, 2.0))  # not strictly increasing
-        with pytest.raises(TextFeatError):
-            SparseVector(3, (5,), (1.0,))  # out of range
-        with pytest.raises(TextFeatError):
-            SparseVector(3, (1,), (0.0,))  # zero weight
-        with pytest.raises(TextFeatError):
-            SparseVector(3, (1,), (math.inf,))
+class TestCsrRows:
+    @settings(max_examples=100, deadline=None)
+    @given(case=corpora())
+    def test_invariants_hold(self, case):
+        fit_docs, docs, min_df = case
+        m = tfidf_fit(build_vocab(fit_docs, min_df=min_df))
+        M = transform_corpus(m, docs)
+        assert M.shape == (len(docs), len(m.vocab))
+        assert_tfidf_rows(M)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=corpora())
+    def test_matches_per_document_reference(self, case):
+        """Bit for bit, over empty rows, repeated tokens and empty corpora."""
+        fit_docs, docs, min_df = case
+        m = tfidf_fit(build_vocab(fit_docs, min_df=min_df))
+        assert_csr_identical(transform_corpus(m, docs), _ref_corpus(m, docs))
 
     def test_dense_round_trip(self):
-        v = SparseVector.from_dense([0.0, 2.5, 0.0, -1.0])
-        assert v.indices == (1, 3)
-        np.testing.assert_allclose(v.to_dense(), [0.0, 2.5, 0.0, -1.0])
+        # no explicit zeros are stored, so the dense form loses nothing
+        docs = [["a", "b", "b"], ["zzz"], ["c", "a"]]
+        m = tfidf_fit(build_vocab(docs, min_df=1))
+        M = transform_corpus(m, docs)
+        assert_csr_identical(sp.csr_matrix(M.toarray()), M)
+
+
+def _text_block(rows):
+    """CSR with the given {column: value} dict per row over 10 columns."""
+    D = np.zeros((len(rows), 10))
+    for i, row in enumerate(rows):
+        for j, w in row.items():
+            D[i, j] = w
+    return sp.csr_matrix(D)
 
 
 class TestFuse:
     def test_dimension_additivity(self):
-        text = SparseVector(100, (7,), (1.0,))
-        fused = fuse(np.zeros(58), text)
-        assert fused.dimension == 158
+        F = fuse_matrix(np.zeros((1, 58)), sp.csr_matrix((1, 100)))
+        assert F.shape == (1, 158)
 
     def test_zero_structured_is_pure_shift(self):
-        text = SparseVector(10, (2, 5), (0.3, -0.7))
-        fused = fuse(np.zeros(58), text)
-        assert fused.indices == (60, 63)
-        assert fused.weights == (0.3, -0.7)
+        F = fuse_matrix(np.zeros((1, 58)), _text_block([{2: 0.3, 5: -0.7}]))
+        assert F.indices.tolist() == [60, 63]
+        assert F.data.tolist() == [0.3, -0.7]
 
     def test_layout_trace(self):
-        text = SparseVector(1, (0,), (0.8,))
-        fused = fuse(np.array([1.5, -0.5]), text)
-        assert fused.indices == (0, 1, 2)
-        assert fused.weights == (1.5, -0.5, 0.8)
+        T = sp.csr_matrix(np.array([[0.8]]))
+        F = fuse_matrix(np.array([[1.5, -0.5]]), T)
+        assert F.indices.tolist() == [0, 1, 2]
+        assert F.data.tolist() == [1.5, -0.5, 0.8]
 
     def test_lossless_by_index_partition(self):
         rng = np.random.default_rng(9)
-        s = rng.normal(size=6)
-        s[2] = 0.0
-        text = SparseVector.from_dense(rng.normal(size=4) * (rng.random(4) < 0.5))
-        fused = fuse(s, text)
-        dense = fused.to_dense()
-        np.testing.assert_allclose(dense[:6], s)
-        np.testing.assert_allclose(dense[6:], text.to_dense())
+        S = rng.normal(size=(3, 6))
+        S[:, 2] = 0.0
+        T = sp.csr_matrix(rng.normal(size=(3, 4)) * (rng.random((3, 4)) < 0.5))
+        F = fuse_matrix(S, T)
+        for i in range(3):
+            cols = F.indices[F.indptr[i]:F.indptr[i + 1]]
+            vals = F.data[F.indptr[i]:F.indptr[i + 1]]
+            # structured values sit below column 6, text values at or above
+            np.testing.assert_array_equal(cols[cols < 6], np.flatnonzero(S[i]))
+            np.testing.assert_array_equal(vals[cols < 6], S[i][S[i] != 0])
+            np.testing.assert_array_equal(cols[cols >= 6] - 6, T[i].indices)
+            np.testing.assert_array_equal(vals[cols >= 6], T[i].data)
 
 
 class TestMatrixHelpers:
-    def test_vectors_to_csr(self):
-        vs = [SparseVector(4, (0, 2), (1.0, 2.0)), SparseVector(4, (), ()),
-              SparseVector(4, (3,), (-1.0,))]
-        M = vectors_to_csr(vs)
-        assert M.shape == (3, 4)
-        np.testing.assert_allclose(
-            M.toarray(), [[1, 0, 2, 0], [0, 0, 0, 0], [0, 0, 0, -1]])
+    def test_empty_document_gives_empty_row(self):
+        docs = [["a", "c"], [], ["c", "zzz"]]
+        m = tfidf_fit(build_vocab([["a", "b", "c"]], min_df=1))
+        M = transform_corpus(m, docs)
+        assert M.shape == (3, 3)
+        assert M.indptr.tolist() == [0, 2, 2, 3]
+        assert M.indices.tolist() == [0, 2, 2]
+        np.testing.assert_allclose(M.toarray(), [[2 ** -0.5, 0, 2 ** -0.5],
+                                                 [0, 0, 0], [0, 0, 1]])
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(TextFeatError):
-            vectors_to_csr([SparseVector(3, (), ()), SparseVector(4, (), ())])
+        with pytest.raises(TextFeatError, match="row counts"):
+            fuse_matrix(np.zeros((2, 3)), sp.csr_matrix((3, 4)))
 
     def test_transform_corpus_matches_per_doc(self):
         docs = [["sepsis", "shock"], ["sepsis", "fever"], ["fever"]]
         v = build_vocab(docs, min_df=1)
         m = tfidf_fit(v)
-        M = transform_corpus(m, docs)
-        for i, doc in enumerate(docs):
-            np.testing.assert_allclose(M[i].toarray().ravel(),
-                                       tfidf_transform(m, doc).to_dense())
+        assert_csr_identical(transform_corpus(m, docs), _ref_corpus(m, docs))
 
     def test_fuse_matrix_blocks(self):
         S = np.array([[1.0, 0.0], [0.0, 2.0]])
-        T = vectors_to_csr([SparseVector(3, (1,), (0.5,)),
-                            SparseVector(3, (), ())])
+        T = sp.csr_matrix(np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]))
         F = fuse_matrix(S, T)
         assert F.shape == (2, 5)
         np.testing.assert_allclose(F.toarray(),
