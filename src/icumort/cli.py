@@ -7,7 +7,13 @@ import sys
 from . import linmod
 from .cohort import CohortError, SynthConfig, save_cohort, synth_cohort
 from .evaluation import EvalError
-from .experiment import ConfigError, cell_id, run_experiment, run_permtest
+from .experiment import (
+    ConfigError,
+    cell_id,
+    load_run,
+    run_experiment,
+    run_permtest,
+)
 
 
 def _build_parser():
@@ -55,26 +61,16 @@ def cmd_synth(args):
     return 0
 
 
-def _load_run_config(path):
-    from .experiment import ExperimentConfig
-
-    try:
-        with open(path, encoding="utf-8") as f:
-            obj = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if "config" in obj and "cells" in obj:  # a manifest from a previous run
-        obj = obj["config"]
-    return ExperimentConfig.from_obj(obj)
-
-
 def cmd_run(args):
-    config = _load_run_config(args.config)
+    # a manifest's recorded input files apply unless a flag names others
+    config, inputs = load_run(args.config)
     if args.seed is not None:
         config.seed = args.seed
-    rows = run_experiment(config, args.out, stopwords_path=args.stopwords,
-                          ranges_path=args.ranges,
-                          embeddings_path=args.embeddings)
+    for name in ("stopwords", "ranges", "embeddings"):
+        flag = getattr(args, name)
+        if flag:
+            inputs[f"{name}_path"] = flag
+    rows = run_experiment(config, args.out, **inputs)
     failed = 0
     unconverged = 0
     for row in rows:

@@ -354,9 +354,9 @@ class StructuredEncoder:
         """Fit standardization statistics on a completed continuous block.
 
         `continuous` has one column per schema.continuous feature. Population
-        (1/n) standard deviation; constant columns get sd 1 and a recorded
-        warning. Missing values are rejected with a pointer to the impute
-        module.
+        (1/n) standard deviation; constant columns (max equal to min, or sd
+        0) get sd 1 and a recorded warning. Missing values are rejected with
+        a pointer to the impute module.
         """
         # C order: the column reductions' summation order depends on layout
         X = np.ascontiguousarray(continuous, dtype=float)
@@ -373,9 +373,11 @@ class StructuredEncoder:
                 "module (impute_fit_transform) before fitting the encoder")
         means = X.mean(axis=0)
         sds = X.std(axis=0)  # ddof=0
+        # a rounded mean can leave a constant column a tiny nonzero sd
+        flat = X.max(axis=0) == X.min(axis=0)
         constant = []
         for j, name in enumerate(schema.continuous):
-            if sds[j] == 0.0:
+            if flat[j] or sds[j] == 0.0:
                 sds[j] = 1.0
                 constant.append(name)
                 warnings.warn(f"continuous feature {name!r} is constant; sd set to 1")

@@ -1,4 +1,5 @@
-"""Splits, resampling, cross-validated grid search, metrics, permutation test."""
+"""Splits, seeds, resampling, cross-validated grid search, metrics,
+permutation test."""
 
 import json
 from dataclasses import dataclass, field
@@ -70,6 +71,11 @@ def stratified_split(labels, ratio=0.7, stratify=True, seed=0):
         train = np.concatenate([m[:q] for m, q in zip(members, quotas)])
         test = np.concatenate([m[q:] for m, q in zip(members, quotas)])
     return SplitSpec(np.sort(train), np.sort(test), ratio, stratify, seed)
+
+
+def derive_seed(*parts):
+    """A 32-bit seed derived from integer parts, one stream per tuple."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
 def undersample(labels, ratio=4.0, seed=0):
@@ -285,45 +291,31 @@ class GridSearchResult:
     table: list = field(default_factory=list)
 
 
-def _cell_seed(seed, cell, fold):
-    # cell 0 is reserved for fold-level resampling; grid cells start at 1
-    return int(np.random.SeedSequence([seed, cell, fold]).generate_state(1)[0])
-
-
-def kfold_grid_search(trainer, grid, labels, folds, metric="f1", seed=0,
-                      undersample_ratio=None, threshold=0.5):
+def kfold_grid_search(trainer, grid, labels, plan, metric="f1", seed=0,
+                      threshold=0.5):
     """Pick the grid cell with the best mean validation metric.
 
-    folds is the fold plan: one array of validation positions into labels
-    per fold, as stratified_folds returns.  trainer(params, fold,
-    fit_indices, val_indices, seed) returns validation scores; it must fit
-    transformers and the model from fit/fold-train rows only.  fit_indices
-    are the fold-train rows after optional undersampling, val_indices are
-    folds[fold].  threshold is the F1 decision cut (margin scorers cut at
-    0).  Ties keep the earliest grid entry.
+    plan holds one (fit rows, validation rows) pair per fold, indices into
+    labels.  trainer(params, fold, fit_indices, val_indices, seed) returns
+    validation scores; it must fit transformers and the model from fold
+    rows only.  Grid cell c of fold f is seeded derive_seed(seed, c + 1, f).
+    threshold is the F1 decision cut (margin scorers cut at 0).  Ties keep
+    the earliest grid entry.
     """
     if not grid:
         raise EvalError("empty parameter grid")
     if metric not in ("f1", "auc"):
         raise EvalError(f"unknown selection metric {metric!r}")
     y = _check_labels(labels)
-    k = len(folds)
-    fit_sets = []
-    for f in range(k):
-        train_rows = np.sort(np.concatenate(
-            [folds[g] for g in range(k) if g != f]))
-        if undersample_ratio is not None:
-            keep = undersample(y[train_rows], undersample_ratio,
-                               seed=_cell_seed(seed, 0, f))
-            train_rows = train_rows[keep]
-        fit_sets.append(train_rows)
+    for f, (fit_idx, val_idx) in enumerate(plan):
+        if np.intersect1d(fit_idx, val_idx).size:
+            raise EvalError(f"fold {f} fits on its own validation rows")
 
-    scores = np.empty((len(grid), k))
+    scores = np.empty((len(grid), len(plan)))
     for c, params in enumerate(grid):
-        for f, val_idx in enumerate(folds):
-            fold_scores = np.asarray(trainer(
-                dict(params), f, fit_sets[f], val_idx,
-                _cell_seed(seed, c + 1, f)))
+        for f, (fit_idx, val_idx) in enumerate(plan):
+            fold_scores = np.asarray(trainer(dict(params), f, fit_idx, val_idx,
+                                             derive_seed(seed, c + 1, f)))
             if fold_scores.shape != val_idx.shape:
                 raise EvalError("trainer returned a wrong-length score vector")
             if metric == "auc":

@@ -1,8 +1,8 @@
 """Config-driven experiment runner: featurize per fold, grid-search, evaluate.
 
 A run covers the cross product of outcomes, feature sets, sampling modes,
-and algorithms.  Every cell of one outcome shares a single train/test split,
-and the fold layout is shared across cells so score files stay paired for
+and algorithms.  Every cell of one outcome shares one fold plan -- its
+train/test split, folds and model-fit rows -- so score files stay paired for
 the permutation test.
 """
 
@@ -25,8 +25,10 @@ from .cohort import (
     synth_cohort,
 )
 from .evaluation import (
+    SplitSpec,
     classification_report,
     cv_table_tsv,
+    derive_seed,
     kfold_grid_search,
     perm_test_auc,
     stratified_folds,
@@ -39,7 +41,6 @@ from .textfeat import (
     default_stopwords,
     fuse_matrix,
     load_stopwords,
-    preprocess_note,
     tfidf_fit,
     tokenize_corpus,
     transform_corpus,
@@ -151,7 +152,8 @@ class ExperimentConfig:
         if not isinstance(obj, dict):
             raise ConfigError("experiment config must be a JSON object")
         obj = dict(obj)
-        known = {f.name for f in fields(cls)} | {"cohort"}
+        known = ({f.name for f in fields(cls)} - {"cohort_path", "synth"}
+                 | {"cohort"})
         unknown = set(obj) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -165,12 +167,6 @@ class ExperimentConfig:
                 kwargs["cohort_path"] = source["path"]
             if "synth" in source:
                 kwargs["synth"] = SynthConfig.from_obj(source["synth"])
-        if "cohort_path" in obj:
-            kwargs["cohort_path"] = obj.pop("cohort_path")
-        if "synth" in obj:
-            raw = obj.pop("synth")
-            kwargs["synth"] = (raw if isinstance(raw, SynthConfig)
-                               else SynthConfig.from_obj(raw))
         for key in ("outcomes", "feature_sets", "sampling", "algorithms"):
             if key in obj:
                 kwargs[key] = _as_tuple(obj.pop(key), key)
@@ -180,15 +176,6 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
         return config.validate()
-
-    @classmethod
-    def from_json(cls, path):
-        try:
-            with open(path, encoding="utf-8") as f:
-                obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-        return cls.from_obj(obj)
 
     def to_obj(self):
         """Fully materialized form: every default echoed, grids resolved."""
@@ -225,8 +212,24 @@ class ExperimentConfig:
                 for combo in itertools.product(*(grid[k] for k in keys))]
 
 
-def _derive_seed(*parts):
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+def load_run(path):
+    """(config, inputs) read from an experiment config or a run's manifest.
+
+    inputs holds the stopwords_path, ranges_path and embeddings_path keyword
+    arguments of run_experiment that a manifest recorded, so a replay reads
+    the files the recorded run read; a plain config records none.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            obj = json.load(f)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if isinstance(obj, dict) and "config" in obj and "cells" in obj:
+        inputs = obj.get("inputs", {})
+        return (ExperimentConfig.from_obj(obj["config"]),
+                {f"{name}_path": inputs.get(name)
+                 for name in ("stopwords", "ranges", "embeddings")})
+    return ExperimentConfig.from_obj(obj), {}
 
 
 def algo_allowed(algo, feature_set):
@@ -248,98 +251,125 @@ def cell_dir(out_dir, feature_set, outcome, sampling, algo):
 
 
 # ---------------------------------------------------------------------------
-# per-fold featurization
+# the fold plan and per-fold featurization
 
-class _StructuredFeatures:
-    """Chained-equation imputation + standardizing encoder fitted on one set
-    of training rows, applied to any rows of the run's decoded cohort.
+@dataclass(frozen=True)
+class FoldPlan:
+    """Every row set one outcome's fits see, decided once from its labels.
 
-    One instance per (outcome, fold) serves every view with a structured
-    block.  Encoded matrices are memoized per requested row set.
+    For fold f < k, `val[f]` holds its validation rows and `fit[f]` the
+    other training rows, on which its transformers are fitted; `fit[k]` is
+    the whole training split, for the refit.  `model[sampling][f]` holds the
+    rows a model fits on: `fit[f]` itself under "none", undersampled under
+    "1:4".  Rows index the full cohort.
+    """
+    seed: int
+    split: SplitSpec
+    val: list
+    fit: list
+    model: dict
+
+    def grid(self, sampling):
+        """(model-fit rows, validation rows) per fold, for the grid search;
+        zip drops the refit entry, which has no validation rows."""
+        return list(zip(self.model[sampling], self.val))
+
+
+def fold_plan(labels, config, seed):
+    """The fold plan of one outcome; fits nothing.
+
+    "1:4" undersamples fold f with derive_seed(seed, 0, f) and the refit
+    with derive_seed(seed, 2), so every algorithm and feature set of the
+    outcome fits on the same rows.
+    """
+    split = stratified_split(labels, config.split_ratio, config.stratify,
+                             seed=seed)
+    train = split.train_indices
+    folds = stratified_folds(labels[train], config.folds, seed)
+    fit = [np.delete(train, pos) for pos in folds] + [train]
+    seeds = [derive_seed(seed, 0, f) for f in range(len(folds))]
+    seeds.append(derive_seed(seed, 2))
+    model = {}
+    for sampling in config.sampling:
+        model[sampling] = fit if sampling == "none" else [
+            rows[undersample(labels[rows], config.undersample_ratio, seed=s)]
+            for rows, s in zip(fit, seeds)]
+    return FoldPlan(seed, split, [train[pos] for pos in folds], fit, model)
+
+
+class _Fold:
+    """One fold's transformers, fitted once on its fit rows and shared by
+    every feature set.
+
+    The chained-equation imputer and standardizing encoder are fitted when
+    `arrays` (the run's decoded cohort) is given, the vocabulary and tf-idf
+    when `tokens` (its tokenized notes) are.  The structured, text and fused
+    blocks are memoized per requested row set; a feature set only picks
+    which block, or the fused pair, to return.
     """
 
-    def __init__(self, arrays, fit_rows, seed):
-        self.arrays = arrays
+    def __init__(self, fit_rows, seed, arrays, tokens, min_df):
         self.fit_rows = np.asarray(fit_rows)
+        self.arrays = arrays
+        self.tokens = tokens
         self._memo = {}
-        self._fit_imputed, self.imp_model = impute_fit_transform(
-            arrays.continuous[self.fit_rows], seed=seed)
-        self.encoder = StructuredEncoder.fit(arrays.schema, self._fit_imputed)
+        if arrays is not None:
+            self._fit_imputed, self.imp_model = impute_fit_transform(
+                arrays.continuous[self.fit_rows], seed=seed)
+            self.encoder = StructuredEncoder.fit(arrays.schema,
+                                                 self._fit_imputed)
+        if tokens is not None:
+            self.vocab = build_vocab([tokens[i] for i in self.fit_rows],
+                                     min_df=min_df)
+            self.tfidf = tfidf_fit(self.vocab)
 
-    def matrix(self, rows):
-        rows = np.asarray(rows)
-        key = rows.tobytes()
+    def _memoized(self, kind, rows, make):
+        key = (kind, rows.tobytes())
         if key not in self._memo:
-            if np.array_equal(rows, self.fit_rows):
-                imputed = self._fit_imputed
-            else:
-                imputed = apply_imputation(self.imp_model,
-                                           self.arrays.continuous[rows])
-            self._memo[key] = self.arrays.encode(self.encoder, rows, imputed)
+            self._memo[key] = make(rows)
         return self._memo[key]
 
-    def n_structured(self):
-        return self.encoder.n_columns
+    def _structured(self, rows):
+        if np.array_equal(rows, self.fit_rows):
+            imputed = self._fit_imputed
+        else:
+            imputed = apply_imputation(self.imp_model,
+                                       self.arrays.continuous[rows])
+        return self.arrays.encode(self.encoder, rows, imputed)
 
-    def feature_names(self):
-        return self.encoder.column_names()
+    def structured(self, rows):
+        return self._memoized("structured", rows, self._structured)
 
+    def text(self, rows):
+        return self._memoized("text", rows, lambda r: transform_corpus(
+            self.tfidf, [self.tokens[i] for i in r]))
 
-class _FoldFeatures:
-    """Fold vocabulary + tf-idf fitted on one set of training rows, applied
-    to any rows, optionally index-partition fused after a structured block.
-
-    Notes: tf-idf only.  Combined: the fold's shared _StructuredFeatures
-    block, then tf-idf.  Matrices are memoized per requested row set.
-    """
-
-    def __init__(self, tokens, fit_rows, min_df, structured=None):
-        self.tokens = tokens
-        self.structured = structured
-        self._memo = {}
-        self.vocab = build_vocab([tokens[i] for i in fit_rows],
-                                 min_df=min_df)
-        self.tfidf = tfidf_fit(self.vocab)
-
-    def _text(self, rows):
-        return transform_corpus(self.tfidf, [self.tokens[i] for i in rows])
-
-    def matrix(self, rows):
+    def matrix(self, feature_set, rows):
         """Design matrix for the linear/tree/MLP families."""
         rows = np.asarray(rows)
-        key = ("m", rows.tobytes())
-        if key not in self._memo:
-            if self.structured is None:
-                X = self._text(rows)
-            else:
-                X = fuse_matrix(self.structured.matrix(rows),
-                                self._text(rows))
-            self._memo[key] = X
-        return self._memo[key]
+        if feature_set == "structured":
+            return self.structured(rows)
+        if feature_set == "notes":
+            return self.text(rows)
+        return self._memoized("combined", rows, lambda r: fuse_matrix(
+            self.structured(r), self.text(r)))
 
-    def cnn_inputs(self, rows, max_len):
+    def cnn_inputs(self, feature_set, rows, max_len):
         """(padded token ids, structured block) for the fusion CNN."""
         rows = np.asarray(rows)
-        key = ("c", rows.tobytes(), max_len)
-        if key not in self._memo:
-            ids = neural.tokens_to_ids(
-                [self.tokens[i] for i in rows], self.vocab)
-            padded = neural.pad_sequences(ids, max_len)
-            if self.structured is None:
-                S = np.zeros((rows.size, 0))
-            else:
-                S = self.structured.matrix(rows)
-            self._memo[key] = (padded, S)
-        return self._memo[key]
+        padded = self._memoized(("ids", max_len), rows, lambda r: (
+            neural.pad_sequences(neural.tokens_to_ids(
+                [self.tokens[i] for i in r], self.vocab), max_len)))
+        if feature_set == "combined":
+            return padded, self.structured(rows)
+        return padded, np.zeros((rows.size, 0))
 
-    def n_structured(self):
-        return 0 if self.structured is None else self.structured.n_structured()
-
-    def feature_names(self):
-        names = []
-        if self.structured is not None:
-            names = self.structured.feature_names()
-        return names + list(self.vocab.tokens)
+    def feature_names(self, feature_set):
+        """The feature set's column names, structured block first."""
+        names = [] if feature_set == "notes" else self.encoder.column_names()
+        if feature_set != "structured":
+            names += self.vocab.tokens
+        return names
 
 
 # ---------------------------------------------------------------------------
@@ -357,61 +387,54 @@ def _neural_params(cls, config, params):
     return cls(**base)
 
 
-def _fit_model(algo, params, feats, fit_rows, y_fit, seed, config,
-               pretrained):
-    """Returns (model, score_fn, threshold)."""
-    if algo in ("l1-lr", "l2-lr", "l1-svm", "l2-svm", "rf"):
-        weights = linmod.compute_class_weights(y_fit).per_instance(y_fit)
-    if algo in ("l1-lr", "l2-lr"):
-        X = feats.matrix(fit_rows)
-        reg = linmod.L1 if algo == "l1-lr" else linmod.L2
-        model = linmod.train_logreg(X, y_fit, reg=reg,
-                                    instance_weights=weights, seed=seed,
-                                    **params)
-        return model, lambda r: linmod.predict_proba(
-            model, feats.matrix(r)), 0.5
-    if algo in ("l1-svm", "l2-svm"):
-        X = feats.matrix(fit_rows)
-        reg = linmod.L1 if algo == "l1-svm" else linmod.L2
-        model = linmod.train_linear_svm(X, y_fit, reg=reg,
-                                        instance_weights=weights, seed=seed,
-                                        **params)
-        return model, lambda r: linmod.predict_scores(
-            model, feats.matrix(r)), 0.0
-    if algo == "rf":
-        X = feats.matrix(fit_rows)
-        model = trees.train_random_forest(X, y_fit,
-                                          trees.ForestParams(**params),
-                                          instance_weights=weights, seed=seed)
-        return model, lambda r: trees.predict_proba_trees(
-            model, feats.matrix(r)), 0.5
-    if algo == "gbt":
-        X = feats.matrix(fit_rows)
-        model = trees.train_gbt(X, y_fit, trees.GbtParams(**params),
-                                seed=seed)
-        return model, lambda r: trees.predict_proba_trees(
-            model, feats.matrix(r)), 0.5
-    if algo == "mlp":
-        X = feats.matrix(fit_rows)
-        hp = _neural_params(neural.MlpParams, config, params)
-        model, _ = neural.train_mlp(X, y_fit, hp, seed=seed)
-        return model, lambda r: neural.predict_proba_net(
-            model, feats.matrix(r)), 0.5
+def _fit_model(algo, params, fold, feature_set, fit_rows, y_fit, seed,
+               config, pretrained):
+    """Returns (model, score_fn); score_fn maps rows to the model's scores."""
     if algo == "cnn":
         hp = _neural_params(neural.CnnParams, config, params)
-        ids, S = feats.cnn_inputs(fit_rows, hp.max_len)
+        ids, S = fold.cnn_inputs(feature_set, fit_rows, hp.max_len)
         embed = neural.embedding_matrix_for_vocab(
-            feats.vocab.tokens, hp.embed_dim, seed=seed,
+            fold.vocab.tokens, hp.embed_dim, seed=seed,
             pretrained=pretrained)
         model, _ = neural.train_cnn_fusion(
             list(ids), S, y_fit, hp, seed=seed, vocab_size=embed.shape[0],
             embed_init=embed)
         return model, lambda r: neural.predict_proba_net(
-            model, feats.cnn_inputs(r, hp.max_len)), 0.5
-    raise ConfigError(f"unknown algorithm {algo!r}")
+            model, fold.cnn_inputs(feature_set, r, hp.max_len))
+    if algo in ("l1-lr", "l2-lr", "l1-svm", "l2-svm", "rf"):
+        weights = linmod.compute_class_weights(y_fit).per_instance(y_fit)
+    X = fold.matrix(feature_set, fit_rows)
+    if algo in ("l1-lr", "l2-lr"):
+        reg = linmod.L1 if algo == "l1-lr" else linmod.L2
+        model = linmod.train_logreg(X, y_fit, reg=reg,
+                                    instance_weights=weights, seed=seed,
+                                    **params)
+        predict = linmod.predict_proba
+    elif algo in ("l1-svm", "l2-svm"):
+        reg = linmod.L1 if algo == "l1-svm" else linmod.L2
+        model = linmod.train_linear_svm(X, y_fit, reg=reg,
+                                        instance_weights=weights, seed=seed,
+                                        **params)
+        predict = linmod.predict_scores
+    elif algo == "rf":
+        model = trees.train_random_forest(X, y_fit,
+                                          trees.ForestParams(**params),
+                                          instance_weights=weights, seed=seed)
+        predict = trees.predict_proba_trees
+    elif algo == "gbt":
+        model = trees.train_gbt(X, y_fit, trees.GbtParams(**params),
+                                seed=seed)
+        predict = trees.predict_proba_trees
+    elif algo == "mlp":
+        hp = _neural_params(neural.MlpParams, config, params)
+        model, _ = neural.train_mlp(X, y_fit, hp, seed=seed)
+        predict = neural.predict_proba_net
+    else:
+        raise ConfigError(f"unknown algorithm {algo!r}")
+    return model, lambda r: predict(model, fold.matrix(feature_set, r))
 
 
-def _save_model(algo, model, feats, path_base):
+def _save_model(algo, model, fold, feature_set, path_base):
     if algo in ("mlp", "cnn"):
         neural.save_checkpoint(model, path_base.with_suffix(".ckpt"))
         return
@@ -421,8 +444,9 @@ def _save_model(algo, model, feats, path_base):
     else:
         payload = {"kind": "linear", "algorithm": algo,
                    "model": json.loads(model.to_json()),
-                   "n_structured": feats.n_structured(),
-                   "feature_names": feats.feature_names()}
+                   "n_structured": (0 if feature_set == "notes"
+                                    else fold.encoder.n_columns),
+                   "feature_names": fold.feature_names(feature_set)}
     path_base.with_suffix(".json").write_text(
         json.dumps(payload, sort_keys=True), encoding="utf-8")
 
@@ -431,91 +455,52 @@ def _save_model(algo, model, feats, path_base):
 # the runner
 
 class _OutcomeContext:
-    """Split, labels, the fold plan, and shared per-fold featurizations.
+    """One outcome's labels, fold plan, and one _Fold per entry of the
+    plan's `fit` (the folds, then the full training split).
 
-    Per-fold lists hold one entry per fold of the plan, then one for the
-    full training split at index k.  `arrays` is the run's decoded cohort
-    (None when no feature set has a structured block), `tokens` its
-    tokenized notes (None when none has notes).
+    `arrays` is the run's decoded cohort (None when no feature set has a
+    structured block), `tokens` its tokenized notes (None when none has
+    notes).
     """
 
     def __init__(self, cohort, arrays, tokens, config, outcome,
                  outcome_index):
         self.outcome = outcome
         self.labels = cohort.labels(outcome)
-        self.search_seed = _derive_seed(config.seed, outcome_index)
-        self.split = stratified_split(self.labels, config.split_ratio,
-                                      config.stratify, seed=self.search_seed)
-        train_idx = self.split.train_indices
-        self.folds = stratified_folds(self.labels[train_idx], config.folds,
-                                      self.search_seed)
-        self.fit_rows = ([np.delete(train_idx, val_pos)
-                          for val_pos in self.folds] + [train_idx])
-        self.arrays = arrays
-        self.tokens = tokens
-        self.config = config
-        self.features = {}
-        self._structured = None  # per-fold _StructuredFeatures
-
-    def build_features(self, feature_set):
-        """Fit fold-train and full-train transformers once per feature set.
-
-        Feature sets with a structured block share one structured fit per
-        fold: same rows, same seed.
-        """
-        structured = [None] * len(self.fit_rows)
-        if feature_set in ("structured", "combined"):
-            if self._structured is None:
-                self._structured = [
-                    _StructuredFeatures(self.arrays, rows,
-                                        _derive_seed(self.search_seed, 1, f))
-                    for f, rows in enumerate(self.fit_rows)]
-            structured = self._structured
-        if feature_set == "structured":
-            self.features[feature_set] = structured
-        else:
-            self.features[feature_set] = [
-                _FoldFeatures(self.tokens, rows, self.config.min_df, block)
-                for rows, block in zip(self.fit_rows, structured)]
+        self.plan = fold_plan(self.labels, config,
+                              derive_seed(config.seed, outcome_index))
+        self.folds = [_Fold(rows, derive_seed(self.plan.seed, 1, f), arrays,
+                            tokens, config.min_df)
+                      for f, rows in enumerate(self.plan.fit)]
 
 
 def _run_cell(ctx, feature_set, sampling, algo, config, out_dir, pretrained):
-    y = ctx.labels
-    train_idx, test_idx = ctx.split.train_indices, ctx.split.test_indices
-    y_train = y[train_idx]
-    bank = ctx.features[feature_set]
-    usr = config.undersample_ratio if sampling == "1:4" else None
-    grid = config.grid_cells(algo)
-    family_threshold = 0.0 if algo in ("l1-svm", "l2-svm") else 0.5
+    y, plan = ctx.labels, ctx.plan
+    test_idx = plan.split.test_indices
+    # probability scorers cut at 0.5, margin scorers at 0
+    threshold = 0.0 if algo in ("l1-svm", "l2-svm") else 0.5
     converged = []  # one flag per linear fit, CV folds and refit
 
-    def fit(params, feats, fit_rows, seed):
-        model, score_fn, threshold = _fit_model(
-            algo, params, feats, fit_rows, y[fit_rows], seed, config,
-            pretrained)
+    def fit(params, fold, rows, seed):
+        model, score_fn = _fit_model(algo, params, fold, feature_set, rows,
+                                     y[rows], seed, config, pretrained)
         if isinstance(model, linmod.LinearModel):
             converged.append(model.diagnostics["converged"])
-        return model, score_fn, threshold
+        return model, score_fn
 
-    def trainer(params, fold, fit_pos, val_pos, seed):
-        _, score_fn, _ = fit(params, bank[fold], train_idx[fit_pos], seed)
-        return score_fn(train_idx[val_pos])
+    def trainer(params, f, fit_rows, val_rows, seed):
+        _, score_fn = fit(params, ctx.folds[f], fit_rows, seed)
+        return score_fn(val_rows)
 
-    search = kfold_grid_search(trainer, grid, y_train, ctx.folds,
+    search = kfold_grid_search(trainer, config.grid_cells(algo), y,
+                               plan.grid(sampling),
                                metric=config.selection_metric,
-                               seed=ctx.search_seed, undersample_ratio=usr,
-                               threshold=family_threshold)
+                               seed=plan.seed, threshold=threshold)
 
-    feats = bank[len(ctx.folds)]
-    fit_pos = np.arange(train_idx.size)
-    if usr is not None:
-        # one shared seed keeps the refit rows identical across algorithms
-        keep = undersample(y_train, usr,
-                           seed=_derive_seed(ctx.search_seed, 2))
-        fit_pos = fit_pos[keep]
-    refit_seed = _derive_seed(ctx.search_seed, 3, search.best_index)
-    model, score_fn, threshold = fit(search.best_params, feats,
-                                     train_idx[fit_pos], refit_seed)
+    refit = ctx.folds[-1]
+    model, score_fn = fit(search.best_params, refit,
+                          plan.model[sampling][-1],
+                          derive_seed(plan.seed, 3, search.best_index))
     test_scores = np.asarray(score_fn(test_idx), dtype=float)
     report = classification_report(test_scores, y[test_idx],
                                    threshold=threshold)
@@ -534,7 +519,7 @@ def _run_cell(ctx, feature_set, sampling, algo, config, out_dir, pretrained):
         "best_params": search.best_params,
         "report": json.loads(report.to_json()),
     }, sort_keys=True), encoding="utf-8")
-    _save_model(algo, model, feats, cdir / "model")
+    _save_model(algo, model, refit, feature_set, cdir / "model")
 
     return {
         "feature_set": feature_set, "outcome": ctx.outcome,
@@ -577,7 +562,10 @@ def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
     that pins seeds and resolved settings so a rerun is byte-identical.
     """
     if isinstance(config, (str, Path)):
-        config = ExperimentConfig.from_json(config)
+        config, recorded = load_run(config)
+        stopwords_path = stopwords_path or recorded.get("stopwords_path")
+        ranges_path = ranges_path or recorded.get("ranges_path")
+        embeddings_path = embeddings_path or recorded.get("embeddings_path")
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -600,12 +588,9 @@ def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
     pretrained = (neural.load_embedding_file(embeddings_path)
                   if embeddings_path else None)
 
-    contexts = {}
-    for oi, outcome in enumerate(config.outcomes):
-        ctx = _OutcomeContext(cohort, arrays, tokens, config, outcome, oi)
-        for fs in config.feature_sets:
-            ctx.build_features(fs)
-        contexts[outcome] = ctx
+    contexts = {outcome: _OutcomeContext(cohort, arrays, tokens, config,
+                                         outcome, oi)
+                for oi, outcome in enumerate(config.outcomes)}
 
     cells = [(fs, outcome, sampling, algo)
              for fs in config.feature_sets
@@ -643,9 +628,9 @@ def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
                      "scipy": scipy.__version__},
         "outliers_nulled": outlier_report,
         "splits": {outcome: {
-            "seed": contexts[outcome].search_seed,
-            "train": contexts[outcome].split.train_indices.tolist(),
-            "test": contexts[outcome].split.test_indices.tolist(),
+            "seed": contexts[outcome].plan.seed,
+            "train": contexts[outcome].plan.split.train_indices.tolist(),
+            "test": contexts[outcome].plan.split.test_indices.tolist(),
         } for outcome in config.outcomes},
         "cells": {cell_id(*c): {"status": ("failed" if r["error"] else "ok"),
                                 "error": r["error"],
@@ -659,14 +644,7 @@ def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
 
 def replay_manifest(manifest_path, out_dir):
     """Re-run an experiment exactly as its manifest recorded it."""
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
-    config = ExperimentConfig.from_obj(manifest["config"])
-    inputs = manifest.get("inputs", {})
-    return run_experiment(config, out_dir,
-                          stopwords_path=inputs.get("stopwords"),
-                          ranges_path=inputs.get("ranges"),
-                          embeddings_path=inputs.get("embeddings"))
+    return run_experiment(manifest_path, out_dir)
 
 
 def load_cell_scores(out_dir, cell):

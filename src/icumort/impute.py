@@ -132,22 +132,19 @@ def _run_chain(X, observed_mask, cycles, seed):
     return work, model
 
 
-def impute_fit_transform(matrix, cycles=10, m=1, seed=0):
+def impute_fit_transform(matrix, cycles=10, seed=0):
     """Complete a matrix with NaN missing flags; returns (matrix, model).
 
     Missing cells start at column means; each cycle revisits every
     incomplete column in ascending-missingness order, refits its regression
     on the observed cells, and redraws the missing cells as prediction plus
-    Gaussian residual noise. With m > 1 the completed matrices of m
-    independent chains are averaged (the returned model is chain 0's).
+    Gaussian residual noise.
     """
     X = np.asarray(matrix, dtype=float)
     if X.ndim != 2:
         raise ImputeError("expected a 2-d matrix")
     if cycles < 1:
         raise ImputeError("cycles must be >= 1")
-    if m < 1:
-        raise ImputeError("m must be >= 1")
     observed_mask = ~np.isnan(X)
     counts = observed_mask.sum(axis=0)
     if np.any(counts == 0):
@@ -159,20 +156,7 @@ def impute_fit_transform(matrix, cycles=10, m=1, seed=0):
     if not np.isfinite(X[observed_mask]).all():
         raise ImputeError("observed cells must be finite")
 
-    if not (~observed_mask).any():
-        _, model = _run_chain(X, observed_mask, cycles, seed)
-        return X.copy(), model
-
-    completed, model = _run_chain(X, observed_mask, cycles, seed)
-    if m > 1:
-        acc = completed
-        for chain in range(1, m):
-            extra, _ = _run_chain(X, observed_mask, cycles, seed + chain)
-            acc = acc + extra
-        completed = acc / m
-        # averaging must not disturb observed cells
-        completed[observed_mask] = X[observed_mask]
-    return completed, model
+    return _run_chain(X, observed_mask, cycles, seed)
 
 
 def apply_imputation(model, matrix):

@@ -218,7 +218,6 @@ class MlpParams:
     batch_size: int = 32
     max_epochs: int = 20
     patience: int | None = 3
-    undersample_ratio: float | None = None
 
 
 @dataclass
@@ -233,7 +232,6 @@ class CnnParams:
     batch_size: int = 32
     max_epochs: int = 20
     patience: int | None = 3
-    undersample_ratio: float | None = None
 
     def validate(self):
         if len(set(self.widths)) != len(self.widths):
@@ -351,18 +349,6 @@ def pad_sequences(seqs, max_len, pad_id=0):
     return out
 
 
-def _undersample_rows(rows, y, ratio, rng):
-    pos = rows[y[rows] == 1]
-    neg = rows[y[rows] == 0]
-    minority, majority = (pos, neg) if pos.size <= neg.size else (neg, pos)
-    cap = int(ratio * minority.size)
-    if majority.size <= cap:
-        return rows
-    keep = rng.choice(majority.size, size=cap, replace=False)
-    out = np.concatenate([minority, majority[np.sort(keep)]])
-    return np.sort(out)
-
-
 def _fit(model, fetch, y, hp, seed):
     """Shared minibatch loop: Adam, seed-derived val split, patience-based
     early stopping with best-snapshot restore."""
@@ -381,9 +367,6 @@ def _fit(model, fetch, y, hp, seed):
         val_rows, train_rows = perm[:n_val], perm[n_val:]
         if train_rows.size == 0:
             raise NetError("training set too small for a validation split")
-    if hp.undersample_ratio is not None:
-        train_rows = _undersample_rows(np.sort(train_rows), y,
-                                       hp.undersample_ratio, rng)
 
     opt = Adam(model.params(), hp.learning_rate)
     log = []

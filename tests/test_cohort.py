@@ -243,6 +243,20 @@ class TestEncoder:
         X = encode(enc, Cohort(sch, rs))
         np.testing.assert_allclose(X[:, 0], 0.0)
 
+    def test_float_constant_with_nonzero_rounded_sd_is_constant(self):
+        # the mean of 7 copies of v rounds away from v: sd 1.1e-13, not 0
+        v = -559.4764078878736
+        block = np.full((7, 1), v)
+        assert block.std() > 0
+        schema = FeatureSchema([FeatureDescriptor("x", "continuous")])
+        with pytest.warns(UserWarning, match="constant"):
+            enc = StructuredEncoder.fit(schema, block)
+        assert enc.sds[0] == 1.0
+        encoded = CohortArrays(Cohort(schema, [
+            PatientRecord(f"p{i}", {"x": v}, "", False, False)
+            for i in range(7)])).encode(enc, list(range(7)), block)
+        assert np.abs(encoded).max() < 1e-9  # was -1.0 for every row
+
     def test_missing_values_rejected_with_pointer(self):
         sch = _tiny_schema()
         rs = [PatientRecord("a", {"flag": 0, "color": "red"}, "", False, False)]
@@ -313,7 +327,7 @@ def _ref_fit_stats(cohort):
     sds = X.std(axis=0)  # ddof=0
     constant = []
     for j, name in enumerate(cohort.schema.continuous):
-        if sds[j] == 0.0:
+        if len(set(X[:, j].tolist())) == 1 or sds[j] == 0.0:
             sds[j] = 1.0
             constant.append(name)
     return means, sds, constant
@@ -375,8 +389,8 @@ def encoder_cases(draw):
         min_size=len(fit_rows), max_size=len(fit_rows))))
     constant = draw(st.sampled_from([None, 0, 1, 2]))
     if constant is not None:
-        # an integer keeps the column mean exact, so its sd is exactly 0
-        fit_block[:, constant] = draw(st.integers(-1000, 1000))
+        # a float constant's rounded mean can leave it a tiny nonzero sd
+        fit_block[:, constant] = draw(_FLOATS)
     rows = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
     block = np.array(draw(st.lists(
         st.lists(_FLOATS, min_size=3, max_size=3),
@@ -400,6 +414,9 @@ def test_arrays_match_record_reference(case):
         for name in const_names]
     if constant is not None:
         assert cohort.schema.continuous[constant] in const_names
+        column = enc.continuous_columns[constant]
+        fit_matrix = CohortArrays(cohort).encode(enc, fit_rows, fit_block)
+        assert np.abs(fit_matrix[:, column]).max() < 1e-9
 
     arrays = CohortArrays(cohort)
     for request, values in ((fit_rows, fit_block), (rows, block)):

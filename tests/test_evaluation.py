@@ -12,6 +12,7 @@ from icumort.evaluation import (
     auc,
     classification_report,
     cv_table_tsv,
+    derive_seed,
     f1_score,
     kfold_grid_search,
     perm_test_auc,
@@ -364,6 +365,12 @@ def _lstsq_trainer(X, y):
     return trainer
 
 
+def _plan(y, k, seed):
+    """(fit rows, validation rows) per fold of a stratified k-fold plan."""
+    folds = stratified_folds(y, k, seed)
+    return [(np.setdiff1d(np.arange(y.size), val), val) for val in folds]
+
+
 class TestGridSearch:
     def _data(self):
         rng = np.random.default_rng(11)
@@ -377,74 +384,61 @@ class TestGridSearch:
     def test_informative_cell_wins(self):
         X, y = self._data()
         grid = [{"cols": [2, 3]}, {"cols": [0, 1]}]
-        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y,
-                                stratified_folds(y, 5, 0), metric="auc",
-                                seed=0)
+        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y, _plan(y, 5, 0),
+                                metric="auc", seed=0)
         assert res.best_index == 1
         assert res.best_params["cols"] == [0, 1]
 
     def test_ties_take_first_grid_order(self):
         X, y = self._data()
         grid = [{"cols": [0, 1]}, {"cols": [0, 1]}]
-        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y,
-                                stratified_folds(y, 5, 0), seed=0,
-                                metric="auc")
+        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y, _plan(y, 5, 0),
+                                seed=0, metric="auc")
         assert res.best_index == 0
 
     def test_trainer_validates_on_the_given_plan(self):
         y = np.array([0, 1] * 6)
-        plan = [np.array([0, 1, 5]), np.array([2, 3, 4, 7]),
-                np.array([6, 8, 9, 10, 11])]
+        plan = [(np.array([2, 3, 4, 7]), np.array([0, 1, 5])),
+                (np.array([0, 1, 6, 8]), np.array([2, 3, 4, 7])),
+                (np.array([0, 3, 5]), np.array([6, 8, 9, 10, 11]))]
         seen = []
 
         def spy(params, fold, fit_idx, val_idx, seed):
-            seen.append((fold, fit_idx, val_idx))
+            seen.append((fold, fit_idx, val_idx, seed))
             return np.full(val_idx.size, 0.5)
 
-        kfold_grid_search(spy, [{}, {}], y, plan, metric="f1", seed=0)
-        assert [fold for fold, _, _ in seen] == [0, 1, 2, 0, 1, 2]
-        for fold, fit_idx, val_idx in seen:
-            assert val_idx is plan[fold]
-            others = np.concatenate(
-                [plan[g] for g in range(3) if g != fold])
-            np.testing.assert_array_equal(fit_idx, np.sort(others))
+        kfold_grid_search(spy, [{}, {}], y, plan, metric="f1", seed=3)
+        assert [fold for fold, *_ in seen] == [0, 1, 2, 0, 1, 2]
+        for c, (fold, fit_idx, val_idx, seed) in enumerate(seen):
+            # the plan's own rows, not a recomputed or resampled copy
+            assert fit_idx is plan[fold][0]
+            assert val_idx is plan[fold][1]
+            assert seed == derive_seed(3, c // 3 + 1, fold)
 
-    def test_undersampling_applied_to_fit_rows_only(self):
-        X, y = self._data()
-        seen = []
-
-        def spy(params, fold, fit_idx, val_idx, seed):
-            seen.append((fit_idx, val_idx))
-            return np.zeros(val_idx.size) + 0.5
-
-        kfold_grid_search(spy, [{}], y, stratified_folds(y, 5, 0),
-                          metric="f1", seed=0, undersample_ratio=1.0)
-        for fit_idx, val_idx in seen:
-            c0, c1 = (y[fit_idx] == 0).sum(), (y[fit_idx] == 1).sum()
-            assert max(c0, c1) <= min(c0, c1) + 1  # majority capped at 1:1
-            assert val_idx.size == 60  # validation untouched
-            assert not set(fit_idx.tolist()) & set(val_idx.tolist())
+    def test_fit_rows_overlapping_validation_rejected(self):
+        y = np.array([0, 1] * 6)
+        plan = [(np.arange(0, 8), np.arange(6, 12)),
+                (np.arange(6, 12), np.arange(0, 6))]
+        with pytest.raises(EvalError, match="fold 0"):
+            kfold_grid_search(lambda *a: np.zeros(6), [{}], y, plan)
 
     def test_f1_metric_threshold_half(self):
         X, y = self._data()
         grid = [{"cols": [0, 1]}]
-        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y,
-                                stratified_folds(y, 5, 0), metric="f1",
-                                seed=0)
+        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y, _plan(y, 5, 0),
+                                metric="f1", seed=0)
         assert 0.0 <= res.table[0]["mean"] <= 1.0
 
     def test_empty_grid_rejected(self):
         y = np.array([0, 1] * 10)
         with pytest.raises(EvalError):
-            kfold_grid_search(lambda *a: None, [], y,
-                              stratified_folds(y, 5, 0))
+            kfold_grid_search(lambda *a: None, [], y, _plan(y, 5, 0))
 
     def test_cv_table_tsv_shape(self):
         X, y = self._data()
         grid = [{"cols": [0]}, {"cols": [1]}]
-        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y,
-                                stratified_folds(y, 5, 0), metric="auc",
-                                seed=0)
+        res = kfold_grid_search(_lstsq_trainer(X, y), grid, y, _plan(y, 5, 0),
+                                metric="auc", seed=0)
         text = cv_table_tsv(res)
         lines = text.strip().split("\n")
         assert len(lines) == 3

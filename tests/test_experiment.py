@@ -24,9 +24,10 @@ from icumort.cohort import (
 from icumort.experiment import (
     ConfigError,
     ExperimentConfig,
-    _FoldFeatures,
-    _StructuredFeatures,
+    _Fold,
     cell_dir,
+    fold_plan,
+    load_cell_scores,
     replay_manifest,
     run_experiment,
     run_permtest,
@@ -62,6 +63,15 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_obj(_base_obj(shuffle=True))
+        # only the cohort block names the cohort source
+        for key, value in (("cohort_path", "x.jsonl"), ("synth", {"n": 9})):
+            obj = _base_obj(**{key: value})
+            del obj["cohort"]
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                ExperimentConfig.from_obj(obj)
+        with pytest.raises(ConfigError, match="unknown neural settings"):
+            ExperimentConfig.from_obj(_base_obj(
+                neural={"undersample_ratio": 1.0}))
 
     def test_cohort_source_exclusive(self):
         obj = _base_obj()
@@ -192,7 +202,135 @@ class TestDeterminism:
                (tmp_path / "b" / "results.json").read_bytes()
 
 
+    def test_cli_replay_reads_the_recorded_inputs(self, tmp_path,
+                                                  monkeypatch):
+        from icumort import cli
+
+        monkeypatch.chdir(tmp_path)
+        Path("sw.txt").write_text("the\npatient\n")
+        Path("exp.json").write_text(json.dumps(_base_obj(
+            feature_sets=["notes"])))
+        assert cli.main(["run", "--config", "exp.json", "--out", "a",
+                         "--stopwords", "sw.txt"]) == 0
+        assert cli.main(["run", "--config", "a/manifest.json",
+                         "--out", "b"]) == 0
+        manifest = json.loads(Path("b/manifest.json").read_text())
+        assert manifest["inputs"]["stopwords"] == "sw.txt"
+        for name in ("results.json", "manifest.json",
+                     "cells/notes/hospital/none/l2-lr/scores.tsv"):
+            assert Path("a", name).read_bytes() == Path("b", name).read_bytes()
+
+
+@st.composite
+def labelled_plans(draw):
+    """(labels, folds, sampling modes, seed): n from 30 to 200 with a
+    minority of 2k+2 up to a quarter of the rows."""
+    n = draw(st.integers(30, 200))
+    k = draw(st.integers(2, 5))
+    n_pos = draw(st.integers(2 * k + 2, max(2 * k + 2, n // 4)))
+    labels = np.zeros(n, dtype=np.int64)
+    labels[np.random.default_rng(draw(st.integers(0, 2**16))).choice(
+        n, n_pos, replace=False)] = 1
+    sampling = draw(st.sampled_from([("none",), ("1:4",), ("none", "1:4")]))
+    return labels, k, sampling, draw(st.integers(0, 2**32 - 1))
+
+
 class TestFoldPlan:
+    @settings(max_examples=60, deadline=None)
+    @given(case=labelled_plans())
+    def test_plan_separates_caps_and_repeats(self, case):
+        labels, k, sampling, seed = case
+        config = ExperimentConfig(synth=SynthConfig(), folds=k,
+                                  sampling=sampling)
+        plan = fold_plan(labels, config, seed)
+        train, test = plan.split.train_indices, plan.split.test_indices
+        assert len(plan.val) == k and len(plan.fit) == k + 1
+        assert sorted(plan.model) == sorted(sampling)
+        np.testing.assert_array_equal(np.sort(np.concatenate(plan.val)),
+                                      train)
+        for f, fit in enumerate(plan.fit):
+            val = plan.val[f] if f < k else np.zeros(0, dtype=np.int64)
+            np.testing.assert_array_equal(fit, np.setdiff1d(train, val))
+            for mode in sampling:
+                rows = plan.model[mode][f]
+                assert not np.intersect1d(rows, val).size
+                assert not np.intersect1d(rows, test).size
+                assert np.isin(rows, fit).all()
+                if mode == "none":
+                    np.testing.assert_array_equal(rows, fit)
+                    continue
+                have = np.bincount(labels[fit], minlength=2)
+                kept = np.bincount(labels[rows], minlength=2)
+                minority = int(np.argmin(have))
+                assert kept[minority] == have[minority]
+                assert kept[1 - minority] == min(have[1 - minority],
+                                                 4 * have[minority])
+            if f < k:
+                for mode in sampling:
+                    rows, val_rows = plan.grid(mode)[f]
+                    assert rows is plan.model[mode][f]
+                    assert val_rows is plan.val[f]
+        again = fold_plan(labels, config, seed)
+        np.testing.assert_array_equal(again.split.test_indices, test)
+        for a, b in zip(plan.val + plan.fit, again.val + again.fit):
+            np.testing.assert_array_equal(a, b)
+        for mode in sampling:
+            for a, b in zip(plan.model[mode], again.model[mode]):
+                np.testing.assert_array_equal(a, b)
+
+    def test_every_cell_of_an_outcome_sees_the_same_rows(self, tmp_path,
+                                                          monkeypatch):
+        """Paired splits: per sampling mode, every algorithm and feature
+        set fits on the same fold objects and rows, and stores its scores
+        on the same test rows."""
+        import icumort.experiment as experiment
+
+        real_cell, real_fit = experiment._run_cell, experiment._fit_model
+        current, fits = {}, []
+
+        def cell_spy(ctx, fs, sampling, algo, *args):
+            current.update(ctx=ctx, sampling=sampling)
+            return real_cell(ctx, fs, sampling, algo, *args)
+
+        def fit_spy(algo, params, fold, fs, rows, *args):
+            folds = current["ctx"].folds
+            index = next(i for i, f in enumerate(folds) if f is fold)
+            fits.append((current["sampling"], fs, algo, index, rows.copy()))
+            return real_fit(algo, params, fold, fs, rows, *args)
+
+        monkeypatch.setattr(experiment, "_run_cell", cell_spy)
+        monkeypatch.setattr(experiment, "_fit_model", fit_spy)
+        obj = _base_obj(feature_sets=["structured", "notes", "combined"],
+                        sampling=["none", "1:4"], algorithms=["l2-lr", "rf"],
+                        grids={"l2-lr": {"C": [0.1, 1.0]},
+                               "rf": {"n_trees": [3], "max_depth": [2]}})
+        rows = run_experiment(ExperimentConfig.from_obj(obj), tmp_path)
+        assert all(r["error"] is None for r in rows)
+
+        for sampling in ("none", "1:4"):
+            per_cell = {}
+            for s, fs, algo, index, fit_rows in fits:
+                if s == sampling:
+                    per_cell.setdefault((fs, algo), {})[index] = fit_rows
+            assert len(per_cell) == 6
+            first = next(iter(per_cell.values()))
+            assert sorted(first) == [0, 1, 2]  # two folds, then the refit
+            for seen in per_cell.values():
+                assert sorted(seen) == sorted(first)
+                for index, fit_rows in seen.items():
+                    np.testing.assert_array_equal(fit_rows, first[index])
+        none_refit = [r for s, _, _, i, r in fits if s == "none" and i == 2]
+        sampled_refit = [r for s, _, _, i, r in fits if s == "1:4" and i == 2]
+        assert sampled_refit[0].size < none_refit[0].size
+
+        cells = [f"{r['feature_set']}/hospital/{r['sampling']}/"
+                 f"{r['algorithm']}" for r in rows]
+        test_rows, labels, _ = load_cell_scores(tmp_path, cells[0])
+        for cell in cells[1:]:
+            other_rows, other_labels, _ = load_cell_scores(tmp_path, cell)
+            np.testing.assert_array_equal(other_rows, test_rows)
+            np.testing.assert_array_equal(other_labels, labels)
+
     def test_one_fold_plan_per_outcome(self, tmp_path, monkeypatch):
         import icumort.evaluation as evaluation
         import icumort.experiment as experiment
@@ -336,16 +474,15 @@ def fold_plans(draw):
 
 
 def _fold(cohort, fit_rows, seed):
-    """A fold's structured block and its combined view, as the runner
-    builds them."""
-    structured = _StructuredFeatures(CohortArrays(cohort), fit_rows, seed)
-    tokens = tokenize_corpus(cohort.notes())
-    return structured, _FoldFeatures(tokens, fit_rows, _FOLD_MIN_DF, structured)
+    """A fold with structured and note transformers, as the runner builds
+    it."""
+    return _Fold(fit_rows, seed, CohortArrays(cohort),
+                 tokenize_corpus(cohort.notes()), _FOLD_MIN_DF)
 
 
 def _ref_fold(cohort, fit_rows, seed):
     """The same fold through the record-based reference path: a function
-    from requested rows to (structured matrix, combined matrix)."""
+    from requested rows to (structured, notes, combined matrix)."""
     continuous = cohort.continuous_matrix()
     fit_block, imputer = impute_fit_transform(continuous[fit_rows], seed=seed)
     encoder = StructuredEncoder(cohort.schema,
@@ -358,7 +495,8 @@ def _ref_fold(cohort, fit_rows, seed):
         block = (fit_block if np.array_equal(rows, fit_rows)
                  else apply_imputation(imputer, continuous[rows]))
         S = _ref_fold_matrix(encoder, cohort, rows, block)
-        return S, fuse_matrix(S, _ref_corpus(tfidf, [tokens[i] for i in rows]))
+        T = _ref_corpus(tfidf, [tokens[i] for i in rows])
+        return S, T, fuse_matrix(S, T)
     return matrices
 
 
@@ -371,17 +509,18 @@ class TestFoldFeatures:
         cohort, fit_rows, seed = plan
         n = len(cohort)
         for rows in fit_rows[:2]:
-            structured, combined = _fold(cohort, rows, seed)
+            fold = _fold(cohort, rows, seed)
             reference = _ref_fold(cohort, rows, seed)
             held_out = np.setdiff1d(np.arange(n), rows)
             subset = np.array(data.draw(st.permutations(range(n))))
             subset = subset[:data.draw(st.integers(1, n))]
             for request in (rows, held_out, subset, np.zeros(0, dtype=np.int64)):
-                want_s, want_c = reference(request)
-                got_s = structured.matrix(request)
+                want_s, want_t, want_c = reference(request)
+                got_s = fold.matrix("structured", request)
                 assert got_s.shape == want_s.shape
                 assert got_s.tobytes() == want_s.tobytes()
-                assert_csr_identical(combined.matrix(request), want_c)
+                assert_csr_identical(fold.matrix("combined", request), want_c)
+                assert_csr_identical(fold.matrix("notes", request), want_t)
 
     @settings(max_examples=30, deadline=None)
     @given(plan=fold_plans())
@@ -402,21 +541,22 @@ class TestFoldFeatures:
                                       r.label_hospital, r.label_30day)
                 records.append(r)
             mutated = Cohort(cohort.schema, records)
-            (s_a, c_a), (s_b, c_b) = (_fold(cohort, rows, seed),
-                                      _fold(mutated, rows, seed))
-            assert s_a.imp_model.to_json() == s_b.imp_model.to_json()
-            assert s_a.encoder.means.tobytes() == s_b.encoder.means.tobytes()
-            assert s_a.encoder.sds.tobytes() == s_b.encoder.sds.tobytes()
-            assert c_a.vocab.tokens == c_b.vocab.tokens
-            assert c_a.vocab.dfs == c_b.vocab.dfs
-            assert c_a.vocab.n_docs == c_b.vocab.n_docs
-            assert c_a.tfidf.idf.tobytes() == c_b.tfidf.idf.tobytes()
-            assert s_a.matrix(rows).tobytes() == s_b.matrix(rows).tobytes()
-            assert_csr_identical(c_a.matrix(rows), c_b.matrix(rows))
+            a, b = _fold(cohort, rows, seed), _fold(mutated, rows, seed)
+            assert a.imp_model.to_json() == b.imp_model.to_json()
+            assert a.encoder.means.tobytes() == b.encoder.means.tobytes()
+            assert a.encoder.sds.tobytes() == b.encoder.sds.tobytes()
+            assert a.vocab.tokens == b.vocab.tokens
+            assert a.vocab.dfs == b.vocab.dfs
+            assert a.vocab.n_docs == b.vocab.n_docs
+            assert a.tfidf.idf.tobytes() == b.tfidf.idf.tobytes()
+            assert (a.matrix("structured", rows).tobytes()
+                    == b.matrix("structured", rows).tobytes())
+            assert_csr_identical(a.matrix("combined", rows),
+                                 b.matrix("combined", rows))
             # the rewrite reached the other rows
             others = np.setdiff1d(np.arange(len(cohort)), rows)
-            assert (s_a.matrix(others).tobytes()
-                    != s_b.matrix(others).tobytes())
+            assert (a.matrix("structured", others).tobytes()
+                    != b.matrix("structured", others).tobytes())
 
 
 class TestFailureIsolation:

@@ -132,17 +132,6 @@ def test_error_cases():
         impute_fit_transform(np.ones((3, 2, 1)))
 
 
-def test_multiple_chains_average():
-    rng = np.random.default_rng(17)
-    Xm, mask = _mask_mcar(rng, _linear_dataset(rng, n=150), 0.3)
-    single, _ = impute_fit_transform(Xm, seed=6, m=1)
-    pooled, _ = impute_fit_transform(Xm, seed=6, m=5)
-    pooled2, _ = impute_fit_transform(Xm, seed=6, m=5)
-    np.testing.assert_array_equal(pooled, pooled2)
-    assert not np.array_equal(single[mask], pooled[mask])
-    np.testing.assert_array_equal(pooled[~mask], Xm[~mask])
-
-
 class TestApply:
     def setup_method(self):
         rng = np.random.default_rng(23)

@@ -355,17 +355,6 @@ class TestCnn:
         pairs = [(p.value, p.grad) for p in model.params()]
         assert _fd_check(f, pairs, rng, samples=6) < TOL
 
-    def test_undersampling_reduces_majority_exposure(self):
-        rng = np.random.default_rng(10)
-        docs = [[2, 3]] * 90 + [[4, 5]] * 10
-        y = np.array([0] * 90 + [1] * 10)
-        S = np.zeros((100, 0))
-        params = CnnParams(widths=(2,), filters=2, embed_dim=3, hidden=4,
-                           dropout=0.0, max_len=3, max_epochs=2,
-                           patience=None, undersample_ratio=1.0)
-        model, log = train_cnn_fusion(docs, S, y, params, seed=0, vocab_size=6)
-        assert len(log) == 2  # smoke: trains on the reduced set
-
     def test_config_validation(self):
         with pytest.raises(NetError):
             CnnParams(widths=(3, 3, 5)).validate()
