@@ -6,11 +6,13 @@ values never influence the regressions.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 RIDGE_PENALTY = 1e-6
+# A scaled Cholesky pivot is 1 - R^2 of its column on the columns before it;
+# at or below this the normal equations lose too many digits, so the column
+# is solved by SVD least squares instead.
+PIVOT_TOL = 1e-6
 
 
 class ImputeError(ValueError):
@@ -42,64 +44,59 @@ class ImputationModel:
         if sorted(self.coefficients) != sorted(self.visit_order):
             raise ImputeError("stored regressions must match the visit order")
 
-    def to_json(self):
-        return json.dumps({
-            "n_columns": self.n_columns,
-            "means": self.means.tolist(),
-            "visit_order": list(self.visit_order),
-            "coefficients": {str(j): c.tolist() for j, c in self.coefficients.items()},
-            "residual_sds": {str(j): s for j, s in self.residual_sds.items()},
-            "cycles": self.cycles,
-            "seed": self.seed,
-            "ridge_columns": list(self.ridge_columns),
-            "cycle_median_change": list(self.cycle_median_change),
-        })
 
-    @classmethod
-    def from_json(cls, text):
-        o = json.loads(text)
-        return cls(
-            n_columns=o["n_columns"], means=o["means"],
-            visit_order=o["visit_order"],
-            coefficients={int(j): c for j, c in o["coefficients"].items()},
-            residual_sds={int(j): s for j, s in o["residual_sds"].items()},
-            cycles=o["cycles"], seed=o["seed"],
-            ridge_columns=o.get("ridge_columns", ()),
-            cycle_median_change=o.get("cycle_median_change", ()),
-        )
+def _cholesky_solve(G, keep, j):
+    """Coefficients of column j on the columns `keep` from the Gram matrix G,
+    by a Cholesky factor of G[keep, keep] scaled to unit diagonal; None when
+    a scaled pivot is at most PIVOT_TOL or the factorization fails."""
+    A = G[np.ix_(keep, keep)]
+    scale = np.sqrt(np.diag(A))
+    if not scale.all():
+        return None
+    try:
+        L = np.linalg.cholesky(A / np.outer(scale, scale))
+    except np.linalg.LinAlgError:
+        return None
+    if np.diag(L).min() ** 2 <= PIVOT_TOL:
+        return None
+    return np.linalg.solve(L.T, np.linalg.solve(L, G[keep, j] / scale)) / scale
 
 
-def _fit_column(work, observed_mask, j):
-    """Least squares of column j's observed cells on all other columns.
+def _fit_column(W, rows, j):
+    """Regress column j of W on every other column (the last is all ones)
+    over the rows where j is observed.
 
-    Returns (coefficients with trailing intercept, residual sd, used_ridge).
+    Returns (weights w over W's columns with w[j] = 0, residual sd, used_ridge).
     """
-    rows = observed_mask[:, j]
-    others = [k for k in range(work.shape[1]) if k != j]
-    A = np.column_stack([work[rows][:, others], np.ones(rows.sum())])
-    y = work[rows, j]
-    beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    used_ridge = rank < A.shape[1]
-    if used_ridge:
-        G = A.T @ A + RIDGE_PENALTY * np.eye(A.shape[1])
-        beta = np.linalg.solve(G, A.T @ y)
-    resid = y - A @ beta
-    sd = float(resid.std())  # population sd
-    return beta, sd, used_ridge
+    Wr = W[rows]
+    keep = np.delete(np.arange(W.shape[1]), j)
+    beta = _cholesky_solve(Wr.T @ Wr, keep, j)
+    used_ridge = False
+    if beta is None:  # SVD least squares, with a small ridge if rank deficient
+        A, y = Wr[:, keep], Wr[:, j]
+        beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+        used_ridge = rank < A.shape[1]
+        if used_ridge:
+            G = A.T @ A + RIDGE_PENALTY * np.eye(A.shape[1])
+            beta = np.linalg.solve(G, A.T @ y)
+    w = np.insert(beta, j, 0.0)
+    sd = float((Wr[:, j] - Wr @ w).std())  # population sd
+    return w, sd, used_ridge
 
 
-def _predict_column(work, j, beta):
-    others = [k for k in range(work.shape[1]) if k != j]
-    return work[:, others] @ beta[:-1] + beta[-1]
+def _work_matrix(X, observed_mask, means):
+    """X with its missing cells at the means, plus a trailing column of ones."""
+    n, d = X.shape
+    W = np.ones((n, d + 1))
+    W[:, :d] = np.where(observed_mask, X, means)
+    return W
 
 
 def _run_chain(X, observed_mask, cycles, seed):
     rng = np.random.default_rng(seed)
-    n, d = X.shape
+    d = X.shape[1]
     means = np.array([X[observed_mask[:, j], j].mean() for j in range(d)])
-    work = X.copy()
-    for j in range(d):
-        work[~observed_mask[:, j], j] = means[j]
+    W = _work_matrix(X, observed_mask, means)
 
     frac = (~observed_mask).mean(axis=0)
     visit_order = sorted((j for j in range(d) if frac[j] > 0),
@@ -111,16 +108,15 @@ def _run_chain(X, observed_mask, cycles, seed):
     for _ in range(cycles):
         changes = []
         for j in visit_order:
-            beta, sd, used_ridge = _fit_column(work, observed_mask, j)
-            coefficients[j] = beta
+            w, sd, used_ridge = _fit_column(W, observed_mask[:, j], j)
+            coefficients[j] = np.delete(w, j)
             residual_sds[j] = sd
             if used_ridge:
                 ridge_columns.add(j)
             miss = ~observed_mask[:, j]
-            pred = _predict_column(work, j, beta)[miss]
-            new = pred + sd * rng.standard_normal(miss.sum())
-            changes.append(np.abs(new - work[miss, j]))
-            work[miss, j] = new
+            new = W[miss] @ w + sd * rng.standard_normal(miss.sum())
+            changes.append(np.abs(new - W[miss, j]))
+            W[miss, j] = new
         if changes:
             median_changes.append(float(np.median(np.concatenate(changes))))
 
@@ -129,7 +125,7 @@ def _run_chain(X, observed_mask, cycles, seed):
         coefficients=coefficients, residual_sds=residual_sds,
         cycles=cycles, seed=seed, ridge_columns=ridge_columns,
         cycle_median_change=median_changes)
-    return work, model
+    return W[:, :-1], model
 
 
 def impute_fit_transform(matrix, cycles=10, seed=0):
@@ -172,14 +168,12 @@ def apply_imputation(model, matrix):
             f"matrix has {X.shape[1] if X.ndim == 2 else 'ND'} columns, "
             f"model expects {model.n_columns}")
     observed_mask = ~np.isnan(X)
-    work = X.copy()
-    for j in range(model.n_columns):
-        work[~observed_mask[:, j], j] = model.means[j]
+    if not np.isfinite(X[observed_mask]).all():
+        raise ImputeError("observed cells must be finite")
+    W = _work_matrix(X, observed_mask, model.means)
     rng = np.random.default_rng([model.seed, 1])
     for j in model.visit_order:
         miss = ~observed_mask[:, j]
-        if not miss.any():
-            continue
-        pred = _predict_column(work, j, model.coefficients[j])[miss]
-        work[miss, j] = pred + model.residual_sds[j] * rng.standard_normal(miss.sum())
-    return work
+        w = np.insert(model.coefficients[j], j, 0.0)
+        W[miss, j] = W[miss] @ w + model.residual_sds[j] * rng.standard_normal(miss.sum())
+    return W[:, :-1]

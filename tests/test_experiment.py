@@ -480,6 +480,14 @@ def _fold(cohort, fit_rows, seed):
                  tokenize_corpus(cohort.notes()), _FOLD_MIN_DF)
 
 
+def _imputer_state(model):
+    """Every fitted value of an imputation model, comparable with ==."""
+    return (model.n_columns, model.means.tobytes(), model.visit_order,
+            {j: c.tobytes() for j, c in model.coefficients.items()},
+            model.residual_sds, model.cycles, model.seed, model.ridge_columns,
+            model.cycle_median_change)
+
+
 def _ref_fold(cohort, fit_rows, seed):
     """The same fold through the record-based reference path: a function
     from requested rows to (structured, notes, combined matrix)."""
@@ -542,7 +550,7 @@ class TestFoldFeatures:
                 records.append(r)
             mutated = Cohort(cohort.schema, records)
             a, b = _fold(cohort, rows, seed), _fold(mutated, rows, seed)
-            assert a.imp_model.to_json() == b.imp_model.to_json()
+            assert _imputer_state(a.imp_model) == _imputer_state(b.imp_model)
             assert a.encoder.means.tobytes() == b.encoder.means.tobytes()
             assert a.encoder.sds.tobytes() == b.encoder.sds.tobytes()
             assert a.vocab.tokens == b.vocab.tokens

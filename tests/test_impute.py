@@ -1,12 +1,60 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from icumort.cohort import CohortArrays, SynthConfig, synth_cohort
 from icumort.impute import (
-    ImputationModel,
+    RIDGE_PENALTY,
     ImputeError,
     apply_imputation,
     impute_fit_transform,
 )
+
+
+# Reference: the chain as it was solved before the Cholesky path, one SVD
+# least-squares fit per column (ridge when rank deficient) and the prediction
+# built from the other columns plus the intercept.
+def _ref_fit_column(work, observed_mask, j):
+    rows = observed_mask[:, j]
+    others = [k for k in range(work.shape[1]) if k != j]
+    A = np.column_stack([work[rows][:, others], np.ones(rows.sum())])
+    y = work[rows, j]
+    beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    used_ridge = rank < A.shape[1]
+    if used_ridge:
+        G = A.T @ A + RIDGE_PENALTY * np.eye(A.shape[1])
+        beta = np.linalg.solve(G, A.T @ y)
+    resid = y - A @ beta
+    return beta, float(resid.std()), used_ridge
+
+
+def _ref_predict_column(work, j, beta):
+    others = [k for k in range(work.shape[1]) if k != j]
+    return work[:, others] @ beta[:-1] + beta[-1]
+
+
+def _ref_chain(X, cycles=10, seed=0):
+    observed_mask = ~np.isnan(X)
+    rng = np.random.default_rng(seed)
+    d = X.shape[1]
+    means = np.array([X[observed_mask[:, j], j].mean() for j in range(d)])
+    work = X.copy()
+    for j in range(d):
+        work[~observed_mask[:, j], j] = means[j]
+    frac = (~observed_mask).mean(axis=0)
+    visit_order = sorted((j for j in range(d) if frac[j] > 0),
+                         key=lambda j: (frac[j], j))
+    ridge_columns = set()
+    for _ in range(cycles):
+        for j in visit_order:
+            beta, sd, used_ridge = _ref_fit_column(work, observed_mask, j)
+            if used_ridge:
+                ridge_columns.add(j)
+            miss = ~observed_mask[:, j]
+            pred = _ref_predict_column(work, j, beta)[miss]
+            work[miss, j] = pred + sd * rng.standard_normal(miss.sum())
+    return work, tuple(visit_order), tuple(sorted(ridge_columns))
 
 
 def _linear_dataset(rng, n=400, noise=0.05):
@@ -121,6 +169,16 @@ def test_ridge_fallback_on_duplicate_column():
     assert 2 in model.ridge_columns
 
 
+def test_ridge_fallback_on_all_zero_column():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=50)
+    M = np.column_stack([x, np.zeros(50), 3.0 * x + rng.normal(size=50) * 0.1])
+    M[5, 2] = np.nan
+    out, model = impute_fit_transform(M, seed=0)
+    assert np.isfinite(out).all()
+    assert model.ridge_columns == (2,)
+
+
 def test_error_cases():
     with pytest.raises(ImputeError, match="entirely missing"):
         impute_fit_transform(np.array([[np.nan, 1.0], [np.nan, 2.0]]))
@@ -169,9 +227,71 @@ class TestApply:
         with pytest.raises(ImputeError, match="columns"):
             apply_imputation(self.model, np.zeros((4, 7)))
 
-    def test_json_round_trip_preserves_behavior(self):
-        again = ImputationModel.from_json(self.model.to_json())
-        np.testing.assert_array_equal(apply_imputation(again, self.Xm),
-                                      apply_imputation(self.model, self.Xm))
-        assert again.visit_order == self.model.visit_order
-        assert again.cycles == self.model.cycles
+    def test_non_finite_observed_cell_rejected(self):
+        held = self.Xm[:5].copy()
+        held[0, 0] = np.nan
+        held[0, 1] = np.inf
+        with pytest.raises(ImputeError, match="finite"):
+            apply_imputation(self.model, held)
+
+
+@st.composite
+def incomplete_matrices(draw):
+    n = draw(st.integers(20, 300))
+    d = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, d))
+    # k shared factors: the columns are correlated, not collinear
+    X = rng.normal(size=(n, k)) @ rng.normal(size=(k, d)) + rng.normal(size=(n, d))
+    X = (X + rng.normal(scale=3.0, size=d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+    # at least d + 1 observed cells per column: with fewer, the regression is
+    # rank deficient and its ridge answer moves with the last bit of its input
+    for j in range(d):
+        rate = draw(st.floats(0.0, 0.5))
+        missing = np.flatnonzero(rng.random(n) < rate)
+        X[missing[:n - d - 1], j] = np.nan
+    return X
+
+
+@settings(max_examples=150, deadline=None)
+@given(X=incomplete_matrices(), seed=st.integers(0, 1000))
+def test_chain_matches_least_squares_reference(X, seed):
+    """The Cholesky solve imputes what per-column SVD least squares imputes."""
+    out, model = impute_fit_transform(X, seed=seed)
+    want, visit_order, ridge_columns = _ref_chain(X, seed=seed)
+    assert model.visit_order == visit_order
+    assert model.ridge_columns == ridge_columns
+    atol = 1e-9 * np.nanstd(X, axis=0)
+    assert np.all(np.abs(out - want) <= 1e-6 * np.abs(want) + atol)
+
+
+def _count_lstsq(monkeypatch):
+    calls = []
+    real = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    return calls
+
+
+def test_cohort_block_needs_no_least_squares_fallback(monkeypatch):
+    continuous = CohortArrays(synth_cohort(SynthConfig(n=2000), seed=1)).continuous
+    calls = _count_lstsq(monkeypatch)
+    _, model = impute_fit_transform(continuous, seed=1)
+    assert model.visit_order and not calls
+
+
+def test_near_exact_data_falls_back_to_least_squares(monkeypatch):
+    """Nearly collinear columns go to SVD least squares and still impute what
+    the reference imputes; the normal equations alone drift far from it."""
+    rng = np.random.default_rng(13)
+    Xm, _ = _mask_mcar(rng, _linear_dataset(rng, n=300, noise=1e-8), 0.3)
+    want, _, _ = _ref_chain(Xm, cycles=15, seed=1)
+    calls = _count_lstsq(monkeypatch)
+    out, _ = impute_fit_transform(Xm, cycles=15, seed=1)
+    assert calls
+    atol = 1e-9 * np.nanstd(Xm, axis=0)
+    assert np.all(np.abs(out - want) <= 1e-6 * np.abs(want) + atol)
