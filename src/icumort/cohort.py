@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -62,14 +62,8 @@ class FeatureSchema:
     def names(self):
         return tuple(d.name for d in self.descriptors)
 
-    def __len__(self):
-        return len(self.descriptors)
-
     def __eq__(self, other):
         return isinstance(other, FeatureSchema) and self.descriptors == other.descriptors
-
-    def __hash__(self):
-        return hash(self.descriptors)
 
     @classmethod
     def from_json(cls, text):
@@ -83,24 +77,8 @@ class FeatureSchema:
         return cls(descs)
 
     @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json(f.read())
-
-    @classmethod
     def default(cls):
         return cls.from_json(_data_text("schema.json"))
-
-    def to_json(self):
-        entries = []
-        for d in self.descriptors:
-            e = {"name": d.name, "kind": d.kind}
-            if d.unit:
-                e["unit"] = d.unit
-            if d.kind == CATEGORICAL:
-                e["categories"] = list(d.categories)
-            entries.append(e)
-        return json.dumps(entries, indent=2)
 
 
 def _check_value(schema, name, value, where=""):
@@ -585,9 +563,12 @@ class SynthConfig:
 
     @classmethod
     def from_obj(cls, obj):
+        if not isinstance(obj, dict):
+            raise CohortError("generator config must be a JSON object")
         cfg = cls()
+        names = {f.name for f in fields(cls)}
         for key, value in obj.items():
-            if not hasattr(cfg, key):
+            if key not in names:
                 raise CohortError(f"unknown generator config key {key!r}")
             if key in ("risk_tokens", "note_length"):
                 value = tuple(value)
@@ -604,16 +585,7 @@ class SynthConfig:
             return cls.from_json(f.read())
 
     def to_obj(self):
-        return {
-            "n": self.n, "rate_hospital": self.rate_hospital,
-            "rate_30day": self.rate_30day,
-            "missing_rates": dict(self.missing_rates),
-            "structured_weight": self.structured_weight,
-            "text_weight": self.text_weight,
-            "risk_tokens": list(self.risk_tokens),
-            "note_length": list(self.note_length),
-            "risk_token_mean": self.risk_token_mean,
-        }
+        return asdict(self)
 
 
 def _default_missing_rates():

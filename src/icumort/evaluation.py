@@ -206,13 +206,6 @@ class PermTestResult:
     p_value: float
     seed: int
 
-    def to_json(self):
-        return json.dumps({
-            "observed_abs_delta_auc": self.observed, "n_perm": self.n_perm,
-            "count_ge": self.count_ge, "p_value": self.p_value,
-            "seed": self.seed,
-        }, sort_keys=True)
-
 
 # Permutations ranked per batch: two (block, n) float arrays of about 0.3 MB
 # each at n = 600, so the batch stays small whatever n_perm is.

@@ -72,8 +72,8 @@ _GRID_KEYS = {
     "l2-lr": {"C", "tol", "max_iter"},
     "l1-svm": {"C", "tol", "max_epochs"},
     "l2-svm": {"C", "tol", "max_epochs"},
-    "rf": {"n_trees", "max_depth", "min_node_weight", "bootstrap"},
-    "gbt": {"rounds", "max_depth", "learning_rate", "reg_lambda"},
+    "rf": {f.name for f in fields(trees.ForestParams)},
+    "gbt": {f.name for f in fields(trees.GbtParams)},
     "mlp": {f.name for f in fields(neural.MlpParams)},
     "cnn": {f.name for f in fields(neural.CnnParams)},
 }
@@ -158,24 +158,25 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = {}
-        source = obj.pop("cohort", None)
-        if source is not None:
-            if not isinstance(source, dict) or set(source) - {"path", "synth"}:
-                raise ConfigError(
-                    'cohort block must be {"path": ...} or {"synth": {...}}')
-            if "path" in source:
-                kwargs["cohort_path"] = source["path"]
-            if "synth" in source:
-                kwargs["synth"] = SynthConfig.from_obj(source["synth"])
-        for key in ("outcomes", "feature_sets", "sampling", "algorithms"):
-            if key in obj:
-                kwargs[key] = _as_tuple(obj.pop(key), key)
-        kwargs.update(obj)
+        # a value of the wrong type fails as a TypeError somewhere below
         try:
-            config = cls(**kwargs)
+            source = obj.pop("cohort", None)
+            if source is not None:
+                if (not isinstance(source, dict)
+                        or set(source) - {"path", "synth"}):
+                    raise ConfigError(
+                        'cohort block must be {"path": ...} or {"synth": {...}}')
+                if "path" in source:
+                    kwargs["cohort_path"] = source["path"]
+                if "synth" in source:
+                    kwargs["synth"] = SynthConfig.from_obj(source["synth"])
+            for key in ("outcomes", "feature_sets", "sampling", "algorithms"):
+                if key in obj:
+                    kwargs[key] = _as_tuple(obj.pop(key), key)
+            kwargs.update(obj)
+            return cls(**kwargs).validate()
         except TypeError as exc:
-            raise ConfigError(str(exc)) from None
-        return config.validate()
+            raise ConfigError(f"malformed config value: {exc}") from None
 
     def to_obj(self):
         """Fully materialized form: every default echoed, grids resolved."""
@@ -397,7 +398,7 @@ def _fit_model(algo, params, fold, feature_set, fit_rows, y_fit, seed,
             fold.vocab.tokens, hp.embed_dim, seed=seed,
             pretrained=pretrained)
         model, _ = neural.train_cnn_fusion(
-            list(ids), S, y_fit, hp, seed=seed, vocab_size=embed.shape[0],
+            ids, S, y_fit, hp, seed=seed, vocab_size=embed.shape[0],
             embed_init=embed)
         return model, lambda r: neural.predict_proba_net(
             model, fold.cnn_inputs(feature_set, r, hp.max_len))
@@ -556,16 +557,11 @@ def _results_tsv(rows):
 
 def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
                    embeddings_path=None):
-    """Execute every configured cell; returns the result rows.
+    """Execute every cell of an ExperimentConfig; returns the result rows.
 
     Writes per-feature-set results TSVs, per-cell artifacts, and a manifest
     that pins seeds and resolved settings so a rerun is byte-identical.
     """
-    if isinstance(config, (str, Path)):
-        config, recorded = load_run(config)
-        stopwords_path = stopwords_path or recorded.get("stopwords_path")
-        ranges_path = ranges_path or recorded.get("ranges_path")
-        embeddings_path = embeddings_path or recorded.get("embeddings_path")
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -643,8 +639,10 @@ def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
 
 
 def replay_manifest(manifest_path, out_dir):
-    """Re-run an experiment exactly as its manifest recorded it."""
-    return run_experiment(manifest_path, out_dir)
+    """Re-run an experiment exactly as its manifest recorded it, reading
+    the input files it recorded."""
+    config, inputs = load_run(manifest_path)
+    return run_experiment(config, out_dir, **inputs)
 
 
 def load_cell_scores(out_dir, cell):

@@ -22,25 +22,20 @@ class TextFeatError(ValueError):
     pass
 
 
-def load_stopwords(path):
+def _parse_stopwords(text):
     """One token per line; '#' comment lines and blanks are skipped."""
-    out = set()
+    tokens = (line.strip() for line in text.split("\n"))
+    return {t for t in tokens if t and not t.startswith("#")}
+
+
+def load_stopwords(path):
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            token = line.strip()
-            if token and not token.startswith("#"):
-                out.add(token)
-    return out
+        return _parse_stopwords(f.read())
 
 
 def default_stopwords():
-    out = set()
-    text = resources.files("icumort.data").joinpath("stopwords.txt").read_text("utf-8")
-    for line in text.splitlines():
-        token = line.strip()
-        if token and not token.startswith("#"):
-            out.add(token)
-    return out
+    return _parse_stopwords(
+        resources.files("icumort.data").joinpath("stopwords.txt").read_text("utf-8"))
 
 
 def preprocess_note(text, stopwords):
@@ -69,37 +64,6 @@ class Vocabulary:
 
     def __len__(self):
         return len(self.tokens)
-
-    def __contains__(self, token):
-        return token in self.index
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"#N={self.n_docs}\n")
-            for token, df in zip(self.tokens, self.dfs):
-                f.write(f"{token}\t{df}\n")
-
-    @classmethod
-    def load(cls, path, min_df=1):
-        n_docs = None
-        tokens, dfs = [], []
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if line.startswith("#N="):
-                        n_docs = int(line[3:])
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise TextFeatError(f"bad vocabulary line {lineno}: {line!r}")
-                tokens.append(parts[0])
-                dfs.append(int(parts[1]))
-        if n_docs is None:
-            raise TextFeatError("vocabulary file lacks a '#N=' header")
-        return cls(tokens, dfs, n_docs, min_df)
 
 
 def build_vocab(token_docs, min_df=10):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -114,8 +114,8 @@ class DecisionTree:
 
         def walk(o):
             if "leaf" in o:
-                return tb.add_leaf(o["leaf"])
-            idx = tb.add_internal(o["feature"], o["threshold"])
+                return tb.add(value=o["leaf"])
+            idx = tb.add(o["feature"], o["threshold"])
             tb.left[idx] = walk(o["left"])
             tb.right[idx] = walk(o["right"])
             return idx
@@ -132,22 +132,14 @@ class _TreeBuilder:
         self.right = []
         self.value = []
 
-    def add_leaf(self, value):
-        idx = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(np.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        return idx
-
-    def add_internal(self, feature, threshold):
+    def add(self, feature=-1, threshold=np.nan, value=0.0):
+        """Append a node, a leaf unless a feature is given; returns its index."""
         idx = len(self.feature)
         self.feature.append(feature)
         self.threshold.append(threshold)
         self.left.append(-1)
         self.right.append(-1)
-        self.value.append(0.0)
+        self.value.append(value)
         return idx
 
     def build(self):
@@ -255,9 +247,9 @@ def _grow(rows, max_depth, split, leaf):
     def grow(rows, depth):
         found = split(rows) if depth < max_depth else None
         if found is None:
-            return tb.add_leaf(leaf(rows))
+            return tb.add(value=leaf(rows))
         j, thr, go_left = found
-        idx = tb.add_internal(j, thr)
+        idx = tb.add(j, thr)
         tb.left[idx] = grow(rows[go_left], depth + 1)
         tb.right[idx] = grow(rows[~go_left], depth + 1)
         return idx
@@ -276,10 +268,7 @@ class RandomForest:
     def to_json(self):
         return json.dumps({
             "kind": "forest", "seed": self.seed, "n_features": self.n_features,
-            "params": {"n_trees": self.params.n_trees,
-                       "max_depth": self.params.max_depth,
-                       "min_node_weight": self.params.min_node_weight,
-                       "bootstrap": self.params.bootstrap},
+            "params": asdict(self.params),
             "trees": [t.to_obj() for t in self.trees],
         })
 
@@ -357,10 +346,7 @@ class GradientBoostedTrees:
         return json.dumps({
             "kind": "gbt", "base_score": self.base_score, "seed": self.seed,
             "n_features": self.n_features,
-            "params": {"rounds": self.params.rounds,
-                       "max_depth": self.params.max_depth,
-                       "learning_rate": self.params.learning_rate,
-                       "reg_lambda": self.params.reg_lambda},
+            "params": asdict(self.params),
             "trees": [t.to_obj() for t in self.trees],
             "train_loss": list(self.train_loss),
         })

@@ -73,6 +73,21 @@ class TestConfig:
             ExperimentConfig.from_obj(_base_obj(
                 neural={"undersample_ratio": 1.0}))
 
+    @pytest.mark.parametrize("key, value", [
+        ("outcomes", 5), ("folds", "3"), ("neural", 3), ("grids", {"rf": 3})])
+    def test_wrongly_typed_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match="malformed config value"):
+            ExperimentConfig.from_obj(_base_obj(**{key: value}))
+
+    def test_cli_reports_wrongly_typed_value(self, tmp_path, capsys):
+        from icumort import cli
+
+        (tmp_path / "exp.json").write_text(json.dumps(_base_obj(folds="3")))
+        rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
+                       "--out", str(tmp_path / "res")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: malformed config")
+
     def test_cohort_source_exclusive(self):
         obj = _base_obj()
         obj["cohort"] = {"path": "x.jsonl", "synth": {"n": 100}}

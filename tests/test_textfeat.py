@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from icumort.textfeat import (
     TextFeatError,
-    Vocabulary,
     build_vocab,
     default_stopwords,
     fuse_matrix,
@@ -127,8 +126,8 @@ class TestVocab:
     def test_min_df_excludes_rare(self):
         docs = [["word"]] * 9 + [["other"]] * 10
         v = build_vocab(docs, min_df=10)
-        assert "word" not in v
-        assert "other" in v
+        assert "word" not in v.index
+        assert "other" in v.index
 
     def test_min_df_one_keeps_all(self):
         docs = [["a", "b"], ["c"]]
@@ -158,18 +157,6 @@ class TestVocab:
             v2 = build_vocab([docs[i] for i in perm], min_df=1)
             assert v2.tokens == v1.tokens
             assert v2.dfs == v1.dfs
-
-    def test_file_round_trip(self, tmp_path):
-        v = build_vocab([["a", "b"], ["a"], ["c"]], min_df=1)
-        p = tmp_path / "vocab.tsv"
-        v.save(p)
-        text = p.read_text()
-        assert text.startswith("#N=3\n")
-        assert "a\t2" in text
-        again = Vocabulary.load(p)
-        assert again.tokens == v.tokens
-        assert again.dfs == v.dfs
-        assert again.n_docs == 3
 
 
 class TestTfIdf:
