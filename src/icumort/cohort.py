@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
@@ -66,19 +67,12 @@ class FeatureSchema:
         return isinstance(other, FeatureSchema) and self.descriptors == other.descriptors
 
     @classmethod
-    def from_json(cls, text):
-        entries = json.loads(text)
-        descs = []
-        for e in entries:
-            descs.append(FeatureDescriptor(
-                name=e["name"], kind=e["kind"], unit=e.get("unit", ""),
-                categories=tuple(e.get("categories", ())),
-            ))
-        return cls(descs)
-
-    @classmethod
     def default(cls):
-        return cls.from_json(_data_text("schema.json"))
+        """The bundled schema of the published cohort's features."""
+        return cls(FeatureDescriptor(
+            name=e["name"], kind=e["kind"], unit=e.get("unit", ""),
+            categories=tuple(e.get("categories", ())))
+            for e in json.loads(_data_text("schema.json")))
 
 
 def _check_value(schema, name, value, where=""):
@@ -570,22 +564,25 @@ class SynthConfig:
         for key, value in obj.items():
             if key not in names:
                 raise CohortError(f"unknown generator config key {key!r}")
-            if key in ("risk_tokens", "note_length"):
+            if key in ("risk_tokens", "note_length") and isinstance(value, list):
                 value = tuple(value)
             setattr(cfg, key, value)
+        _validate_synth_config(cfg, FeatureSchema.default())
         return cfg
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_obj(json.loads(text))
 
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as f:
-            return cls.from_json(f.read())
+            return cls.from_obj(json.load(f))
 
     def to_obj(self):
         return asdict(self)
+
+
+def is_number(value, integral=False):
+    """A real (or, with integral, an integer) number that is not a bool."""
+    kind = numbers.Integral if integral else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _default_missing_rates():
@@ -612,21 +609,30 @@ DEFAULT_MISSING_RATES = _default_missing_rates()
 
 
 def _validate_synth_config(config, schema):
-    if config.n < 10:
-        raise CohortError("generator needs n >= 10")
+    if not (is_number(config.n, integral=True) and config.n >= 10):
+        raise CohortError(f"generator needs an integer n >= 10, not {config.n!r}")
     for rate in (config.rate_hospital, config.rate_30day):
-        if not 0.0 < rate < 1.0:
-            raise CohortError(f"target base rate {rate} must lie strictly in (0, 1)")
+        if not (is_number(rate) and 0.0 < rate < 1.0):
+            raise CohortError(f"target base rate {rate!r} must lie strictly in (0, 1)")
+    if not isinstance(config.missing_rates, dict):
+        raise CohortError("missing_rates must map features to rates")
     for name, rate in config.missing_rates.items():
         desc = schema.by_name.get(name)
         if desc is None or desc.kind != CONTINUOUS:
             raise CohortError(f"missingness configured for non-continuous feature {name!r}")
-        if not 0.0 <= rate < 1.0:
-            raise CohortError(f"missingness rate {rate} for {name!r} must lie in [0, 1)")
-    if config.note_length[0] < 5 or config.note_length[1] < config.note_length[0]:
-        raise CohortError("note_length must be (lo, hi) with 5 <= lo <= hi")
-    if not config.risk_tokens:
-        raise CohortError("risk_tokens must be non-empty")
+        if not (is_number(rate) and 0.0 <= rate < 1.0):
+            raise CohortError(f"missingness rate {rate!r} for {name!r} must lie in [0, 1)")
+    lengths = config.note_length
+    if not (isinstance(lengths, (list, tuple)) and len(lengths) == 2
+            and all(is_number(v, integral=True) for v in lengths)
+            and 5 <= lengths[0] <= lengths[1]):
+        raise CohortError("note_length must be integers (lo, hi) with 5 <= lo <= hi")
+    if not (isinstance(config.risk_tokens, (list, tuple)) and config.risk_tokens
+            and all(isinstance(token, str) for token in config.risk_tokens)):
+        raise CohortError("risk_tokens must be a non-empty list of strings")
+    weights = (config.structured_weight, config.text_weight, config.risk_token_mean)
+    if not all(map(is_number, weights)):
+        raise CohortError("structured_weight, text_weight and risk_token_mean must be numbers")
 
 
 def _standardize(x):

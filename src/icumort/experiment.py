@@ -21,6 +21,7 @@ from .cohort import (
     StructuredEncoder,
     SynthConfig,
     filter_outliers,
+    is_number,
     load_cohort,
     synth_cohort,
 )
@@ -81,7 +82,10 @@ _NEURAL_KEYS = _GRID_KEYS["mlp"] | _GRID_KEYS["cnn"]
 
 
 def _as_tuple(value, kind):
-    items = [value] if isinstance(value, str) else list(value)
+    items = [value] if isinstance(value, str) else value
+    if not (isinstance(items, (list, tuple))
+            and all(isinstance(item, str) for item in items)):
+        raise ConfigError(f"{kind} must be a string or a list of strings")
     if not items:
         raise ConfigError(f"{kind} list is empty")
     if len(set(items)) != len(items):
@@ -111,6 +115,11 @@ class ExperimentConfig:
         if (self.cohort_path is None) == (self.synth is None):
             raise ConfigError(
                 "exactly one cohort source required: a path or a synth block")
+        if not (isinstance(self.grids, dict)
+                and all(isinstance(g, dict) for g in self.grids.values())):
+            raise ConfigError("grids must map algorithms to objects")
+        if not isinstance(self.neural, dict):
+            raise ConfigError("neural must be an object")
         for value, known, kind in (
                 (self.outcomes, OUTCOMES, "outcome"),
                 (self.feature_sets, FEATURE_SETS, "feature set"),
@@ -124,17 +133,20 @@ class ExperimentConfig:
         if "cnn" in self.algorithms and not (
                 set(self.feature_sets) & {"notes", "combined"}):
             raise ConfigError("cnn needs a feature set that includes notes")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError("split_ratio must lie in (0, 1)")
-        if self.folds < 2:
-            raise ConfigError("folds must be at least 2")
+        if not is_number(self.seed, integral=True):
+            raise ConfigError("seed must be an integer")
+        if not (is_number(self.split_ratio) and 0.0 < self.split_ratio < 1.0):
+            raise ConfigError("split_ratio must be a number in (0, 1)")
+        if not (is_number(self.folds, integral=True) and self.folds >= 2):
+            raise ConfigError("folds must be an integer of at least 2")
         if self.selection_metric not in ("f1", "auc"):
             raise ConfigError(
                 f"unknown selection metric {self.selection_metric!r}")
-        if self.min_df < 1:
-            raise ConfigError("min_df must be >= 1")
-        if self.undersample_ratio <= 0:
-            raise ConfigError("undersample_ratio must be positive")
+        if not (is_number(self.min_df, integral=True) and self.min_df >= 1):
+            raise ConfigError("min_df must be an integer >= 1")
+        if not (is_number(self.undersample_ratio)
+                and self.undersample_ratio > 0):
+            raise ConfigError("undersample_ratio must be a positive number")
         for algo, grid in self.grids.items():
             if algo not in ALGORITHMS:
                 raise ConfigError(f"grid given for unknown algorithm {algo!r}")
@@ -158,25 +170,20 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = {}
-        # a value of the wrong type fails as a TypeError somewhere below
-        try:
-            source = obj.pop("cohort", None)
-            if source is not None:
-                if (not isinstance(source, dict)
-                        or set(source) - {"path", "synth"}):
-                    raise ConfigError(
-                        'cohort block must be {"path": ...} or {"synth": {...}}')
-                if "path" in source:
-                    kwargs["cohort_path"] = source["path"]
-                if "synth" in source:
-                    kwargs["synth"] = SynthConfig.from_obj(source["synth"])
-            for key in ("outcomes", "feature_sets", "sampling", "algorithms"):
-                if key in obj:
-                    kwargs[key] = _as_tuple(obj.pop(key), key)
-            kwargs.update(obj)
-            return cls(**kwargs).validate()
-        except TypeError as exc:
-            raise ConfigError(f"malformed config value: {exc}") from None
+        source = obj.pop("cohort", None)
+        if source is not None:
+            if not isinstance(source, dict) or set(source) - {"path", "synth"}:
+                raise ConfigError(
+                    'cohort block must be {"path": ...} or {"synth": {...}}')
+            if "path" in source:
+                kwargs["cohort_path"] = source["path"]
+            if "synth" in source:
+                kwargs["synth"] = SynthConfig.from_obj(source["synth"])
+        for key in ("outcomes", "feature_sets", "sampling", "algorithms"):
+            if key in obj:
+                kwargs[key] = _as_tuple(obj.pop(key), key)
+        kwargs.update(obj)
+        return cls(**kwargs).validate()
 
     def to_obj(self):
         """Fully materialized form: every default echoed, grids resolved."""

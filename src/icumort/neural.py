@@ -341,12 +341,8 @@ class CnnFusionModel:
 
 
 def pad_sequences(seqs, max_len, pad_id=0):
-    """Front-aligned padding/truncation to a fixed length; a 2-d id array
-    is cut or padded as one block."""
+    """Front-aligned padding/truncation to a fixed length."""
     out = np.full((len(seqs), max_len), pad_id, dtype=np.int64)
-    if isinstance(seqs, np.ndarray) and seqs.ndim == 2:
-        out[:, :seqs.shape[1]] = seqs[:, :max_len]
-        return out
     for i, s in enumerate(seqs):
         s = list(s)[:max_len]
         out[i, :len(s)] = s
@@ -444,8 +440,7 @@ def train_cnn_fusion(sequences, structured, y, params=None, seed=0,
                      vocab_size=None, embed_init=None):
     """Text CNN fused with a structured block; returns (model, log).
 
-    sequences: token-id lists or a 2-d id array (padded/truncated to max_len
-    here).
+    sequences: iterable of token-id lists (padded/truncated to max_len here).
     structured: dense (n, d_s) block; d_s may be 0 for text-only models.
     """
     if params is None:

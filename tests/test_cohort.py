@@ -479,8 +479,9 @@ class TestSynth:
         with pytest.raises(CohortError):
             synth_cohort(SynthConfig(missing_rates={"bmi": 1.0}))
 
-    def test_config_json_round_trip(self):
-        cfg = SynthConfig.from_json('{"n": 64, "text_weight": 0.3}')
+    def test_config_json_round_trip(self, tmp_path):
+        (tmp_path / "synth.json").write_text('{"n": 64, "text_weight": 0.3}')
+        cfg = SynthConfig.load(tmp_path / "synth.json")
         assert cfg.n == 64
         assert cfg.text_weight == 0.3
         assert cfg.rate_hospital == 0.1294
@@ -490,7 +491,23 @@ class TestSynth:
                                match="unknown generator config key"):
                 SynthConfig.from_obj({key: 1})
         with pytest.raises(CohortError, match="JSON object"):
-            SynthConfig.from_json('[1, 2]')
+            SynthConfig.from_obj([1, 2])
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", "50", "integer n"), ("n", 50.0, "integer n"),
+        ("n", True, "integer n"), ("rate_hospital", None, "base rate"),
+        ("text_weight", "0.3", "text_weight"),
+        ("risk_token_mean", [1], "risk_token_mean"),
+        ("missing_rates", ["bmi"], "missing_rates"),
+        ("missing_rates", {"bmi": "0.4"}, "missingness rate"),
+        ("risk_tokens", "arrest", "risk_tokens"),
+        ("risk_tokens", ["arrest", 3], "risk_tokens"),
+        ("note_length", 40, "note_length"),
+        ("note_length", [40], "note_length"),
+        ("note_length", [40, "120"], "note_length")])
+    def test_wrongly_typed_value_rejected(self, key, value, message):
+        with pytest.raises(CohortError, match=message):
+            SynthConfig.from_obj({key: value})
 
     def test_values_respect_plausible_ranges(self):
         c = synth_cohort(SynthConfig(n=800), seed=21)

@@ -13,6 +13,7 @@ import icumort
 from icumort.cohort import (
     Cohort,
     CohortArrays,
+    CohortError,
     FeatureSchema,
     PatientRecord,
     StructuredEncoder,
@@ -73,10 +74,22 @@ class TestConfig:
             ExperimentConfig.from_obj(_base_obj(
                 neural={"undersample_ratio": 1.0}))
 
-    @pytest.mark.parametrize("key, value", [
-        ("outcomes", 5), ("folds", "3"), ("neural", 3), ("grids", {"rf": 3})])
-    def test_wrongly_typed_value_rejected(self, key, value):
-        with pytest.raises(ConfigError, match="malformed config value"):
+    @pytest.mark.parametrize("key, value, message", [
+        ("outcomes", 5, "outcomes must be a string or a list"),
+        ("outcomes", [["hospital"]], "outcomes must be a string or a list"),
+        ("seed", "1", "seed must be an integer"),
+        ("folds", "3", "folds must be an integer"),
+        ("folds", True, "folds must be an integer"),
+        ("min_df", 2.5, "min_df must be an integer"),
+        ("split_ratio", "0.7", "split_ratio must be a number"),
+        ("undersample_ratio", None, "undersample_ratio must be a positive"),
+        ("neural", 3, "neural must be an object"),
+        ("neural", ["max_epochs"], "neural must be an object"),
+        ("grids", 3, "grids must map algorithms to objects"),
+        ("grids", {"rf": 3}, "grids must map algorithms to objects"),
+        ("cohort", {"synth": {"n": "60"}}, "integer n >= 10, not '60'")])
+    def test_wrongly_typed_value_rejected(self, key, value, message):
+        with pytest.raises((ConfigError, CohortError), match=message):
             ExperimentConfig.from_obj(_base_obj(**{key: value}))
 
     def test_cli_reports_wrongly_typed_value(self, tmp_path, capsys):
@@ -86,7 +99,14 @@ class TestConfig:
         rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
                        "--out", str(tmp_path / "res")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: malformed config")
+        assert capsys.readouterr().err.startswith(
+            "error: folds must be an integer")
+        (tmp_path / "synth.json").write_text('{"n": "50"}')
+        rc = cli.main(["synth", "--config", str(tmp_path / "synth.json"),
+                       "--out", str(tmp_path / "c.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: generator needs an integer n")
 
     def test_cohort_source_exclusive(self):
         obj = _base_obj()

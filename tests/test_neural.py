@@ -368,12 +368,6 @@ class TestHelpers:
     def test_pad_sequences(self):
         out = pad_sequences([[1, 2], [3, 4, 5, 6], []], 3)
         np.testing.assert_array_equal(out, [[1, 2, 0], [3, 4, 5], [0, 0, 0]])
-        # an id array is cut or padded as one block, as its rows would be
-        ids = pad_sequences([[1, 2], [3, 4, 5, 6], []], 4)
-        for max_len in (2, 4, 6):
-            np.testing.assert_array_equal(
-                pad_sequences(ids, max_len),
-                pad_sequences([list(row) for row in ids], max_len))
 
     def test_tokens_to_ids_unk_and_shift(self):
         class FakeVocab:
