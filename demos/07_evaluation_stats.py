@@ -15,7 +15,7 @@ from icumort.evaluation import (
 y = np.zeros(5396, dtype=np.int64)
 y[:698] = 1
 y = np.random.default_rng(0).permutation(y)
-spec = stratified_split(y, ratio=0.7, seed=0)
+spec = stratified_split(y, seed=0)
 print(f"split: train {spec.train_indices.size}, test {spec.test_indices.size}")
 print(f"positive rate: full {y.mean():.4f}, "
       f"train {y[spec.train_indices].mean():.4f}, "
@@ -23,7 +23,7 @@ print(f"positive rate: full {y.mean():.4f}, "
 
 # 1:4 undersampling keeps every minority row
 ytr = y[spec.train_indices]
-kept = undersample(ytr, ratio=4.0, seed=0)
+kept = undersample(ytr, seed=0)
 print(f"\nundersampled train: {kept.size} rows, "
       f"{int(ytr[kept].sum())} positive / {int((ytr[kept] == 0).sum())} negative")
 

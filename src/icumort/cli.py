@@ -108,7 +108,7 @@ def cmd_rank(args):
         raise ConfigError("rank works on linear models only") from None
     if payload.get("kind") != "linear":
         raise ConfigError("rank works on linear models only")
-    model = linmod.LinearModel.from_json(json.dumps(payload["model"]))
+    model = linmod.LinearModel.from_obj(payload["model"])
     n_structured = payload["n_structured"]
     if n_structured == 0:
         raise ConfigError("model has no structured block to rank")

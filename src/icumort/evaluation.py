@@ -1,7 +1,6 @@
 """Splits, seeds, resampling, cross-validated grid search, metrics,
 permutation test."""
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,6 +10,11 @@ class EvalError(ValueError):
     pass
 
 
+# the paper's protocol: a stratified 7:3 train/test split, 1:4 undersampling
+TRAIN_SHARE = 0.7
+UNDERSAMPLE_RATIO = 4  # majority rows kept per minority row
+
+
 # ---------------------------------------------------------------------------
 # splitting and resampling
 
@@ -18,9 +22,6 @@ class EvalError(ValueError):
 class SplitSpec:
     train_indices: np.ndarray
     test_indices: np.ndarray
-    ratio: float
-    stratified: bool
-    seed: int
 
     def __post_init__(self):
         tr, te = set(self.train_indices.tolist()), set(self.test_indices.tolist())
@@ -40,37 +41,28 @@ def _check_labels(labels):
     return y.astype(np.int64)
 
 
-def stratified_split(labels, ratio=0.7, stratify=True, seed=0):
-    """7:3-style split; train size is floor(n * ratio) exactly.
+def stratified_split(labels, seed=0):
+    """7:3 split; train size is floor(n * TRAIN_SHARE) exactly.
 
-    Stratified mode keeps each class's train share within one row of
-    proportional, distributing the leftover to the largest fractional parts.
+    Each class's train share stays within one row of proportional; the
+    leftover goes to the largest fractional parts.
     """
     y = _check_labels(labels)
-    n = y.size
-    if n < 2:
-        raise EvalError("need at least two rows to split")
-    if not 0.0 < ratio < 1.0:
-        raise EvalError(f"ratio must lie in (0, 1), got {ratio}")
+    classes = np.unique(y)
+    if classes.size < 2:
+        raise EvalError("stratified split needs both classes present")
     rng = np.random.default_rng(seed)
-    n_train = int(np.floor(n * ratio))
-    if not stratify:
-        perm = rng.permutation(n)
-        train, test = perm[:n_train], perm[n_train:]
-    else:
-        classes = np.unique(y)
-        if classes.size < 2:
-            raise EvalError("stratified split needs both classes present")
-        members = [rng.permutation(np.flatnonzero(y == c)) for c in classes]
-        quotas = [int(np.floor(m.size * ratio)) for m in members]
-        fracs = [m.size * ratio - q for m, q in zip(members, quotas)]
-        leftover = n_train - sum(quotas)
-        # hand the remaining slots to the largest fractional parts
-        for i in np.argsort(-np.asarray(fracs), kind="stable")[:leftover]:
-            quotas[i] += 1
-        train = np.concatenate([m[:q] for m, q in zip(members, quotas)])
-        test = np.concatenate([m[q:] for m, q in zip(members, quotas)])
-    return SplitSpec(np.sort(train), np.sort(test), ratio, stratify, seed)
+    n_train = int(np.floor(y.size * TRAIN_SHARE))
+    members = [rng.permutation(np.flatnonzero(y == c)) for c in classes]
+    quotas = [int(np.floor(m.size * TRAIN_SHARE)) for m in members]
+    fracs = [m.size * TRAIN_SHARE - q for m, q in zip(members, quotas)]
+    leftover = n_train - sum(quotas)
+    # hand the remaining slots to the largest fractional parts
+    for i in np.argsort(-np.asarray(fracs), kind="stable")[:leftover]:
+        quotas[i] += 1
+    train = np.concatenate([m[:q] for m, q in zip(members, quotas)])
+    test = np.concatenate([m[q:] for m, q in zip(members, quotas)])
+    return SplitSpec(np.sort(train), np.sort(test))
 
 
 def derive_seed(*parts):
@@ -78,21 +70,19 @@ def derive_seed(*parts):
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def undersample(labels, ratio=4.0, seed=0):
-    """Keep the minority class, cap the majority at ratio x minority.
+def undersample(labels, seed=0):
+    """Keep the minority class, cap the majority at UNDERSAMPLE_RATIO x it.
 
     Returns sorted retained indices; input order is untouched when the
     cap is already satisfied.
     """
     y = _check_labels(labels)
-    if ratio <= 0:
-        raise EvalError("ratio must be positive")
     counts = np.bincount(y, minlength=2)
     if counts.min() == 0:
         raise EvalError("undersampling needs both classes present")
     minority = int(np.argmin(counts))
     majority = 1 - minority
-    cap = int(round(ratio * counts[minority]))
+    cap = UNDERSAMPLE_RATIO * int(counts[minority])
     maj_idx = np.flatnonzero(y == majority)
     if maj_idx.size <= cap:
         return np.arange(y.size)
@@ -156,15 +146,15 @@ class EvalReport:
     fn: int
     no_predicted_positives: bool
 
-    def to_json(self):
-        return json.dumps({
+    def to_obj(self):
+        return {
             "auc": self.auc, "precision": self.precision,
             "recall": self.recall, "f1": self.f1,
             "threshold": self.threshold,
             "confusion": {"tp": self.tp, "fp": self.fp,
                           "tn": self.tn, "fn": self.fn},
             "no_predicted_positives": self.no_predicted_positives,
-        }, sort_keys=True)
+        }
 
 
 def f1_score(precision, recall):
@@ -280,13 +270,11 @@ def stratified_folds(labels, k, seed):
 class GridSearchResult:
     best_params: dict
     best_index: int
-    metric: str
     table: list = field(default_factory=list)
 
 
-def kfold_grid_search(trainer, grid, labels, plan, metric="f1", seed=0,
-                      threshold=0.5):
-    """Pick the grid cell with the best mean validation metric.
+def kfold_grid_search(trainer, grid, labels, plan, seed=0, threshold=0.5):
+    """Pick the grid cell with the best mean validation F1.
 
     plan holds one (fit rows, validation rows) pair per fold, indices into
     labels.  trainer(params, fold, fit_indices, val_indices, seed) returns
@@ -297,8 +285,6 @@ def kfold_grid_search(trainer, grid, labels, plan, metric="f1", seed=0,
     """
     if not grid:
         raise EvalError("empty parameter grid")
-    if metric not in ("f1", "auc"):
-        raise EvalError(f"unknown selection metric {metric!r}")
     y = _check_labels(labels)
     for f, (fit_idx, val_idx) in enumerate(plan):
         if np.intersect1d(fit_idx, val_idx).size:
@@ -311,17 +297,14 @@ def kfold_grid_search(trainer, grid, labels, plan, metric="f1", seed=0,
                                              derive_seed(seed, c + 1, f)))
             if fold_scores.shape != val_idx.shape:
                 raise EvalError("trainer returned a wrong-length score vector")
-            if metric == "auc":
-                scores[c, f] = auc(fold_scores, y[val_idx])
-            else:
-                scores[c, f] = classification_report(
-                    fold_scores, y[val_idx], threshold=threshold).f1
+            scores[c, f] = classification_report(
+                fold_scores, y[val_idx], threshold=threshold).f1
 
     means = scores.mean(axis=1)
     best = int(np.argmax(means))  # argmax keeps the first of tied cells
     table = [{"params": dict(grid[c]), "per_fold": scores[c].tolist(),
               "mean": float(means[c])} for c in range(len(grid))]
-    return GridSearchResult(dict(grid[best]), best, metric, table)
+    return GridSearchResult(dict(grid[best]), best, table)
 
 
 def cv_table_tsv(result):

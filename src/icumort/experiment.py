@@ -103,18 +103,17 @@ class ExperimentConfig:
     algorithms: tuple = ("l2-lr",)
     grids: dict = field(default_factory=dict)
     seed: int = 0
-    split_ratio: float = 0.7
-    stratify: bool = True
     folds: int = 5
-    selection_metric: str = "f1"
     min_df: int = 10
-    undersample_ratio: float = 4.0
     neural: dict = field(default_factory=dict)
 
     def validate(self):
         if (self.cohort_path is None) == (self.synth is None):
             raise ConfigError(
                 "exactly one cohort source required: a path or a synth block")
+        if self.cohort_path is not None and not (
+                isinstance(self.cohort_path, str) and self.cohort_path):
+            raise ConfigError("cohort path must be a non-empty string")
         if not (isinstance(self.grids, dict)
                 and all(isinstance(g, dict) for g in self.grids.values())):
             raise ConfigError("grids must map algorithms to objects")
@@ -135,18 +134,10 @@ class ExperimentConfig:
             raise ConfigError("cnn needs a feature set that includes notes")
         if not is_number(self.seed, integral=True):
             raise ConfigError("seed must be an integer")
-        if not (is_number(self.split_ratio) and 0.0 < self.split_ratio < 1.0):
-            raise ConfigError("split_ratio must be a number in (0, 1)")
         if not (is_number(self.folds, integral=True) and self.folds >= 2):
             raise ConfigError("folds must be an integer of at least 2")
-        if self.selection_metric not in ("f1", "auc"):
-            raise ConfigError(
-                f"unknown selection metric {self.selection_metric!r}")
         if not (is_number(self.min_df, integral=True) and self.min_df >= 1):
             raise ConfigError("min_df must be an integer >= 1")
-        if not (is_number(self.undersample_ratio)
-                and self.undersample_ratio > 0):
-            raise ConfigError("undersample_ratio must be a positive number")
         for algo, grid in self.grids.items():
             if algo not in ALGORITHMS:
                 raise ConfigError(f"grid given for unknown algorithm {algo!r}")
@@ -187,7 +178,7 @@ class ExperimentConfig:
 
     def to_obj(self):
         """Fully materialized form: every default echoed, grids resolved."""
-        out = {
+        return {
             "cohort": ({"path": self.cohort_path} if self.cohort_path
                        else {"synth": self.synth.to_obj()}),
             "outcomes": list(self.outcomes),
@@ -197,15 +188,10 @@ class ExperimentConfig:
             "grids": {a: {k: list(v) for k, v in self.grid_for(a).items()}
                       for a in self.algorithms},
             "seed": self.seed,
-            "split_ratio": self.split_ratio,
-            "stratify": self.stratify,
             "folds": self.folds,
-            "selection_metric": self.selection_metric,
             "min_df": self.min_df,
-            "undersample_ratio": self.undersample_ratio,
             "neural": dict(self.neural),
         }
-        return out
 
     def grid_for(self, algo):
         merged = dict(DEFAULT_GRIDS[algo])
@@ -290,8 +276,7 @@ def fold_plan(labels, config, seed):
     with derive_seed(seed, 2), so every algorithm and feature set of the
     outcome fits on the same rows.
     """
-    split = stratified_split(labels, config.split_ratio, config.stratify,
-                             seed=seed)
+    split = stratified_split(labels, seed=seed)
     train = split.train_indices
     folds = stratified_folds(labels[train], config.folds, seed)
     fit = [np.delete(train, pos) for pos in folds] + [train]
@@ -300,7 +285,7 @@ def fold_plan(labels, config, seed):
     model = {}
     for sampling in config.sampling:
         model[sampling] = fit if sampling == "none" else [
-            rows[undersample(labels[rows], config.undersample_ratio, seed=s)]
+            rows[undersample(labels[rows], seed=s)]
             for rows, s in zip(fit, seeds)]
     return FoldPlan(seed, split, [train[pos] for pos in folds], fit, model)
 
@@ -415,14 +400,12 @@ def _fit_model(algo, params, fold, feature_set, fit_rows, y_fit, seed,
     if algo in ("l1-lr", "l2-lr"):
         reg = linmod.L1 if algo == "l1-lr" else linmod.L2
         model = linmod.train_logreg(X, y_fit, reg=reg,
-                                    instance_weights=weights, seed=seed,
-                                    **params)
+                                    instance_weights=weights, **params)
         predict = linmod.predict_proba
     elif algo in ("l1-svm", "l2-svm"):
         reg = linmod.L1 if algo == "l1-svm" else linmod.L2
         model = linmod.train_linear_svm(X, y_fit, reg=reg,
-                                        instance_weights=weights, seed=seed,
-                                        **params)
+                                        instance_weights=weights, **params)
         predict = linmod.predict_scores
     elif algo == "rf":
         model = trees.train_random_forest(X, y_fit,
@@ -448,10 +431,10 @@ def _save_model(algo, model, fold, feature_set, path_base):
         return
     if algo in ("rf", "gbt"):
         payload = {"kind": "trees", "algorithm": algo,
-                   "model": json.loads(model.to_json())}
+                   "model": model.to_obj()}
     else:
         payload = {"kind": "linear", "algorithm": algo,
-                   "model": json.loads(model.to_json()),
+                   "model": model.to_obj(),
                    "n_structured": (0 if feature_set == "notes"
                                     else fold.encoder.n_columns),
                    "feature_names": fold.feature_names(feature_set)}
@@ -501,9 +484,8 @@ def _run_cell(ctx, feature_set, sampling, algo, config, out_dir, pretrained):
         return score_fn(val_rows)
 
     search = kfold_grid_search(trainer, config.grid_cells(algo), y,
-                               plan.grid(sampling),
-                               metric=config.selection_metric,
-                               seed=plan.seed, threshold=threshold)
+                               plan.grid(sampling), seed=plan.seed,
+                               threshold=threshold)
 
     refit = ctx.folds[-1]
     model, score_fn = fit(search.best_params, refit,
@@ -525,7 +507,7 @@ def _run_cell(ctx, feature_set, sampling, algo, config, out_dir, pretrained):
     (cdir / "report.json").write_text(json.dumps({
         "cell": cell_id(feature_set, ctx.outcome, sampling, algo),
         "best_params": search.best_params,
-        "report": json.loads(report.to_json()),
+        "report": report.to_obj(),
     }, sort_keys=True), encoding="utf-8")
     _save_model(algo, model, refit, feature_set, cdir / "model")
 

@@ -11,7 +11,6 @@ primal-dual gap, recorded as diagnostics["duality_gap"], is <= tol.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,19 +68,18 @@ class LinearModel:
         if not np.isfinite(self.w).all() or not np.isfinite(self.b):
             raise LinModError("model weights must be finite")
 
-    def to_json(self):
+    def to_obj(self):
         nz = np.nonzero(self.w)[0]
-        return json.dumps({
+        return {
             "loss": self.loss, "reg": self.reg, "C": self.C,
             "intercept": float(self.b), "dim": int(self.w.size),
             "weights": {str(int(j)): float(self.w[j]) for j in nz},
             "diagnostics": {k: _json_number(v)
                             for k, v in self.diagnostics.items()},
-        })
+        }
 
     @classmethod
-    def from_json(cls, text):
-        o = json.loads(text)
+    def from_obj(cls, o):
         w = np.zeros(o["dim"])
         for j, v in o["weights"].items():
             w[int(j)] = v
@@ -211,13 +209,10 @@ def _proximal_gradient(smooth, gradient, d, reg, lam, tol, max_iter):
                   "converged": converged}
 
 
-def train_logreg(X, y, reg=L2, C=1.0, instance_weights=None, seed=0,
-                 tol=1e-6, max_iter=10000):
-    """Weighted logistic regression by accelerated proximal gradient.
-
-    The fit is deterministic; seed is accepted for interface uniformity.
-    """
-    del seed
+def train_logreg(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
+                 max_iter=10000):
+    """Weighted logistic regression by accelerated proximal gradient; the
+    fit is deterministic."""
     if reg not in (L1, L2):
         raise LinModError(f"unknown regularizer {reg!r}")
     X, y, s = _check_training_inputs(X, y, C, instance_weights)
@@ -298,15 +293,14 @@ def _hinge_dual(X, y_pm, upper, tol, max_iter):
         "duality_gap": gap / primal if primal > 0.0 else 0.0}
 
 
-def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None, seed=0,
-                     tol=1e-6, max_epochs=1000):
+def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
+                     max_epochs=1000):
     """Linear SVM; L2 pairs with hinge loss, L1 with squared hinge.
 
     The hinge fit solves the dual and reports its relative duality gap; the
     L1 squared-hinge fit runs the logistic loop on its own loss. Both are
-    deterministic; seed is accepted for interface uniformity.
+    deterministic.
     """
-    del seed
     if reg not in (L1, L2):
         raise LinModError(f"unknown regularizer {reg!r}")
     X, y, s = _check_training_inputs(X, y, C, instance_weights)

@@ -18,6 +18,9 @@ class NetError(ValueError):
     pass
 
 
+EVAL_BATCH = 256  # rows per forward pass when scoring or in validation loss
+
+
 class Param:
     __slots__ = ("value", "grad")
 
@@ -340,9 +343,9 @@ class CnnFusionModel:
                 "dropout": self.hp.dropout, "max_len": self.hp.max_len}
 
 
-def pad_sequences(seqs, max_len, pad_id=0):
-    """Front-aligned padding/truncation to a fixed length."""
-    out = np.full((len(seqs), max_len), pad_id, dtype=np.int64)
+def pad_sequences(seqs, max_len):
+    """Front-aligned padding/truncation to max_len with id 0, the pad row."""
+    out = np.zeros((len(seqs), max_len), dtype=np.int64)
     for i, s in enumerate(seqs):
         s = list(s)[:max_len]
         out[i, :len(s)] = s
@@ -376,8 +379,8 @@ def _fit(model, fetch, y, hp, seed):
 
     def eval_loss(rows):
         total, count = 0.0, 0
-        for lo in range(0, rows.size, 256):
-            batch = rows[lo:lo + 256]
+        for lo in range(0, rows.size, EVAL_BATCH):
+            batch = rows[lo:lo + EVAL_BATCH]
             logits = model.forward(fetch(batch), train=False)
             loss, _ = softmax_xent(logits, y[batch])
             total += loss * batch.size
@@ -459,7 +462,7 @@ def train_cnn_fusion(sequences, structured, y, params=None, seed=0,
     return model, log
 
 
-def predict_proba_net(model, inputs, batch_size=256):
+def predict_proba_net(model, inputs):
     """Class-1 probabilities with dropout off; deterministic."""
     if isinstance(model, MlpModel):
         X = inputs
@@ -477,8 +480,8 @@ def predict_proba_net(model, inputs, batch_size=256):
     else:
         raise NetError(f"unknown model type {type(model).__name__}")
     out = np.empty(n)
-    for lo in range(0, n, batch_size):
-        rows = np.arange(lo, min(lo + batch_size, n))
+    for lo in range(0, n, EVAL_BATCH):
+        rows = np.arange(lo, min(lo + EVAL_BATCH, n))
         probs = softmax_probs(model.forward(fetch(rows), train=False))
         if not np.allclose(probs.sum(axis=1), 1.0, atol=1e-9):
             raise NetError("softmax probabilities do not sum to 1")

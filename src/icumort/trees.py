@@ -14,7 +14,6 @@ form.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -265,16 +264,15 @@ class RandomForest:
     seed: int
     n_features: int
 
-    def to_json(self):
-        return json.dumps({
+    def to_obj(self):
+        return {
             "kind": "forest", "seed": self.seed, "n_features": self.n_features,
             "params": asdict(self.params),
             "trees": [t.to_obj() for t in self.trees],
-        })
+        }
 
     @classmethod
-    def from_json(cls, text):
-        o = json.loads(text)
+    def from_obj(cls, o):
         if o.get("kind") != "forest":
             raise TreeError("not a forest record")
         return cls(trees=[DecisionTree.from_obj(t) for t in o["trees"]],
@@ -342,18 +340,17 @@ class GradientBoostedTrees:
     n_features: int
     train_loss: list
 
-    def to_json(self):
-        return json.dumps({
+    def to_obj(self):
+        return {
             "kind": "gbt", "base_score": self.base_score, "seed": self.seed,
             "n_features": self.n_features,
             "params": asdict(self.params),
             "trees": [t.to_obj() for t in self.trees],
             "train_loss": list(self.train_loss),
-        })
+        }
 
     @classmethod
-    def from_json(cls, text):
-        o = json.loads(text)
+    def from_obj(cls, o):
         if o.get("kind") != "gbt":
             raise TreeError("not a boosted-tree record")
         return cls(base_score=o["base_score"],

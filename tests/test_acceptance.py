@@ -63,13 +63,13 @@ def test_c02_split_and_undersample_counts():
     y = np.zeros(5396, dtype=np.int64)
     y[:698] = 1
     y = np.random.default_rng(0).permutation(y)
-    spec = stratified_split(y, ratio=0.7, seed=0)
+    spec = stratified_split(y, seed=0)
     assert spec.train_indices.size == 3777
     assert spec.test_indices.size == 1619
 
     y2 = np.concatenate([np.ones(483, dtype=np.int64),
                          np.zeros(3294, dtype=np.int64)])
-    kept = undersample(y2, ratio=4.0, seed=0)
+    kept = undersample(y2, seed=0)
     assert int(y2[kept].sum()) == 483
     assert int((y2[kept] == 0).sum()) == 1932
 

@@ -93,14 +93,14 @@ class TestSplit:
     def test_cohort_scale_sizes(self):
         y = np.zeros(5396, dtype=int)
         y[:698] = 1
-        sp = stratified_split(y, ratio=0.7, seed=0)
+        sp = stratified_split(y, seed=0)
         assert sp.train_indices.size == 3777
         assert sp.test_indices.size == 1619
 
     def test_stratified_class_share(self):
         y = np.zeros(5396, dtype=int)
         y[:698] = 1
-        sp = stratified_split(y, ratio=0.7, seed=3)
+        sp = stratified_split(y, seed=3)
         assert int(y[sp.train_indices].sum()) in (488, 489)
 
     def test_deterministic(self):
@@ -111,30 +111,23 @@ class TestSplit:
         c = stratified_split(y, seed=12)
         assert not np.array_equal(a.train_indices, c.train_indices)
 
-    def test_unstratified_size_only(self):
-        y = np.array([0] * 9 + [1])
-        sp = stratified_split(y, ratio=0.5, stratify=False, seed=0)
-        assert sp.train_indices.size == 5
-
     def test_errors(self):
         with pytest.raises(EvalError):
-            stratified_split(np.array([0, 1]), ratio=1.0)
+            stratified_split(np.array([0]))
         with pytest.raises(EvalError):
-            stratified_split(np.array([0]), ratio=0.5)
-        with pytest.raises(EvalError):
-            stratified_split(np.zeros(10, dtype=int), stratify=True)
+            stratified_split(np.zeros(10, dtype=int))
 
     def test_spec_invariants_enforced(self):
         with pytest.raises(EvalError):
-            SplitSpec(np.array([0, 1]), np.array([1, 2]), 0.5, True, 0)
+            SplitSpec(np.array([0, 1]), np.array([1, 2]))
         with pytest.raises(EvalError):
-            SplitSpec(np.array([0]), np.array([2]), 0.5, True, 0)
+            SplitSpec(np.array([0]), np.array([2]))
 
 
 class TestUndersample:
     def test_paper_scale_counts(self):
         y = np.array([1] * 483 + [0] * 3294)
-        kept = undersample(y, ratio=4.0, seed=0)
+        kept = undersample(y, seed=0)
         assert int(y[kept].sum()) == 483
         assert int((y[kept] == 0).sum()) == 1932
 
@@ -144,7 +137,7 @@ class TestUndersample:
 
     def test_minority_all_kept(self):
         y = np.array([0] * 50 + [1] * 5)
-        kept = undersample(y, ratio=4.0, seed=1)
+        kept = undersample(y, seed=1)
         assert set(np.flatnonzero(y == 1)) <= set(kept.tolist())
 
     def test_deterministic(self):
@@ -229,7 +222,7 @@ class TestReport:
         import json
 
         r = classification_report([0.9, 0.2], [1, 0])
-        obj = json.loads(r.to_json())
+        obj = json.loads(json.dumps(r.to_obj()))
         assert obj["confusion"]["tp"] == 1
 
     def test_length_mismatch(self):
@@ -385,7 +378,7 @@ class TestGridSearch:
         X, y = self._data()
         grid = [{"cols": [2, 3]}, {"cols": [0, 1]}]
         res = kfold_grid_search(_lstsq_trainer(X, y), grid, y, _plan(y, 5, 0),
-                                metric="auc", seed=0)
+                                seed=0)
         assert res.best_index == 1
         assert res.best_params["cols"] == [0, 1]
 
@@ -393,7 +386,7 @@ class TestGridSearch:
         X, y = self._data()
         grid = [{"cols": [0, 1]}, {"cols": [0, 1]}]
         res = kfold_grid_search(_lstsq_trainer(X, y), grid, y, _plan(y, 5, 0),
-                                seed=0, metric="auc")
+                                seed=0)
         assert res.best_index == 0
 
     def test_trainer_validates_on_the_given_plan(self):
@@ -407,7 +400,7 @@ class TestGridSearch:
             seen.append((fold, fit_idx, val_idx, seed))
             return np.full(val_idx.size, 0.5)
 
-        kfold_grid_search(spy, [{}, {}], y, plan, metric="f1", seed=3)
+        kfold_grid_search(spy, [{}, {}], y, plan, seed=3)
         assert [fold for fold, *_ in seen] == [0, 1, 2, 0, 1, 2]
         for c, (fold, fit_idx, val_idx, seed) in enumerate(seen):
             # the plan's own rows, not a recomputed or resampled copy
@@ -426,7 +419,7 @@ class TestGridSearch:
         X, y = self._data()
         grid = [{"cols": [0, 1]}]
         res = kfold_grid_search(_lstsq_trainer(X, y), grid, y, _plan(y, 5, 0),
-                                metric="f1", seed=0)
+                                seed=0)
         assert 0.0 <= res.table[0]["mean"] <= 1.0
 
     def test_empty_grid_rejected(self):
@@ -438,7 +431,7 @@ class TestGridSearch:
         X, y = self._data()
         grid = [{"cols": [0]}, {"cols": [1]}]
         res = kfold_grid_search(_lstsq_trainer(X, y), grid, y, _plan(y, 5, 0),
-                                metric="auc", seed=0)
+                                seed=0)
         text = cv_table_tsv(res)
         lines = text.strip().split("\n")
         assert len(lines) == 3

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +65,14 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_obj(_base_obj(shuffle=True))
+        # the split, its stratification, F1 selection and the 1:4 cap are
+        # fixed: a config that still sets them is refused, not replayed
+        # under a different protocol
+        for key, value in (("split_ratio", 0.7), ("stratify", True),
+                           ("selection_metric", "f1"),
+                           ("undersample_ratio", 4.0)):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                ExperimentConfig.from_obj(_base_obj(**{key: value}))
         # only the cohort block names the cohort source
         for key, value in (("cohort_path", "x.jsonl"), ("synth", {"n": 9})):
             obj = _base_obj(**{key: value})
@@ -81,8 +90,8 @@ class TestConfig:
         ("folds", "3", "folds must be an integer"),
         ("folds", True, "folds must be an integer"),
         ("min_df", 2.5, "min_df must be an integer"),
-        ("split_ratio", "0.7", "split_ratio must be a number"),
-        ("undersample_ratio", None, "undersample_ratio must be a positive"),
+        ("cohort", {"path": 3}, "cohort path must be a non-empty string"),
+        ("cohort", {"path": ""}, "cohort path must be a non-empty string"),
         ("neural", 3, "neural must be an object"),
         ("neural", ["max_epochs"], "neural must be an object"),
         ("grids", 3, "grids must map algorithms to objects"),
@@ -101,6 +110,15 @@ class TestConfig:
         assert rc == 1
         assert capsys.readouterr().err.startswith(
             "error: folds must be an integer")
+        # a non-string path is refused before the output directory is made
+        (tmp_path / "exp.json").write_text(
+            json.dumps(_base_obj(cohort={"path": 3})))
+        rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
+                       "--out", str(tmp_path / "res")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cohort path must be a non-empty string")
+        assert not (tmp_path / "res").exists()
         (tmp_path / "synth.json").write_text('{"n": "50"}')
         rc = cli.main(["synth", "--config", str(tmp_path / "synth.json"),
                        "--out", str(tmp_path / "c.jsonl")])
@@ -147,8 +165,17 @@ class TestConfig:
         cfg = ExperimentConfig.from_obj(_base_obj(grids={}))
         obj = cfg.to_obj()
         assert obj["grids"]["l2-lr"]["C"] == [0.01, 0.1, 1.0]
-        assert obj["split_ratio"] == 0.7
         assert obj["cohort"]["synth"]["n"] == 260
+        assert set(obj) == {"cohort", "outcomes", "feature_sets", "sampling",
+                            "algorithms", "grids", "seed", "folds", "min_df",
+                            "neural"}
+
+    def test_readme_configs_valid(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+        assert blocks
+        for block in blocks:
+            ExperimentConfig.from_obj(json.loads(block))
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -193,8 +194,8 @@ class TestSvm:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(80, 6))
         y = (X[:, 0] + 0.3 * rng.normal(size=80) > 0).astype(int)
-        a = train_linear_svm(X, y, reg=L2, C=1.0, seed=9)
-        b = train_linear_svm(X, y, reg=L2, C=1.0, seed=9)
+        a = train_linear_svm(X, y, reg=L2, C=1.0)
+        b = train_linear_svm(X, y, reg=L2, C=1.0)
         np.testing.assert_array_equal(a.w, b.w)
         assert a.b == b.b
 
@@ -204,8 +205,8 @@ class TestSvm:
         X = rng.normal(size=(60, 4))
         y = (X[:, 1] > 0).astype(int)
         s = np.ones(60)
-        a = train_linear_svm(X, y, reg=L2, C=2.0, instance_weights=s, seed=4)
-        b = train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=2 * s, seed=4)
+        a = train_linear_svm(X, y, reg=L2, C=2.0, instance_weights=s)
+        b = train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=2 * s)
         np.testing.assert_array_equal(a.w, b.w)
 
     def test_instance_weights_move_the_boundary(self):
@@ -221,8 +222,8 @@ class TestSvm:
         X = rng.normal(size=(50, 8))
         X[np.abs(X) < 0.7] = 0.0
         y = (X[:, 0] > 0).astype(int)
-        a = train_linear_svm(X, y, reg=L2, C=1.0, seed=2)
-        b = train_linear_svm(sp.csr_matrix(X), y, reg=L2, C=1.0, seed=2)
+        a = train_linear_svm(X, y, reg=L2, C=1.0)
+        b = train_linear_svm(sp.csr_matrix(X), y, reg=L2, C=1.0)
         np.testing.assert_allclose(a.w, b.w, atol=1e-10)
         c = train_linear_svm(X, y, reg=L1, C=1.0)
         d = train_linear_svm(sp.csr_matrix(X), y, reg=L1, C=1.0)
@@ -328,7 +329,7 @@ class TestRank:
 def test_json_round_trip():
     X, y = _logreg_dataset()
     m = train_logreg(X, y, reg=L1, C=0.1)
-    again = LinearModel.from_json(m.to_json())
+    again = LinearModel.from_obj(json.loads(json.dumps(m.to_obj())))
     np.testing.assert_array_equal(again.w, m.w)
     assert again.b == m.b
     assert again.loss == m.loss
@@ -338,6 +339,6 @@ def test_json_round_trip():
     assert again.diagnostics == m.diagnostics
     assert type(again.diagnostics["iterations"]) is int
     svm = train_linear_svm(X, y, reg=L2, C=1.0)
-    again = LinearModel.from_json(svm.to_json())
+    again = LinearModel.from_obj(json.loads(json.dumps(svm.to_obj())))
     assert again.diagnostics == svm.diagnostics
     assert "duality_gap" in again.diagnostics
