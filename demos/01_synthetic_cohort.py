@@ -31,22 +31,23 @@ print("\nmost-missing continuous features:")
 for j in worst:
     print(f"  {cohort.schema.continuous[j]:<28} {frac[j]:.2%}")
 
-r = cohort.records[0]
-print(f"\nfirst record {r.id}: age={r.get('age')}, sofa={r.get('sofa')}")
-print("note starts:", r.note_text[:110], "...")
+column = {name: j for j, name in enumerate(cohort.schema.continuous)}
+age, sofa = X[0, column["age"]], X[0, column["sofa"]]
+print(f"\nfirst record {cohort.ids[0]}: age={float(age)}, sofa={float(sofa)}")
+print("note starts:", cohort.notes[0][:110], "...")
 
 # values outside plausible physiology become missing, nothing is dropped
-cohort.records[3].values["heart_rate"] = 5000.0  # corrupt one cell
+heart_rate = cohort.continuous_columns[column["heart_rate"]]
+cohort.values[3, heart_rate] = 5000.0  # corrupt one cell
 filtered, report = filter_outliers(cohort)
 print(f"\noutlier cells nulled: {sum(report.values())} "
       f"({dict(report)}); records kept: {len(filtered)}")
-print(f"corrupted cell now missing: {filtered.records[3].get('heart_rate') is None}")
+print(f"corrupted cell now missing: {bool(np.isnan(filtered.values[3, heart_rate]))}")
 
 with tempfile.TemporaryDirectory() as d:
     path = Path(d) / "cohort.jsonl"
     save_cohort(cohort, path)
     again = load_cohort(path)
-    names = [f.name for f in cohort.schema.descriptors]
-    same = all(a.get(n) == b.get(n) and a.note_text == b.note_text
-               for a, b in zip(cohort.records, again.records) for n in names)
+    same = (np.array_equal(cohort.values, again.values, equal_nan=True)
+            and cohort.notes == again.notes)
     print(f"\nsave/load round trip intact: {same}")

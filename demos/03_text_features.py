@@ -21,7 +21,7 @@ stop = default_stopwords()
 print(f"stopword list size: {len(stop)}")
 
 cohort = synth_cohort(SynthConfig(n=600), seed=3)
-notes = cohort.notes()
+notes = cohort.notes
 print("raw note:", notes[0][:100], "...")
 
 docs = tokenize_corpus(notes)

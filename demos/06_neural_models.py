@@ -39,8 +39,9 @@ S = np.zeros((8, 0))  # no structured block for this one
 params = CnnParams(widths=(2, 3), filters=6, embed_dim=8, hidden=12,
                    dropout=0.0, max_len=6, learning_rate=0.01,
                    batch_size=4, max_epochs=200, patience=None)
-cnn, _ = train_cnn_fusion(docs, S, yd, params, seed=0, vocab_size=6)
-p = predict_proba_net(cnn, (pad_sequences(docs, 6), S))
+ids = pad_sequences(docs, params.max_len)
+cnn, _ = train_cnn_fusion(ids, S, yd, params, seed=0, vocab_size=6)
+p = predict_proba_net(cnn, (ids, S))
 print("\nCNN on the token-presence rule:")
 for doc, prob, label in zip(docs, p, yd):
     print(f"  {str(doc):<16} p(death)={prob:.3f}  label={label}")
@@ -51,5 +52,5 @@ with tempfile.TemporaryDirectory() as d:
     ck = pathlib.Path(d) / "cnn.ckpt"
     save_checkpoint(cnn, ck)
     back = load_checkpoint(ck)
-    p2 = predict_proba_net(back, (pad_sequences(docs, 6), S))
+    p2 = predict_proba_net(back, (ids, S))
     print(f"\ncheckpoint round trip exact: {np.array_equal(p, p2)}")

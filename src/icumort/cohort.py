@@ -75,10 +75,110 @@ class FeatureSchema:
             for e in json.loads(_data_text("schema.json")))
 
 
-def _check_value(schema, name, value, where=""):
-    desc = schema.by_name.get(name)
-    if desc is None:
+def _layout(schema):
+    """((feature name, first column, end column) per feature in schema
+    order, total column count, the continuous features' columns)."""
+    layout = []
+    col = 0
+    for d in schema.descriptors:
+        width = len(d.categories) if d.kind == CATEGORICAL else 1
+        layout.append((d.name, col, col + width))
+        col += width
+    continuous = np.array([a for d, (_, a, _) in zip(schema.descriptors, layout)
+                           if d.kind == CONTINUOUS], dtype=np.intp)
+    return tuple(layout), col, continuous
+
+
+class Cohort:
+    """Admissions as columns: record ids, notes, the two outcome label
+    vectors, and `values`, one float row per admission in the encoder's
+    column layout (_layout).
+
+    Continuous columns hold raw values, binary columns 0/1, and each
+    categorical its one-hot columns; NaN across a feature's columns marks it
+    missing.  load_cohort checks outside data once, at its line; the
+    constructor takes what it is given.
+    """
+
+    def __init__(self, schema, ids, notes, label_hospital, label_30day,
+                 values):
+        self.schema = schema
+        self.ids = list(ids)
+        self.notes = list(notes)
+        self.label_hospital = np.asarray(label_hospital, dtype=np.int64)
+        self.label_30day = np.asarray(label_30day, dtype=np.int64)
+        self.values = values
+        self.layout, _, self.continuous_columns = _layout(schema)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def labels(self, outcome):
+        if outcome not in ("hospital", "30day"):
+            raise CohortError(f"unknown outcome {outcome!r}; expected 'hospital' or '30day'")
+        return self.label_hospital if outcome == "hospital" else self.label_30day
+
+    def _with_values(self, values):
+        return Cohort(self.schema, self.ids, self.notes, self.label_hospital,
+                      self.label_30day, values)
+
+    def continuous_matrix(self, rows=None):
+        """The continuous block of `rows` (default: every row), one column
+        per schema.continuous feature, NaN marking missing cells."""
+        rows = np.arange(len(self)) if rows is None else rows
+        return self.values[np.ix_(np.asarray(rows, dtype=np.intp),
+                                  self.continuous_columns)]
+
+    def with_continuous(self, matrix):
+        """New cohort whose continuous values are replaced from a completed matrix."""
+        matrix = np.asarray(matrix, dtype=float)
+        shape = (len(self), self.continuous_columns.size)
+        if matrix.shape != shape:
+            raise CohortError(f"matrix shape {matrix.shape} does not match {shape}")
+        if not np.isfinite(matrix).all():
+            raise CohortError("continuous values must be finite numbers")
+        values = self.values.copy()
+        values[:, self.continuous_columns] = matrix
+        return self._with_values(values)
+
+    def subset(self, indices):
+        rows = np.asarray(indices, dtype=np.intp)
+        return Cohort(self.schema, [self.ids[i] for i in rows],
+                      [self.notes[i] for i in rows], self.label_hospital[rows],
+                      self.label_30day[rows], self.values[rows])
+
+    def encode(self, encoder, rows, continuous):
+        """Design matrix of `rows`: their values with
+        (continuous - means) / sds written into the continuous columns.
+
+        `continuous` is the rows' completed continuous block, in `rows` order.
+        """
+        if self.schema != encoder.schema:
+            raise CohortError("cohort schema does not match the fitted encoder")
+        rows = np.asarray(rows, dtype=np.intp)
+        continuous = np.asarray(continuous, dtype=float)
+        if continuous.shape != (rows.size, encoder.means.size):
+            raise CohortError(
+                f"continuous block shape {continuous.shape} does not match "
+                f"({rows.size}, {encoder.means.size})")
+        X = self.values[rows]
+        X[:, encoder.continuous_columns] = (continuous - encoder.means) / encoder.sds
+        missing = np.isnan(X)
+        if missing.any():
+            i, col = np.argwhere(missing)[0]
+            name = next(n for n, a, b in encoder.layout if a <= col < b)
+            raise CohortError(
+                f"missing value for {name!r} in record {self.ids[rows[i]]!r}; "
+                "encode requires a fully imputed cohort")
+        return X
+
+
+def _set_value(row, slots, name, value, where):
+    """Check one feature value of a record and write it into its columns
+    of the record's values row; None leaves the feature missing."""
+    if name not in slots:
         raise CohortError(f"unknown feature {name!r}{where}")
+    desc, a, b = slots[name]
     if value is None:
         return
     if desc.kind == CATEGORICAL:
@@ -86,147 +186,86 @@ def _check_value(schema, name, value, where=""):
             raise CohortError(
                 f"value {value!r} for categorical feature {name!r} is not one of "
                 f"{list(desc.categories)}{where}")
+        row[a:b] = [0.0] * (b - a)
+        row[a + desc.categories.index(value)] = 1.0
     elif desc.kind == BINARY:
         if isinstance(value, bool) or value not in (0, 1):
             raise CohortError(f"binary feature {name!r} must be 0 or 1, got {value!r}{where}")
+        row[a] = float(value)
     else:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
+            finite = False
+        if not finite:
             raise CohortError(
                 f"continuous feature {name!r} needs a finite number, got {value!r}{where}")
-
-
-@dataclass(frozen=True)
-class PatientRecord:
-    """One admission: feature values (possibly missing), note text, two outcome labels."""
-
-    id: str
-    values: dict
-    note_text: str
-    label_hospital: bool
-    label_30day: bool
-
-    def get(self, name):
-        return self.values.get(name)
-
-
-class Cohort:
-    """Schema plus an ordered list of validated records with unique ids."""
-
-    def __init__(self, schema, records):
-        self.schema = schema
-        self.records = list(records)
-        seen = set()
-        for r in self.records:
-            if r.id in seen:
-                raise CohortError(f"duplicate record id {r.id!r}")
-            seen.add(r.id)
-            for name, value in r.values.items():
-                _check_value(schema, name, value, where=f" (record {r.id!r})")
-
-    def __len__(self):
-        return len(self.records)
-
-    def labels(self, outcome):
-        if outcome == "hospital":
-            return np.array([int(r.label_hospital) for r in self.records], dtype=np.int64)
-        if outcome == "30day":
-            return np.array([int(r.label_30day) for r in self.records], dtype=np.int64)
-        raise CohortError(f"unknown outcome {outcome!r}; expected 'hospital' or '30day'")
-
-    def notes(self):
-        return [r.note_text for r in self.records]
-
-    def continuous_matrix(self):
-        """Continuous block as float array, NaN marking missing cells."""
-        cols = self.schema.continuous
-        out = np.full((len(self.records), len(cols)), np.nan)
-        for i, r in enumerate(self.records):
-            for j, name in enumerate(cols):
-                v = r.values.get(name)
-                if v is not None:
-                    out[i, j] = float(v)
-        return out
-
-    def with_continuous(self, matrix):
-        """New cohort whose continuous values are replaced from a completed matrix."""
-        cols = self.schema.continuous
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (len(self.records), len(cols)):
-            raise CohortError(
-                f"matrix shape {matrix.shape} does not match "
-                f"({len(self.records)}, {len(cols)})")
-        records = []
-        for i, r in enumerate(self.records):
-            values = dict(r.values)
-            for j, name in enumerate(cols):
-                values[name] = float(matrix[i, j])
-            records.append(PatientRecord(r.id, values, r.note_text,
-                                         r.label_hospital, r.label_30day))
-        return Cohort(self.schema, records)
-
-    def subset(self, indices):
-        return Cohort(self.schema, [self.records[i] for i in indices])
-
-
-def _record_to_obj(record):
-    features = {}
-    for name, value in record.values.items():
-        if value is not None:
-            features[name] = value
-    return {
-        "id": record.id,
-        "features": features,
-        "note": record.note_text,
-        "label_hospital": int(record.label_hospital),
-        "label_30day": int(record.label_30day),
-    }
-
-
-def _record_from_obj(obj, schema, lineno):
-    where = f" at line {lineno}"
-    for key in ("id", "features", "note", "label_hospital", "label_30day"):
-        if key not in obj:
-            raise CohortError(f"missing key {key!r}{where}")
-    for lab in ("label_hospital", "label_30day"):
-        if isinstance(obj[lab], bool) or obj[lab] not in (0, 1):
-            raise CohortError(f"{lab} must be 0 or 1{where}")
-    values = {}
-    for name, value in obj["features"].items():
-        _check_value(schema, name, value, where=where)
-        values[name] = value
-    return PatientRecord(
-        id=str(obj["id"]),
-        values=values,
-        note_text=str(obj["note"]),
-        label_hospital=bool(obj["label_hospital"]),
-        label_30day=bool(obj["label_30day"]),
-    )
+        row[a] = float(value)
 
 
 def load_cohort(path, schema=None):
-    """Read a JSONL cohort file, validating every record against the schema."""
+    """Read a JSONL cohort file, checking every record against the schema."""
     if schema is None:
         schema = FeatureSchema.default()
-    records = []
+    layout, width, _ = _layout(schema)
+    slots = {name: (schema.by_name[name], a, b) for name, a, b in layout}
+    ids, notes, rows = [], [], []
+    labels = {"label_hospital": [], "label_30day": []}
+    seen = set()
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f" at line {lineno}"
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CohortError(f"malformed JSON at line {lineno}: {exc}") from None
-            records.append(_record_from_obj(obj, schema, lineno))
-    return Cohort(schema, records)
+            except ValueError as exc:
+                raise CohortError(f"malformed JSON{where}: {exc}") from None
+            for key in ("id", "features", "note", *labels):
+                if key not in obj:
+                    raise CohortError(f"missing key {key!r}{where}")
+            for lab, column in labels.items():
+                if isinstance(obj[lab], bool) or obj[lab] not in (0, 1):
+                    raise CohortError(f"{lab} must be 0 or 1{where}")
+                column.append(int(obj[lab]))
+            rid = str(obj["id"])
+            if rid in seen:
+                raise CohortError(f"duplicate record id {rid!r}{where}")
+            seen.add(rid)
+            row = [math.nan] * width
+            for name, value in obj["features"].items():
+                _set_value(row, slots, name, value, where)
+            ids.append(rid)
+            notes.append(str(obj["note"]))
+            rows.append(row)
+    values = np.array(rows, dtype=float).reshape(len(rows), width)
+    return Cohort(schema, ids, notes, labels["label_hospital"],
+                  labels["label_30day"], values)
 
 
 def save_cohort(cohort, path):
-    """Write a cohort as canonical JSONL; save-load-save is byte stable."""
+    """Write a cohort as canonical JSONL, leaving missing values out;
+    save-load-save is byte stable."""
+    columns = [(d.name, d.kind, a, b, d.categories)
+               for d, (_, a, b) in zip(cohort.schema.descriptors, cohort.layout)]
+    records = zip(cohort.ids, cohort.notes, cohort.label_hospital.tolist(),
+                  cohort.label_30day.tolist(), cohort.values.tolist())
     with open(path, "w", encoding="utf-8") as f:
-        for r in cohort.records:
-            f.write(json.dumps(_record_to_obj(r), sort_keys=True,
-                               separators=(",", ":")) + "\n")
+        for rid, note, hospital, day30, row in records:
+            features = {}
+            for name, kind, a, b, categories in columns:
+                if math.isnan(row[a]):
+                    continue
+                if kind == CONTINUOUS:
+                    features[name] = row[a]
+                elif kind == BINARY:
+                    features[name] = int(row[a])
+                else:
+                    features[name] = categories[row.index(1.0, a, b) - a]
+            f.write(json.dumps({"id": rid, "features": features, "note": note,
+                                "label_hospital": hospital, "label_30day": day30},
+                               sort_keys=True, separators=(",", ":")) + "\n")
 
 
 class PlausibleRangeTable:
@@ -266,40 +305,21 @@ def filter_outliers(cohort, ranges=None):
     """
     if ranges is None:
         ranges = PlausibleRangeTable.default()
-    applicable = {}
-    for name, bound in ranges.bounds.items():
+    first = {name: a for name, a, _ in cohort.layout}
+    values = cohort.values.copy()
+    report = {}
+    for name, (lo, hi) in ranges.bounds.items():
         desc = cohort.schema.by_name.get(name)
         if desc is None or desc.kind != CONTINUOUS:
             warnings.warn(f"range table entry {name!r} does not match a continuous "
                           "feature; ignored")
             continue
-        applicable[name] = bound
-    report = {}
-    records = []
-    for r in cohort.records:
-        values = dict(r.values)
-        for name, (lo, hi) in applicable.items():
-            v = values.get(name)
-            if v is None:
-                continue
-            if v < lo or v > hi:
-                values[name] = None
-                report[name] = report.get(name, 0) + 1
-        records.append(PatientRecord(r.id, values, r.note_text,
-                                     r.label_hospital, r.label_30day))
-    return Cohort(cohort.schema, records), report
-
-
-def _layout(schema):
-    """((feature name, first column, end column) per feature in schema
-    order, total column count)."""
-    layout = []
-    col = 0
-    for d in schema.descriptors:
-        width = len(d.categories) if d.kind == CATEGORICAL else 1
-        layout.append((d.name, col, col + width))
-        col += width
-    return tuple(layout), col
+        column = values[:, first[name]]  # a view; NaN compares False
+        out = (column < lo) | (column > hi)
+        if out.any():
+            column[out] = np.nan
+            report[name] = int(out.sum())
+    return cohort._with_values(values), report
 
 
 class StructuredEncoder:
@@ -314,10 +334,7 @@ class StructuredEncoder:
         self.means = np.asarray(means, dtype=float)
         self.sds = np.asarray(sds, dtype=float)
         self.constant_columns = tuple(constant_columns)
-        self.layout, self.n_columns = _layout(schema)
-        first = {n: a for n, a, _ in self.layout}
-        self.continuous_columns = np.array(
-            [first[name] for name in schema.continuous], dtype=np.intp)
+        self.layout, self.n_columns, self.continuous_columns = _layout(schema)
         if np.any(self.sds <= 0):
             raise CohortError("encoder standard deviations must be positive")
 
@@ -365,60 +382,6 @@ class StructuredEncoder:
         return names
 
 
-class CohortArrays:
-    """A cohort decoded once into the two arrays that fold encoding needs.
-
-    `continuous` is the continuous block with NaN for missing values.
-    `fixed` is the design matrix in encoder layout with binary and one-hot
-    columns set and continuous columns zero; no fold changes it. A missing
-    binary or categorical value is NaN in its columns, so encoding a row that
-    holds one raises.
-    """
-
-    def __init__(self, cohort):
-        self.schema = cohort.schema
-        self.ids = [r.id for r in cohort.records]
-        self.continuous = cohort.continuous_matrix()
-        layout, width = _layout(self.schema)
-        self.fixed = np.zeros((len(cohort), width))
-        for d, (_, a, b) in zip(self.schema.descriptors, layout):
-            if d.kind == CONTINUOUS:
-                continue
-            for i, r in enumerate(cohort.records):
-                v = r.values.get(d.name)
-                if v is None:
-                    self.fixed[i, a:b] = np.nan
-                elif d.kind == BINARY:
-                    self.fixed[i, a] = float(v)
-                else:
-                    self.fixed[i, a + d.categories.index(v)] = 1.0
-
-    def encode(self, encoder, rows, continuous):
-        """Design matrix of `rows`: their fixed block with
-        (continuous - means) / sds written into the continuous columns.
-
-        `continuous` is the rows' completed continuous block, in `rows` order.
-        """
-        if self.schema != encoder.schema:
-            raise CohortError("cohort schema does not match the fitted encoder")
-        rows = np.asarray(rows, dtype=np.intp)
-        continuous = np.asarray(continuous, dtype=float)
-        if continuous.shape != (rows.size, encoder.means.size):
-            raise CohortError(
-                f"continuous block shape {continuous.shape} does not match "
-                f"({rows.size}, {encoder.means.size})")
-        X = self.fixed[rows]
-        X[:, encoder.continuous_columns] = (continuous - encoder.means) / encoder.sds
-        missing = np.isnan(X)
-        if missing.any():
-            i, col = np.argwhere(missing)[0]
-            name = next(n for n, a, b in encoder.layout if a <= col < b)
-            raise CohortError(
-                f"missing value for {name!r} in record {self.ids[rows[i]]!r}; "
-                "encode requires a fully imputed cohort")
-        return X
-
-
 def fit_encoder(cohort):
     """Fit standardization statistics on a fully imputed cohort
     (StructuredEncoder.fit on its continuous block)."""
@@ -427,8 +390,7 @@ def fit_encoder(cohort):
 
 def encode(encoder, cohort):
     """Encode a cohort into the dense structured design matrix."""
-    arrays = CohortArrays(cohort)
-    return arrays.encode(encoder, np.arange(len(cohort)), arrays.continuous)
+    return cohort.encode(encoder, np.arange(len(cohort)), cohort.continuous_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -769,26 +731,18 @@ def synth_cohort_with_truth(config=None, seed=0, schema=None):
                      for name in sorted(config.missing_rates)
                      if config.missing_rates[name] > 0}
 
-    width = len(str(n - 1))
-    records = []
-    for i in range(n):
-        values = {}
-        for name in schema.names:
-            desc = schema.by_name[name]
-            if desc.kind == CONTINUOUS:
-                if name in missing_masks and missing_masks[name][i]:
-                    values[name] = None
-                else:
-                    values[name] = round(float(cont_values[name][i]), 4)
-            elif desc.kind == BINARY:
-                values[name] = int(bin_values[name][i])
-            else:
-                values[name] = desc.categories[int(cat_values[name][i])]
-        records.append(PatientRecord(
-            id=f"synth-{i:0{width}d}",
-            values=values,
-            note_text=notes[i],
-            label_hospital=bool(label_hosp[i]),
-            label_30day=bool(label_30d[i]),
-        ))
-    return Cohort(schema, records), risk
+    layout, width, _ = _layout(schema)
+    values = np.zeros((n, width))
+    for d, (name, a, _) in zip(schema.descriptors, layout):
+        if d.kind == CONTINUOUS:
+            # Python's round: a saved cohort holds values to 4 decimals
+            values[:, a] = [round(x, 4) for x in cont_values[name].tolist()]
+            if name in missing_masks:
+                values[missing_masks[name], a] = np.nan
+        elif d.kind == BINARY:
+            values[:, a] = bin_values[name]
+        else:
+            values[np.arange(n), a + cat_values[name]] = 1.0
+    digits = len(str(n - 1))
+    ids = [f"synth-{i:0{digits}d}" for i in range(n)]
+    return Cohort(schema, ids, notes, label_hosp, label_30d, values), risk

@@ -194,7 +194,6 @@ class PermTestResult:
     n_perm: int
     count_ge: int
     p_value: float
-    seed: int
 
 
 # Permutations ranked per batch: two (block, n) float arrays of about 0.3 MB
@@ -227,7 +226,7 @@ def perm_test_auc(scores_a, scores_b, labels, n_perm=1000, seed=0):
         stat = np.abs(_rank_auc(pa, y) - _rank_auc(pb, y))
         count += int(np.count_nonzero(stat >= observed - 1e-12))
     p = (1 + count) / (n_perm + 1)
-    return PermTestResult(observed, n_perm, count, p, seed)
+    return PermTestResult(observed, n_perm, count, p)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import scipy
 
 from . import __version__, linmod, neural, trees
 from .cohort import (
-    CohortArrays,
     PlausibleRangeTable,
     StructuredEncoder,
     SynthConfig,
@@ -79,6 +78,27 @@ _GRID_KEYS = {
     "cnn": {f.name for f in fields(neural.CnnParams)},
 }
 _NEURAL_KEYS = _GRID_KEYS["mlp"] | _GRID_KEYS["cnn"]
+_INTEGER_PARAMS = {"n_trees", "max_depth", "rounds", "hidden", "filters",
+                   "embed_dim", "max_len", "batch_size", "max_epochs",
+                   "max_iter"}
+
+
+def _check_param(key, value, where):
+    """Refuse a grid candidate or neural setting of the wrong type."""
+    if key == "bootstrap":
+        ok, kind = isinstance(value, bool), "true or false"
+    elif key == "patience":
+        ok, kind = value is None or is_number(value, True), "an integer or null"
+    elif key == "widths":
+        ok = (isinstance(value, (list, tuple)) and len(value) > 0
+              and all(is_number(w, integral=True) for w in value))
+        kind = "a non-empty list of integers"
+    else:
+        integral = key in _INTEGER_PARAMS
+        ok = is_number(value, integral)
+        kind = "an integer" if integral else "a number"
+    if not ok:
+        raise ConfigError(f"{where} {key} must be {kind}, not {value!r}")
 
 
 def _as_tuple(value, kind):
@@ -145,9 +165,14 @@ class ExperimentConfig:
             if bad:
                 raise ConfigError(
                     f"unknown grid parameters for {algo}: {sorted(bad)}")
+            for key, values in grid.items():
+                for value in values if isinstance(values, list) else [values]:
+                    _check_param(key, value, f"grid value for {algo}")
         bad = set(self.neural) - _NEURAL_KEYS
         if bad:
             raise ConfigError(f"unknown neural settings: {sorted(bad)}")
+        for key, value in self.neural.items():
+            _check_param(key, value, "neural setting")
         return self
 
     @classmethod
@@ -295,21 +320,21 @@ class _Fold:
     every feature set.
 
     The chained-equation imputer and standardizing encoder are fitted when
-    `arrays` (the run's decoded cohort) is given, the vocabulary and tf-idf
-    when `tokens` (its tokenized notes) are.  The structured, text and fused
+    `cohort` is given, the vocabulary and tf-idf when `tokens` (its
+    tokenized notes) are.  The structured, text and fused
     blocks are memoized per requested row set; a feature set only picks
     which block, or the fused pair, to return.
     """
 
-    def __init__(self, fit_rows, seed, arrays, tokens, min_df):
+    def __init__(self, fit_rows, seed, cohort, tokens, min_df):
         self.fit_rows = np.asarray(fit_rows)
-        self.arrays = arrays
+        self.cohort = cohort
         self.tokens = tokens
         self._memo = {}
-        if arrays is not None:
+        if cohort is not None:
             self._fit_imputed, self.imp_model = impute_fit_transform(
-                arrays.continuous[self.fit_rows], seed=seed)
-            self.encoder = StructuredEncoder.fit(arrays.schema,
+                cohort.continuous_matrix(self.fit_rows), seed=seed)
+            self.encoder = StructuredEncoder.fit(cohort.schema,
                                                  self._fit_imputed)
         if tokens is not None:
             self.vocab = build_vocab([tokens[i] for i in self.fit_rows],
@@ -327,8 +352,8 @@ class _Fold:
             imputed = self._fit_imputed
         else:
             imputed = apply_imputation(self.imp_model,
-                                       self.arrays.continuous[rows])
-        return self.arrays.encode(self.encoder, rows, imputed)
+                                       self.cohort.continuous_matrix(rows))
+        return self.cohort.encode(self.encoder, rows, imputed)
 
     def structured(self, rows):
         return self._memoized("structured", rows, self._structured)
@@ -449,19 +474,20 @@ class _OutcomeContext:
     """One outcome's labels, fold plan, and one _Fold per entry of the
     plan's `fit` (the folds, then the full training split).
 
-    `arrays` is the run's decoded cohort (None when no feature set has a
-    structured block), `tokens` its tokenized notes (None when none has
-    notes).
+    `tokens` are the cohort's tokenized notes (None when no feature set has
+    notes); the folds get the cohort itself only when a feature set has a
+    structured block.
     """
 
-    def __init__(self, cohort, arrays, tokens, config, outcome,
-                 outcome_index):
+    def __init__(self, cohort, tokens, config, outcome, outcome_index):
         self.outcome = outcome
         self.labels = cohort.labels(outcome)
         self.plan = fold_plan(self.labels, config,
                               derive_seed(config.seed, outcome_index))
-        self.folds = [_Fold(rows, derive_seed(self.plan.seed, 1, f), arrays,
-                            tokens, config.min_df)
+        structured = (cohort if set(config.feature_sets)
+                      & {"structured", "combined"} else None)
+        self.folds = [_Fold(rows, derive_seed(self.plan.seed, 1, f),
+                            structured, tokens, config.min_df)
                       for f, rows in enumerate(self.plan.fit)]
 
 
@@ -565,16 +591,12 @@ def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
     stopwords = (load_stopwords(stopwords_path) if stopwords_path
                  else default_stopwords())
     needs_text = bool(set(config.feature_sets) & {"notes", "combined"})
-    tokens = (tokenize_corpus(cohort.notes(), stopwords) if needs_text
+    tokens = (tokenize_corpus(cohort.notes, stopwords) if needs_text
               else None)
-    needs_structured = bool(set(config.feature_sets)
-                            & {"structured", "combined"})
-    arrays = CohortArrays(cohort) if needs_structured else None
     pretrained = (neural.load_embedding_file(embeddings_path)
                   if embeddings_path else None)
 
-    contexts = {outcome: _OutcomeContext(cohort, arrays, tokens, config,
-                                         outcome, oi)
+    contexts = {outcome: _OutcomeContext(cohort, tokens, config, outcome, oi)
                 for oi, outcome in enumerate(config.outcomes)}
 
     cells = [(fs, outcome, sampling, algo)

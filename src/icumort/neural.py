@@ -439,22 +439,20 @@ def train_mlp(X, y, params=None, seed=0):
     return model, log
 
 
-def train_cnn_fusion(sequences, structured, y, params=None, seed=0,
-                     vocab_size=None, embed_init=None):
+def train_cnn_fusion(ids, structured, y, params, vocab_size, seed=0,
+                     embed_init=None):
     """Text CNN fused with a structured block; returns (model, log).
 
-    sequences: iterable of token-id lists (padded/truncated to max_len here).
+    ids: (n, params.max_len) token ids, padded as pad_sequences pads them.
     structured: dense (n, d_s) block; d_s may be 0 for text-only models.
     """
-    if params is None:
-        params = CnnParams()
-    params.validate()
-    ids = pad_sequences(sequences, params.max_len)
+    ids = np.asarray(ids)
     structured = np.asarray(structured, dtype=float)
+    if ids.ndim != 2 or ids.shape[1] != params.max_len:
+        raise NetError(f"token ids must be (n, {params.max_len}), "
+                       f"not {ids.shape}")
     if structured.ndim != 2 or structured.shape[0] != ids.shape[0]:
         raise NetError("structured block must be (n, d_s)")
-    if vocab_size is None:
-        vocab_size = int(ids.max()) + 1 if ids.size else 1
     model = CnnFusionModel(vocab_size, structured.shape[1], params, seed,
                            embed_init=embed_init)
     log = _fit(model, lambda rows: (ids[rows], structured[rows]), y, params,

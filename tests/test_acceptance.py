@@ -396,17 +396,18 @@ def test_c10_manifest_replay_and_cnn_toy(tmp_path):
     # text CNN at realistic length budget
     t0 = time.monotonic()
     cohort = synth_cohort(SynthConfig(n=500), seed=0)
-    docs = tokenize_corpus([r.note_text for r in cohort.records])
+    docs = tokenize_corpus(cohort.notes)
     vocab = build_vocab(docs, min_df=5)
     ids = tokens_to_ids(docs, vocab)
-    y = np.array([r.label_hospital for r in cohort.records], dtype=np.int64)
+    y = cohort.labels("hospital")
     S = np.zeros((500, 0))
     hp = CnnParams(embed_dim=16, filters=8, widths=(2, 3), hidden=16,
                    max_len=128, learning_rate=0.001, batch_size=32,
                    max_epochs=10, patience=None)
-    model, log = train_cnn_fusion(ids, S, y, hp, seed=0,
+    padded = pad_sequences(ids, hp.max_len)
+    model, log = train_cnn_fusion(padded, S, y, hp, seed=0,
                                   vocab_size=len(vocab.tokens) + 2)
-    probs = predict_proba_net(model, (pad_sequences(ids, hp.max_len), S))
+    probs = predict_proba_net(model, (padded, S))
     assert np.isfinite(probs).all()
     assert log[-1]["train_loss"] < log[0]["train_loss"]
     assert time.monotonic() - t0 < 300.0
@@ -419,6 +420,7 @@ def test_c10_manifest_replay_and_cnn_toy(tmp_path):
     hp8 = CnnParams(widths=(2, 3), filters=6, embed_dim=8, hidden=12,
                     dropout=0.0, max_len=6, learning_rate=0.01,
                     batch_size=4, max_epochs=200, patience=None)
-    m8, _ = train_cnn_fusion(docs8, S8, y8, hp8, seed=0, vocab_size=6)
-    p8 = predict_proba_net(m8, (pad_sequences(docs8, hp8.max_len), S8))
+    ids8 = pad_sequences(docs8, hp8.max_len)
+    m8, _ = train_cnn_fusion(ids8, S8, y8, hp8, seed=0, vocab_size=6)
+    p8 = predict_proba_net(m8, (ids8, S8))
     assert (((p8 >= 0.5).astype(int)) == y8).all()

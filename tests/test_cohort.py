@@ -1,5 +1,8 @@
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icumort.cohort import (
-    Cohort,
-    CohortArrays,
     CohortError,
     FeatureDescriptor,
     FeatureSchema,
-    PatientRecord,
     PlausibleRangeTable,
     SynthConfig,
     StructuredEncoder,
@@ -66,31 +66,59 @@ class TestSchema:
             FeatureDescriptor("race", "categorical")
 
 
+def _record(rid, features, hospital=0, day30=0, note=""):
+    """One admission as a cohort file line holds it."""
+    return {"id": rid, "features": features, "note": note,
+            "label_hospital": hospital, "label_30day": day30}
+
+
+def _jsonl(records):
+    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+                   for r in records)
+
+
+def _load(schema, records):
+    """load_cohort of the records' JSONL file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "cohort.jsonl"
+        path.write_text(_jsonl(records), encoding="utf-8")
+        return load_cohort(path, schema)
+
+
+def _saved_records(cohort):
+    """The cohort's records, read back one JSON object per line of its
+    saved file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "cohort.jsonl"
+        save_cohort(cohort, path)
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _cell(cohort, i, name):
+    """Continuous value of `name` in row i, NaN when missing."""
+    return cohort.continuous_matrix()[i, cohort.schema.continuous.index(name)]
+
+
 class TestCohortValidation:
     def test_duplicate_ids_rejected(self, schema):
-        r = PatientRecord("a", {}, "", False, False)
-        with pytest.raises(CohortError, match="duplicate record id"):
-            Cohort(schema, [r, r])
+        r = _record("a", {})
+        with pytest.raises(CohortError, match="duplicate record id 'a' at line 2"):
+            _load(schema, [r, r])
 
     def test_bad_categorical_value(self, schema):
-        r = PatientRecord("a", {"race": "Martian"}, "", False, False)
         with pytest.raises(CohortError, match="Martian"):
-            Cohort(schema, [r])
+            _load(schema, [_record("a", {"race": "Martian"})])
 
     def test_binary_must_be_01(self, schema):
-        r = PatientRecord("a", {"diabetes": 2}, "", False, False)
         with pytest.raises(CohortError, match="0 or 1"):
-            Cohort(schema, [r])
+            _load(schema, [_record("a", {"diabetes": 2})])
 
     def test_unknown_feature_rejected(self, schema):
-        r = PatientRecord("a", {"shoe_size": 11}, "", False, False)
         with pytest.raises(CohortError, match="unknown feature"):
-            Cohort(schema, [r])
+            _load(schema, [_record("a", {"shoe_size": 11})])
 
     def test_labels_vector(self, schema):
-        rs = [PatientRecord("a", {}, "", True, True),
-              PatientRecord("b", {}, "", False, True)]
-        c = Cohort(schema, rs)
+        c = _load(schema, [_record("a", {}, 1, 1), _record("b", {}, 0, 1)])
         assert c.labels("hospital").tolist() == [1, 0]
         assert c.labels("30day").tolist() == [1, 1]
         with pytest.raises(CohortError):
@@ -100,20 +128,19 @@ class TestCohortValidation:
 class TestIO:
     def test_round_trip_bytes(self, schema, tmp_path):
         """save -> load -> save reproduces the file byte for byte."""
-        lines = [
-            {"id": "p1", "features": {"age": 71, "race": "White", "diabetes": 1},
-             "note": "stable overnight", "label_hospital": 0, "label_30day": 1},
-            {"id": "p2", "features": {"age": 54.5, "sofa": 9},
-             "note": "", "label_hospital": 1, "label_30day": 1},
-        ]
-        p = tmp_path / "c.jsonl"
-        p.write_text("".join(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-                             for obj in lines))
-        c = load_cohort(p, schema)
+        c = _load(schema, [
+            _record("p1", {"age": 71, "race": "White", "diabetes": 1}, 0, 1,
+                    "stable overnight"),
+            _record("p2", {"age": 54.5, "sofa": 9, "diabetes": 1.0}, 1, 1)])
         assert len(c) == 2
-        assert c.records[0].get("age") == 71
-        q = tmp_path / "again.jsonl"
-        save_cohort(c, q)
+        # a loaded cohort holds floats: integer 71 is saved as 71.0, and a
+        # binary 1.0 as 1
+        assert _cell(c, 0, "age") == 71.0
+        p, q = tmp_path / "c.jsonl", tmp_path / "again.jsonl"
+        save_cohort(c, p)
+        assert '"age":71.0' in p.read_text()
+        assert '"diabetes":1,' in p.read_text().splitlines()[1]
+        save_cohort(load_cohort(p, schema), q)
         assert q.read_bytes() == p.read_bytes()
 
     def test_error_carries_line_number(self, schema, tmp_path):
@@ -124,6 +151,19 @@ class TestIO:
                "label_hospital": 0, "label_30day": 0}
         p.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(CohortError, match="line 2"):
+            load_cohort(p, schema)
+
+    @pytest.mark.parametrize("text", ["1" + "0" * 400, "1e400", "NaN",
+                                      "-Infinity"])
+    def test_non_finite_value_rejected(self, schema, tmp_path, text):
+        """A continuous value that is no finite float, such as an integer
+        beyond the float range, is a cohort error with its line."""
+        p = tmp_path / "bad.jsonl"
+        p.write_text(_jsonl([_record("p1", {})]) + '{"id":"p2","features":'
+                     '{"age":' + text + '},"label_30day":0,"label_hospital":0,'
+                     '"note":""}\n')
+        with pytest.raises(CohortError,
+                           match="'age' needs a finite number.* at line 2"):
             load_cohort(p, schema)
 
     def test_malformed_json_line(self, schema, tmp_path):
@@ -142,36 +182,35 @@ class TestIO:
 
 class TestOutlierFilter:
     def test_out_of_range_becomes_missing(self, schema):
-        r = PatientRecord("a", {"heart_rate": 400.0, "age": 60}, "", False, False)
-        c = Cohort(schema, [r])
+        c = _load(schema, [_record("a", {"heart_rate": 400.0, "age": 60})])
         filtered, report = filter_outliers(c)
-        assert filtered.records[0].get("heart_rate") is None
-        assert filtered.records[0].get("age") == 60
+        assert math.isnan(_cell(filtered, 0, "heart_rate"))
+        assert _cell(filtered, 0, "age") == 60
         assert report == {"heart_rate": 1}
 
     def test_boundary_values_kept(self, schema):
         table = PlausibleRangeTable({"heart_rate": (0, 350)})
-        r = PatientRecord("a", {"heart_rate": 350}, "", False, False)
-        filtered, report = filter_outliers(Cohort(schema, [r]), table)
-        assert filtered.records[0].get("heart_rate") == 350
+        c = _load(schema, [_record("a", {"heart_rate": 350})])
+        filtered, report = filter_outliers(c, table)
+        assert _cell(filtered, 0, "heart_rate") == 350
         assert report == {}
 
     def test_idempotent(self, schema):
-        rs = [PatientRecord("a", {"heart_rate": 400.0, "ph": 5.0}, "", False, False),
-              PatientRecord("b", {"heart_rate": 82.0}, "", True, False)]
-        c1, rep1 = filter_outliers(Cohort(schema, rs))
+        c = _load(schema, [_record("a", {"heart_rate": 400.0, "ph": 5.0}),
+                           _record("b", {"heart_rate": 82.0}, 1, 0)])
+        c1, rep1 = filter_outliers(c)
         c2, rep2 = filter_outliers(c1)
         assert rep1 == {"heart_rate": 1, "ph": 1}
         assert rep2 == {}
-        assert [r.values for r in c2.records] == [r.values for r in c1.records]
+        assert c2.values.tobytes() == c1.values.tobytes()
 
     def test_unknown_entry_warns_and_is_ignored(self, schema):
         table = PlausibleRangeTable({"banana": (0, 1), "race": (0, 1)})
-        r = PatientRecord("a", {"age": 50}, "", False, False)
+        c = _load(schema, [_record("a", {"age": 50})])
         with pytest.warns(UserWarning):
-            filtered, report = filter_outliers(Cohort(schema, [r]), table)
+            filtered, report = filter_outliers(c, table)
         assert report == {}
-        assert filtered.records[0].get("age") == 50
+        assert _cell(filtered, 0, "age") == 50
 
 
 def _tiny_schema():
@@ -196,20 +235,20 @@ class TestEncoder:
                     values[d.name] = int(rng.integers(0, 2))
                 else:
                     values[d.name] = d.categories[int(rng.integers(len(d.categories)))]
-            records.append(PatientRecord(f"p{i}", values, "", False, False))
-        enc = fit_encoder(Cohort(schema, records))
+            records.append(_record(f"p{i}", values))
+        enc = fit_encoder(_load(schema, records))
         assert enc.n_columns == 58
         assert len(enc.column_names()) == 58
 
     def test_standardization_stats(self):
         """Values {2, 4}: mean 3, population sd 1."""
         sch = _tiny_schema()
-        rs = [PatientRecord("a", {"x": 2.0, "flag": 0, "color": "red"}, "", False, False),
-              PatientRecord("b", {"x": 4.0, "flag": 1, "color": "blue"}, "", False, False)]
-        enc = fit_encoder(Cohort(sch, rs))
+        c = _load(sch, [_record("a", {"x": 2.0, "flag": 0, "color": "red"}),
+                        _record("b", {"x": 4.0, "flag": 1, "color": "blue"})])
+        enc = fit_encoder(c)
         assert enc.means[0] == pytest.approx(3.0)
         assert enc.sds[0] == pytest.approx(1.0)
-        X = encode(enc, Cohort(sch, rs))
+        X = encode(enc, c)
         assert X.shape == (2, 5)
         np.testing.assert_allclose(X[:, 0], [-1.0, 1.0])
         np.testing.assert_allclose(X[:, 1], [0.0, 1.0])
@@ -231,12 +270,12 @@ class TestEncoder:
 
     def test_constant_column_warns_and_uses_unit_sd(self):
         sch = _tiny_schema()
-        rs = [PatientRecord(f"p{i}", {"x": 7.0, "flag": 0, "color": "red"}, "",
-                            False, False) for i in range(3)]
+        c = _load(sch, [_record(f"p{i}", {"x": 7.0, "flag": 0, "color": "red"})
+                        for i in range(3)])
         with pytest.warns(UserWarning, match="constant"):
-            enc = fit_encoder(Cohort(sch, rs))
+            enc = fit_encoder(c)
         assert enc.sds[0] == 1.0
-        X = encode(enc, Cohort(sch, rs))
+        X = encode(enc, c)
         np.testing.assert_allclose(X[:, 0], 0.0)
 
     def test_float_constant_with_nonzero_rounded_sd_is_constant(self):
@@ -248,16 +287,15 @@ class TestEncoder:
         with pytest.warns(UserWarning, match="constant"):
             enc = StructuredEncoder.fit(schema, block)
         assert enc.sds[0] == 1.0
-        encoded = CohortArrays(Cohort(schema, [
-            PatientRecord(f"p{i}", {"x": v}, "", False, False)
-            for i in range(7)])).encode(enc, list(range(7)), block)
+        encoded = _load(schema, [_record(f"p{i}", {"x": v}) for i in range(7)]
+                        ).encode(enc, list(range(7)), block)
         assert np.abs(encoded).max() < 1e-9  # was -1.0 for every row
 
     def test_missing_values_rejected_with_pointer(self):
         sch = _tiny_schema()
-        rs = [PatientRecord("a", {"flag": 0, "color": "red"}, "", False, False)]
+        c = _load(sch, [_record("a", {"flag": 0, "color": "red"})])
         with pytest.raises(CohortError, match="impute"):
-            fit_encoder(Cohort(sch, rs))
+            fit_encoder(c)
 
     def test_encode_injective_on_distinct_rows(self, schema):
         c = synth_cohort(SynthConfig(n=80, missing_rates={}), seed=11)
@@ -273,86 +311,133 @@ class TestEncoder:
         M2 = c2.continuous_matrix()
         np.testing.assert_allclose(M2, M + 1.0)
         # untouched parts carried over
-        assert c2.records[0].note_text == c.records[0].note_text
-        assert c2.records[0].get("race") == c.records[0].get("race")
+        assert c2.notes == c.notes
+        others = np.delete(np.arange(c.values.shape[1]), c.continuous_columns)
+        assert c2.values[:, others].tobytes() == c.values[:, others].tobytes()
 
+    def test_with_continuous_refuses_bad_block(self, schema):
+        c = synth_cohort(SynthConfig(n=30, missing_rates={}), seed=5)
+        M = c.continuous_matrix()
+        with pytest.raises(CohortError, match="shape"):
+            c.with_continuous(M[:, 1:])
+        M[4, 2] = np.nan
+        with pytest.raises(CohortError, match="finite"):
+            c.with_continuous(M)
 
     def test_missing_binary_value_raises(self):
         sch = _tiny_schema()
-        rs = [PatientRecord("a", {"x": 1.0, "flag": 0, "color": "red"}, "", False, False),
-              PatientRecord("b", {"x": 2.0, "color": "blue"}, "", False, False)]
-        enc = fit_encoder(Cohort(sch, rs))
+        rs = [_record("a", {"x": 1.0, "flag": 0, "color": "red"}),
+              _record("b", {"x": 2.0, "color": "blue"})]
+        c = _load(sch, rs)
+        enc = fit_encoder(c)
         with pytest.raises(CohortError, match="missing value for 'flag' in record 'b'"):
-            encode(enc, Cohort(sch, rs))
-        arrays = CohortArrays(Cohort(sch, rs))
+            encode(enc, c)
         # rows without the gap still encode
         np.testing.assert_array_equal(
-            arrays.encode(enc, [0], [[1.0]]), encode(enc, Cohort(sch, rs[:1])))
+            c.encode(enc, [0], [[1.0]]), encode(enc, _load(sch, rs[:1])))
 
     def test_missing_continuous_value_raises(self):
         sch = _tiny_schema()
-        rs = [PatientRecord("a", {"x": 1.0, "flag": 0, "color": "red"}, "", False, False),
-              PatientRecord("c", {"x": 3.0, "flag": 0, "color": "red"}, "", False, False),
-              PatientRecord("b", {"flag": 1, "color": "blue"}, "", False, False)]
-        enc = fit_encoder(Cohort(sch, rs[:2]))
+        rs = [_record("a", {"x": 1.0, "flag": 0, "color": "red"}),
+              _record("c", {"x": 3.0, "flag": 0, "color": "red"}),
+              _record("b", {"flag": 1, "color": "blue"})]
+        enc = fit_encoder(_load(sch, rs[:2]))
         with pytest.raises(CohortError, match="missing value for 'x' in record 'b'"):
-            encode(enc, Cohort(sch, rs))
+            encode(enc, _load(sch, rs))
 
     def test_block_shape_mismatch_raises(self):
         sch = _tiny_schema()
-        rs = [PatientRecord(f"p{i}", {"x": float(i), "flag": 0, "color": "red"}, "",
-                            False, False) for i in range(3)]
-        arrays = CohortArrays(Cohort(sch, rs))
-        enc = fit_encoder(Cohort(sch, rs))
+        c = _load(sch, [_record(f"p{i}", {"x": float(i), "flag": 0, "color": "red"})
+                        for i in range(3)])
+        enc = fit_encoder(c)
         with pytest.raises(CohortError, match="shape"):
-            arrays.encode(enc, [0, 1], np.zeros((3, 1)))
+            c.encode(enc, [0, 1], np.zeros((3, 1)))
         with pytest.raises(CohortError, match="shape"):
             StructuredEncoder.fit(sch, np.zeros((3, 2)))
         with pytest.raises(CohortError, match="empty"):
             StructuredEncoder.fit(sch, np.zeros((0, 1)))
 
 
-# Reference encoder: the record-based path the runner took before the cohort
-# was decoded into arrays -- subset, then with_continuous, then statistics
-# and encoding one record and one feature at a time.  StructuredEncoder.fit
-# and CohortArrays.encode must agree with it bit for bit.
+# Record reference: the cohort as a list of per-record feature dicts, decoded
+# one record and one feature at a time, as the cohort was before it became
+# columns.  load_cohort, filter_outliers, StructuredEncoder.fit and
+# Cohort.encode must agree with it bit for bit.
 
-def _ref_fit_stats(cohort):
-    X = cohort.continuous_matrix()
-    means = X.mean(axis=0)
-    sds = X.std(axis=0)  # ddof=0
+def _ref_values(schema, features):
+    """Values matrix of per-record feature dicts: continuous and binary
+    values as floats, categoricals one-hot, NaN across a missing feature's
+    columns."""
+    widths = [len(d.categories) if d.kind == "categorical" else 1
+              for d in schema.descriptors]
+    out = np.zeros((len(features), sum(widths)))
+    for i, values in enumerate(features):
+        col = 0
+        for d, width in zip(schema.descriptors, widths):
+            v = values.get(d.name)
+            if v is None:
+                out[i, col:col + width] = np.nan
+            elif d.kind == "categorical":
+                out[i, col + d.categories.index(v)] = 1.0
+            else:
+                out[i, col] = float(v)
+            col += width
+    return out
+
+
+def _ref_continuous(schema, features):
+    """Continuous block of per-record feature dicts, NaN where missing."""
+    return np.array([[np.nan if values.get(name) is None else float(values[name])
+                      for name in schema.continuous] for values in features]
+                    ).reshape(len(features), len(schema.continuous))
+
+
+def _ref_filter(features, bounds):
+    """Per-record outlier filter: (filtered feature dicts, report)."""
+    report = {}
+    out = []
+    for values in features:
+        values = dict(values)
+        for name, (lo, hi) in bounds.items():
+            v = values.get(name)
+            if v is not None and (v < lo or v > hi):
+                values[name] = None
+                report[name] = report.get(name, 0) + 1
+        out.append(values)
+    return out, report
+
+
+def _ref_fold_stats(schema, fit_block):
+    """Encoder statistics of a completed continuous block, read row by row
+    into a fresh matrix."""
+    fit_block = np.array(fit_block.tolist()).reshape(fit_block.shape)
+    means = fit_block.mean(axis=0)
+    sds = fit_block.std(axis=0)  # ddof=0
     constant = []
-    for j, name in enumerate(cohort.schema.continuous):
-        if len(set(X[:, j].tolist())) == 1 or sds[j] == 0.0:
+    for j, name in enumerate(schema.continuous):
+        if len(set(fit_block[:, j].tolist())) == 1 or sds[j] == 0.0:
             sds[j] = 1.0
             constant.append(name)
     return means, sds, constant
 
 
-def _ref_encode(encoder, cohort):
-    X = np.zeros((len(cohort), encoder.n_columns))
+def _ref_fold_matrix(encoder, features, rows, block):
+    """Rows `rows` of per-record feature dicts, their continuous values
+    replaced by `block`, encoded one record and one feature at a time."""
+    X = np.zeros((len(rows), encoder.n_columns))
     cont_index = {name: j for j, name in enumerate(encoder.schema.continuous)}
     first = {name: a for name, a, _ in encoder.layout}
-    for i, r in enumerate(cohort.records):
+    for i, row in enumerate(rows):
         for d in encoder.schema.descriptors:
             a = first[d.name]
-            v = r.values[d.name]
+            v = features[row].get(d.name)
             if d.kind == "continuous":
                 j = cont_index[d.name]
-                X[i, a] = (float(v) - encoder.means[j]) / encoder.sds[j]
+                X[i, a] = (float(block[i, j]) - encoder.means[j]) / encoder.sds[j]
             elif d.kind == "binary":
                 X[i, a] = float(v)
             else:
                 X[i, a + d.categories.index(v)] = 1.0
     return X
-
-
-def _ref_fold_stats(cohort, fit_rows, fit_block):
-    return _ref_fit_stats(cohort.subset(fit_rows).with_continuous(fit_block))
-
-
-def _ref_fold_matrix(encoder, cohort, rows, block):
-    return _ref_encode(encoder, cohort.subset(rows).with_continuous(block))
 
 
 _SMALL_SCHEMA = FeatureSchema([
@@ -363,22 +448,73 @@ _SMALL_SCHEMA = FeatureSchema([
     FeatureDescriptor("z", "continuous"),
 ])
 _FLOATS = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+_SMALL_RANGES = {"x": (-10.0, 10.0), "z": (0.0, 5.5)}
+
+
+@st.composite
+def record_features(draw):
+    """Feature dicts for _SMALL_SCHEMA: any value may be missing, either
+    left out or null; continuous values are integers or floats, binary
+    values integers or floats."""
+    features = []
+    for _ in range(draw(st.integers(0, 10))):
+        values = {}
+        for name in _SMALL_SCHEMA.continuous:
+            # the range bounds themselves, which the filter keeps
+            values[name] = draw(st.one_of(
+                st.none(), st.integers(-50, 50), _FLOATS,
+                st.sampled_from([-10.0, 10.0, 0.0, 5.5, -0.0])))
+        values["flag"] = draw(st.sampled_from([None, 0, 1, 0.0, 1.0]))
+        values["color"] = draw(st.sampled_from([None, "red", "green", "blue"]))
+        features.append({name: v for name, v in values.items()
+                         if v is not None or draw(st.booleans())})
+    return features
+
+
+@settings(max_examples=100, deadline=None)
+@given(features=record_features())
+def test_columns_match_record_reference(features):
+    """load_cohort builds the reference matrix bit for bit; save -> load ->
+    save is byte stable; filter_outliers nulls the reference's cells with
+    the reference's counts."""
+    records = [_record(f"r{i}", values, i % 2, 1, f"note {i}")
+               for i, values in enumerate(features)]
+    cohort = _load(_SMALL_SCHEMA, records)
+    assert cohort.values.tobytes() == _ref_values(_SMALL_SCHEMA, features).tobytes()
+    assert cohort.ids == [r["id"] for r in records]
+    assert cohort.notes == [r["note"] for r in records]
+    assert cohort.labels("hospital").tolist() == [i % 2 for i in range(len(records))]
+
+    with tempfile.TemporaryDirectory() as d:
+        first, second = Path(d) / "first.jsonl", Path(d) / "second.jsonl"
+        save_cohort(cohort, first)
+        save_cohort(load_cohort(first, _SMALL_SCHEMA), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filtered, report = filter_outliers(cohort,
+                                           PlausibleRangeTable(_SMALL_RANGES))
+    want, want_report = _ref_filter(features, _SMALL_RANGES)
+    assert filtered.values.tobytes() == _ref_values(_SMALL_SCHEMA, want).tobytes()
+    assert report == want_report
+    # the input cohort is left as it was
+    assert cohort.values.tobytes() == _ref_values(_SMALL_SCHEMA, features).tobytes()
 
 
 @st.composite
 def encoder_cases(draw):
-    """A cohort with missing continuous values, fit rows and a completed
+    """Feature dicts with missing continuous values, fit rows and a completed
     block for them (one column constant on request), and a second row
     request with its block: rows unsorted, possibly none."""
     n = draw(st.integers(1, 12))
-    records = []
+    features = []
     for i in range(n):
         values = {name: draw(st.one_of(st.none(), _FLOATS))
                   for name in _SMALL_SCHEMA.continuous}
         values["flag"] = draw(st.sampled_from([0, 1]))
         values["color"] = draw(st.sampled_from(["red", "green", "blue"]))
-        records.append(PatientRecord(f"r{i}", values, "", False, False))
-    cohort = Cohort(_SMALL_SCHEMA, records)
+        features.append(values)
     fit_rows = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
     fit_block = np.array(draw(st.lists(
         st.lists(_FLOATS, min_size=3, max_size=3),
@@ -391,17 +527,19 @@ def encoder_cases(draw):
     block = np.array(draw(st.lists(
         st.lists(_FLOATS, min_size=3, max_size=3),
         min_size=len(rows), max_size=len(rows)))).reshape(len(rows), 3)
-    return cohort, list(fit_rows), fit_block, list(rows), block, constant
+    return features, list(fit_rows), fit_block, list(rows), block, constant
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=encoder_cases())
 def test_arrays_match_record_reference(case):
-    cohort, fit_rows, fit_block, rows, block, constant = case
+    features, fit_rows, fit_block, rows, block, constant = case
+    cohort = _load(_SMALL_SCHEMA, [_record(f"r{i}", values)
+                                   for i, values in enumerate(features)])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         enc = StructuredEncoder.fit(cohort.schema, fit_block)
-    means, sds, const_names = _ref_fold_stats(cohort, fit_rows, fit_block)
+    means, sds, const_names = _ref_fold_stats(cohort.schema, fit_block)
     assert enc.means.tobytes() == means.tobytes()
     assert enc.sds.tobytes() == sds.tobytes()
     assert enc.constant_columns == tuple(const_names)
@@ -411,13 +549,12 @@ def test_arrays_match_record_reference(case):
     if constant is not None:
         assert cohort.schema.continuous[constant] in const_names
         column = enc.continuous_columns[constant]
-        fit_matrix = CohortArrays(cohort).encode(enc, fit_rows, fit_block)
+        fit_matrix = cohort.encode(enc, fit_rows, fit_block)
         assert np.abs(fit_matrix[:, column]).max() < 1e-9
 
-    arrays = CohortArrays(cohort)
     for request, values in ((fit_rows, fit_block), (rows, block)):
-        got = arrays.encode(enc, request, values)
-        want = _ref_fold_matrix(enc, cohort, request, values)
+        got = cohort.encode(enc, request, values)
+        want = _ref_fold_matrix(enc, features, request, values)
         assert got.shape == want.shape == (len(request), enc.n_columns)
         assert got.tobytes() == want.tobytes()
 
@@ -450,18 +587,19 @@ class TestSynth:
     def test_missingness_rates(self):
         c = synth_cohort(seed=1)
         n = len(c)
-        miss_bmi = sum(r.get("bmi") is None for r in c.records) / n
-        miss_ast = sum(r.get("aspartate_aminotransferase") is None
-                       for r in c.records) / n
-        miss_age = sum(r.get("age") is None for r in c.records) / n
+        missing = np.isnan(c.continuous_matrix())
+        column = c.schema.continuous.index
+        miss_bmi = missing[:, column("bmi")].sum() / n
+        miss_ast = missing[:, column("aspartate_aminotransferase")].sum() / n
+        miss_age = missing[:, column("age")].sum() / n
         assert 0.46 <= miss_bmi <= 0.50
         assert 0.39 <= miss_ast <= 0.43
         assert miss_age == 0.0
 
     def test_notes_contain_mask_spans(self):
         c = synth_cohort(SynthConfig(n=50), seed=2)
-        assert any("[**" in r.note_text for r in c.records)
-        assert all(r.note_text for r in c.records)
+        assert any("[**" in note for note in c.notes)
+        assert all(c.notes)
 
     def test_true_risk_separates_labels(self):
         """The generator's own risk score must be a strong ranker."""

@@ -69,7 +69,7 @@ def loop_perm_test_auc(scores_a, scores_b, labels, n_perm, seed):
         if stat >= observed - 1e-12:
             count += 1
     p = (1 + count) / (n_perm + 1)
-    return PermTestResult(observed, n_perm, count, p, seed)
+    return PermTestResult(observed, n_perm, count, p)
 
 
 @st.composite

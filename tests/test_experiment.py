@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 import icumort
 from icumort.cohort import (
     Cohort,
-    CohortArrays,
     CohortError,
     FeatureSchema,
-    PatientRecord,
     StructuredEncoder,
     SynthConfig,
     load_cohort,
@@ -36,7 +34,12 @@ from icumort.experiment import (
 )
 from icumort.impute import apply_imputation, impute_fit_transform
 from icumort.textfeat import build_vocab, fuse_matrix, tfidf_fit, tokenize_corpus
-from test_cohort import _ref_fold_matrix, _ref_fold_stats
+from test_cohort import (
+    _ref_continuous,
+    _ref_fold_matrix,
+    _ref_fold_stats,
+    _saved_records,
+)
 from test_textfeat import _ref_corpus, assert_csr_identical
 
 
@@ -96,7 +99,18 @@ class TestConfig:
         ("neural", ["max_epochs"], "neural must be an object"),
         ("grids", 3, "grids must map algorithms to objects"),
         ("grids", {"rf": 3}, "grids must map algorithms to objects"),
-        ("cohort", {"synth": {"n": "60"}}, "integer n >= 10, not '60'")])
+        ("cohort", {"synth": {"n": "60"}}, "integer n >= 10, not '60'"),
+        ("grids", {"l2-lr": {"C": ["x"]}},
+         "grid value for l2-lr C must be a number, not 'x'"),
+        ("grids", {"rf": {"max_depth": ["3"]}},
+         "grid value for rf max_depth must be an integer, not '3'"),
+        ("neural", {"max_epochs": "2"},
+         "neural setting max_epochs must be an integer, not '2'"),
+        ("grids", {"l1-lr": {"C": True}}, "l1-lr C must be a number"),
+        ("grids", {"rf": {"bootstrap": [1]}}, "bootstrap must be true or false"),
+        ("neural", {"patience": 2.5}, "patience must be an integer or null"),
+        ("neural", {"widths": []}, "widths must be a non-empty list"),
+        ("grids", {"cnn": {"widths": [3, 4]}}, "widths must be a non-empty list")])
     def test_wrongly_typed_value_rejected(self, key, value, message):
         with pytest.raises((ConfigError, CohortError), match=message):
             ExperimentConfig.from_obj(_base_obj(**{key: value}))
@@ -110,6 +124,14 @@ class TestConfig:
         assert rc == 1
         assert capsys.readouterr().err.startswith(
             "error: folds must be an integer")
+        # a grid value of the wrong type is a config error, not a failed cell
+        (tmp_path / "exp.json").write_text(json.dumps(_base_obj(
+            algorithms=["mlp"], grids={}, neural={"max_epochs": "2"})))
+        rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
+                       "--out", str(tmp_path / "res")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: neural setting max_epochs must be an integer")
         # a non-string path is refused before the output directory is made
         (tmp_path / "exp.json").write_text(
             json.dumps(_base_obj(cohort={"path": 3})))
@@ -482,19 +504,14 @@ class TestLeakage:
         test_rows = set(manifest["splits"]["hospital"]["test"])
 
         # rewrite every test row: shifted vitals, replaced note text
-        records = []
-        for i, r in enumerate(cohort.records):
-            if i in test_rows:
-                values = dict(r.values)
-                for k, v in values.items():
-                    if isinstance(v, float):
-                        values[k] = v * 1.5 + 1.0
-                r = type(r)(id=r.id, values=values,
-                            note_text="unrelated words only",
-                            label_hospital=r.label_hospital,
-                            label_30day=r.label_30day)
-            records.append(r)
-        mutated = type(cohort)(cohort.schema, records)
+        rows = sorted(test_rows)
+        cells = np.ix_(rows, cohort.continuous_columns)
+        values = cohort.values.copy()
+        values[cells] = values[cells] * 1.5 + 1.0
+        notes = ["unrelated words only" if i in test_rows else note
+                 for i, note in enumerate(cohort.notes)]
+        mutated = Cohort(cohort.schema, cohort.ids, notes,
+                         cohort.label_hospital, cohort.label_30day, values)
         path_b = tmp_path / "b.jsonl"
         save_cohort(mutated, path_b)
         obj_b = _base_obj(feature_sets=["structured", "notes"])
@@ -538,8 +555,8 @@ def fold_plans(draw):
 def _fold(cohort, fit_rows, seed):
     """A fold with structured and note transformers, as the runner builds
     it."""
-    return _Fold(fit_rows, seed, CohortArrays(cohort),
-                 tokenize_corpus(cohort.notes()), _FOLD_MIN_DF)
+    return _Fold(fit_rows, seed, cohort, tokenize_corpus(cohort.notes),
+                 _FOLD_MIN_DF)
 
 
 def _imputer_state(model):
@@ -551,20 +568,23 @@ def _imputer_state(model):
 
 
 def _ref_fold(cohort, fit_rows, seed):
-    """The same fold through the record-based reference path: a function
-    from requested rows to (structured, notes, combined matrix)."""
-    continuous = cohort.continuous_matrix()
+    """The same fold through the record-based reference path, on the
+    records of the cohort's saved file: a function from requested rows to
+    (structured, notes, combined matrix)."""
+    records = _saved_records(cohort)
+    features = [r["features"] for r in records]
+    continuous = _ref_continuous(cohort.schema, features)
     fit_block, imputer = impute_fit_transform(continuous[fit_rows], seed=seed)
     encoder = StructuredEncoder(cohort.schema,
-                                *_ref_fold_stats(cohort, fit_rows, fit_block))
-    tokens = tokenize_corpus(cohort.notes())
+                                *_ref_fold_stats(cohort.schema, fit_block))
+    tokens = tokenize_corpus([r["note"] for r in records])
     tfidf = tfidf_fit(build_vocab([tokens[i] for i in fit_rows],
                                   min_df=_FOLD_MIN_DF))
 
     def matrices(rows):
         block = (fit_block if np.array_equal(rows, fit_rows)
                  else apply_imputation(imputer, continuous[rows]))
-        S = _ref_fold_matrix(encoder, cohort, rows, block)
+        S = _ref_fold_matrix(encoder, features, rows, block)
         T = _ref_corpus(tfidf, [tokens[i] for i in rows])
         return S, T, fuse_matrix(S, T)
     return matrices
@@ -601,16 +621,15 @@ class TestFoldFeatures:
         cohort, fit_rows, seed = plan
         for rows in fit_rows:
             fit = set(rows.tolist())
-            records = []
-            for i, r in enumerate(cohort.records):
+            values = cohort.values.copy()
+            notes = list(cohort.notes)
+            for i in range(len(cohort)):
                 if i not in fit:
-                    values = dict(r.values)
-                    for j, name in enumerate(cohort.schema.continuous):
-                        values[name] = None if (i + j) % 3 == 0 else 7.0 * i + j
-                    r = PatientRecord(r.id, values, f"leaked{i % 4} pressors w{i}",
-                                      r.label_hospital, r.label_30day)
-                records.append(r)
-            mutated = Cohort(cohort.schema, records)
+                    for j, col in enumerate(cohort.continuous_columns):
+                        values[i, col] = np.nan if (i + j) % 3 == 0 else 7.0 * i + j
+                    notes[i] = f"leaked{i % 4} pressors w{i}"
+            mutated = Cohort(cohort.schema, cohort.ids, notes,
+                             cohort.label_hospital, cohort.label_30day, values)
             a, b = _fold(cohort, rows, seed), _fold(mutated, rows, seed)
             assert _imputer_state(a.imp_model) == _imputer_state(b.imp_model)
             assert a.encoder.means.tobytes() == b.encoder.means.tobytes()

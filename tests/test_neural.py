@@ -296,31 +296,35 @@ class TestCnn:
         params = CnnParams(widths=(2, 3), filters=6, embed_dim=8, hidden=12,
                            dropout=0.0, max_len=6, learning_rate=0.01,
                            batch_size=4, max_epochs=200, patience=None)
-        return docs, S, y, params
+        return pad_sequences(docs, params.max_len), S, y, params
 
     def test_toy_overfit(self):
-        docs, S, y, params = self._toy()
-        model, log = train_cnn_fusion(docs, S, y, params, seed=0, vocab_size=6)
-        ids = pad_sequences(docs, params.max_len)
+        ids, S, y, params = self._toy()
+        model, log = train_cnn_fusion(ids, S, y, params, seed=0, vocab_size=6)
         p = predict_proba_net(model, (ids, S))
         assert (((p >= 0.5).astype(int)) == y).all()
         assert (p[y == 1] > 0.9).all()
         assert log[2]["train_loss"] < log[0]["train_loss"]
 
     def test_determinism(self):
-        docs, S, y, params = self._toy()
+        ids, S, y, params = self._toy()
         params.max_epochs = 20
-        a, _ = train_cnn_fusion(docs, S, y, params, seed=3, vocab_size=6)
-        b, _ = train_cnn_fusion(docs, S, y, params, seed=3, vocab_size=6)
+        a, _ = train_cnn_fusion(ids, S, y, params, seed=3, vocab_size=6)
+        b, _ = train_cnn_fusion(ids, S, y, params, seed=3, vocab_size=6)
         for pa, pb in zip(a.params(), b.params()):
             np.testing.assert_array_equal(pa.value, pb.value)
 
     def test_probability_rows_normalized(self):
-        docs, S, y, params = self._toy()
-        model, _ = train_cnn_fusion(docs, S, y, params, seed=1, vocab_size=6)
-        ids = pad_sequences(docs, params.max_len)
+        ids, S, y, params = self._toy()
+        model, _ = train_cnn_fusion(ids, S, y, params, seed=1, vocab_size=6)
         probs = softmax_probs(model.forward((ids, S), train=False))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_unpadded_ids_rejected(self):
+        ids, S, y, params = self._toy()
+        for bad in ([[2, 3, 5, 4]] * 8, ids[:, :5], ids[:, :, None]):
+            with pytest.raises(NetError, match="token ids must be"):
+                train_cnn_fusion(bad, S, y, params, vocab_size=6)
 
     def test_fresh_model_predicts_half(self):
         params = CnnParams(widths=(2,), filters=3, embed_dim=4, hidden=5,
@@ -417,11 +421,11 @@ class TestCheckpoint:
         params = CnnParams(widths=(2,), filters=3, embed_dim=4, hidden=5,
                            dropout=0.0, max_len=4, max_epochs=3,
                            patience=None)
-        model, _ = train_cnn_fusion(docs, S, y, params, seed=6, vocab_size=5)
+        ids = pad_sequences(docs, 4)
+        model, _ = train_cnn_fusion(ids, S, y, params, seed=6, vocab_size=5)
         path = tmp_path / "cnn.ckpt"
         save_checkpoint(model, path)
         again = load_checkpoint(path)
-        ids = pad_sequences(docs, 4)
         np.testing.assert_array_equal(predict_proba_net(again, (ids, S)),
                                       predict_proba_net(model, (ids, S)))
 
