@@ -1,10 +1,16 @@
-"""The two neural architectures: a dense MLP and a text-fusion CNN.
+"""One network, two families: a dense MLP and a text-fusion CNN.
 
-Both run on the same reverse-mode kernel whose gradients are finite-
-difference-checked in the test suite. The CNN embeds token ids, convolves
-at two widths, max-pools over positions, and concatenates any structured
-block before the dense head.
+Both are FusionNet, on the reverse-mode kernel whose gradients are finite-
+difference-checked in the test suite. With convolution widths it has a
+text branch: it embeds token ids, convolves at each width, max-pools over
+positions, and concatenates any structured block before the dense head.
+Without widths it is that dense head alone, the MLP. Exits non-zero if a
+checkpoint does not restore the exact predictions.
 """
+
+import pathlib
+import sys
+import tempfile
 
 import numpy as np
 
@@ -46,11 +52,16 @@ print("\nCNN on the token-presence rule:")
 for doc, prob, label in zip(docs, p, yd):
     print(f"  {str(doc):<16} p(death)={prob:.3f}  label={label}")
 
-# checkpoints restore bit-identical predictions
-import tempfile, pathlib
+# checkpoints restore bit-identical predictions, for both families
+exact = True
+print()
 with tempfile.TemporaryDirectory() as d:
-    ck = pathlib.Path(d) / "cnn.ckpt"
-    save_checkpoint(cnn, ck)
-    back = load_checkpoint(ck)
-    p2 = predict_proba_net(back, (ids, S))
-    print(f"\ncheckpoint round trip exact: {np.array_equal(p, p2)}")
+    for name, net, inputs in (("mlp", mlp, X), ("cnn", cnn, (ids, S))):
+        ck = pathlib.Path(d) / f"{name}.ckpt"
+        save_checkpoint(net, ck)
+        same = np.array_equal(predict_proba_net(net, inputs),
+                              predict_proba_net(load_checkpoint(ck), inputs))
+        print(f"{name} checkpoint round trip exact: {same}")
+        exact = exact and same
+if not exact:
+    sys.exit(1)

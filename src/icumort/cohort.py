@@ -222,9 +222,13 @@ def load_cohort(path, schema=None):
                 obj = json.loads(line)
             except ValueError as exc:
                 raise CohortError(f"malformed JSON{where}: {exc}") from None
+            if not isinstance(obj, dict):
+                raise CohortError(f"record must be a JSON object{where}")
             for key in ("id", "features", "note", *labels):
                 if key not in obj:
                     raise CohortError(f"missing key {key!r}{where}")
+            if not isinstance(obj["features"], dict):
+                raise CohortError(f"features must be an object{where}")
             for lab, column in labels.items():
                 if isinstance(obj[lab], bool) or obj[lab] not in (0, 1):
                     raise CohortError(f"{lab} must be 0 or 1{where}")

@@ -649,13 +649,6 @@ def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
     return rows
 
 
-def replay_manifest(manifest_path, out_dir):
-    """Re-run an experiment exactly as its manifest recorded it, reading
-    the input files it recorded."""
-    config, inputs = load_run(manifest_path)
-    return run_experiment(config, out_dir, **inputs)
-
-
 def load_cell_scores(out_dir, cell):
     parts = cell.split("/")
     if len(parts) != 4:

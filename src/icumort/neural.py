@@ -1,5 +1,6 @@
 """Minimal reverse-mode neural kernel: dense, relu, dropout, embedding,
-1-D convolution, global max-pool, softmax cross-entropy.
+1-D convolution, global max-pool, softmax cross-entropy, and FusionNet, the
+one network built from them for both the MLP and the text-fusion CNN.
 
 Everything is float64 numpy; gradients are exact analytic expressions and
 are exercised against central finite differences in the test suite.
@@ -62,9 +63,6 @@ class ReLU:
     def backward(self, g):
         return np.where(self._mask, g, 0.0)
 
-    def params(self):
-        return []
-
 
 class Dropout:
     """Inverted dropout: kept units scaled by 1/(1-rate) so eval is identity."""
@@ -85,9 +83,6 @@ class Dropout:
         if self._mask is None:
             return g
         return g * self._mask
-
-    def params(self):
-        return []
 
 
 class Embedding:
@@ -171,9 +166,6 @@ class GlobalMaxPool:
         np.put_along_axis(dx, self._idx[:, None, :], g[:, None, :], axis=1)
         return dx
 
-    def params(self):
-        return []
-
 
 def softmax_probs(logits):
     z = logits - logits.max(axis=1, keepdims=True)
@@ -243,104 +235,95 @@ class CnnParams:
             raise NetError("max_len shorter than the widest filter")
 
 
-class MlpModel:
-    def __init__(self, in_dim, params, seed):
-        self.in_dim = in_dim
-        self.hp = params
-        self.seed = seed
-        rng = np.random.default_rng([seed, 0])
-        self.fc1 = Dense(in_dim, params.hidden, rng)
-        self.relu = ReLU()
-        self.drop = Dropout(params.dropout)
-        self.fc2 = Dense(params.hidden, 2, rng, zero_init=True)
+class FusionNet:
+    """Optional text branch (embedding -> one conv bank and max-pool per
+    width) concatenated with the structured block -> FC1 + ReLU + dropout
+    -> FC2 logits.  With no widths there is no text branch: the net is an
+    MLP over the structured block.
 
-    def forward(self, X, train=False, rng=None):
-        h = self.drop.forward(self.relu.forward(self.fc1.forward(X)),
-                              train, rng)
-        return self.fc2.forward(h)
+    Its input is (padded ids, structured block) with a text branch and the
+    feature matrix, dense or sparse, without one.
+    """
 
-    def backward(self, dlogits):
-        g = self.fc2.backward(dlogits)
-        g = self.drop.backward(g)
-        g = self.relu.backward(g)
-        return self.fc1.backward(g)
+    ARGS = ("structured_dim", "hidden", "dropout", "seed", "widths",
+            "filters", "embed_dim", "vocab_size", "max_len")
 
-    def params(self):
-        return self.fc1.params() + self.fc2.params()
-
-    def header(self):
-        return {"kind": "mlp", "in_dim": self.in_dim, "seed": self.seed,
-                "hidden": self.hp.hidden, "dropout": self.hp.dropout}
-
-
-class CnnFusionModel:
-    """Embedding -> parallel conv banks -> max-pool -> concat structured
-    -> FC1 + ReLU + dropout -> FC2 logits."""
-
-    def __init__(self, vocab_size, structured_dim, params, seed,
+    def __init__(self, structured_dim, hidden, dropout, seed, widths=(),
+                 filters=0, embed_dim=0, vocab_size=0, max_len=0,
                  embed_init=None):
-        params.validate()
-        self.vocab_size = vocab_size
         self.structured_dim = structured_dim
-        self.hp = params
+        self.hidden = hidden
+        self.dropout = dropout
         self.seed = seed
+        self.widths = tuple(widths)
+        self.filters = filters
+        self.embed_dim = embed_dim
+        self.vocab_size = vocab_size
+        self.max_len = max_len
+        # creation order fixes the rng draws and Adam's parameter order
         rng = np.random.default_rng([seed, 0])
-        self.embedding = Embedding(vocab_size, params.embed_dim, rng,
-                                   init=embed_init)
-        self.convs = [Conv1D(k, params.embed_dim, params.filters, rng)
-                      for k in params.widths]
-        self.pools = [GlobalMaxPool() for _ in params.widths]
-        concat_dim = params.filters * len(params.widths) + structured_dim
-        self.fc1 = Dense(concat_dim, params.hidden, rng)
+        self.embedding = (Embedding(vocab_size, embed_dim, rng,
+                                    init=embed_init) if self.widths else None)
+        self.convs = [Conv1D(k, embed_dim, filters, rng) for k in self.widths]
+        self.pools = [GlobalMaxPool() for _ in self.widths]
+        self.fc1 = Dense(filters * len(self.widths) + structured_dim, hidden,
+                         rng)
         self.relu = ReLU()
-        self.drop = Dropout(params.dropout)
-        self.fc2 = Dense(params.hidden, 2, rng, zero_init=True)
+        self.drop = Dropout(dropout)
+        self.fc2 = Dense(hidden, 2, rng, zero_init=True)
 
-    def forward(self, inputs, train=False, rng=None):
+    def fetcher(self, inputs):
+        """(row count, rows -> that batch's forward input); a sparse
+        feature matrix is made dense one batch at a time."""
+        if self.embedding is None:
+            X = inputs
+            if X.shape[1] != self.structured_dim:
+                raise NetError(f"feature dimension {X.shape[1]} does not "
+                               f"match model dimension {self.structured_dim}")
+            if sp.issparse(X):
+                return X.shape[0], lambda rows: np.asarray(X[rows].todense())
+            X = np.asarray(X, dtype=float)
+            return X.shape[0], lambda rows: X[rows]
         ids, structured = inputs
         ids = np.asarray(ids)
-        if ids.ndim != 2:
-            raise NetError("token ids must be (n, length)")
         structured = np.asarray(structured, dtype=float)
+        if ids.ndim != 2 or ids.shape[1] != self.max_len:
+            raise NetError(f"token ids must be (n, {self.max_len}), "
+                           f"not {ids.shape}")
         if structured.shape != (ids.shape[0], self.structured_dim):
             raise NetError(
                 f"structured block shape {structured.shape} does not match "
                 f"({ids.shape[0]}, {self.structured_dim})")
-        emb = self.embedding.forward(ids)
-        pooled = [pool.forward(conv.forward(emb))
-                  for conv, pool in zip(self.convs, self.pools)]
-        self._concat_parts = [p.shape[1] for p in pooled] + [self.structured_dim]
-        h = np.hstack(pooled + [structured])
+        return ids.shape[0], lambda rows: (ids[rows], structured[rows])
+
+    def forward(self, inputs, train=False, rng=None):
+        h = inputs
+        if self.embedding is not None:
+            ids, structured = inputs
+            emb = self.embedding.forward(ids)
+            h = np.hstack([pool.forward(conv.forward(emb))
+                           for conv, pool in zip(self.convs, self.pools)]
+                          + [structured])
         h = self.drop.forward(self.relu.forward(self.fc1.forward(h)),
                               train, rng)
         return self.fc2.forward(h)
 
     def backward(self, dlogits):
         g = self.fc2.backward(dlogits)
-        g = self.drop.backward(g)
-        g = self.relu.backward(g)
-        g = self.fc1.backward(g)
-        splits = np.cumsum(self._concat_parts)[:-1]
-        parts = np.hsplit(g, splits)
+        g = self.fc1.backward(self.relu.backward(self.drop.backward(g)))
+        if self.embedding is None:
+            return
+        F = self.filters
         demb = None
-        for conv, pool, gp in zip(self.convs, self.pools, parts):
-            d = conv.backward(pool.backward(gp))
+        for i, (conv, pool) in enumerate(zip(self.convs, self.pools)):
+            d = conv.backward(pool.backward(g[:, i * F:(i + 1) * F]))
             demb = d if demb is None else demb + d
         self.embedding.backward(demb)
-        return None
 
     def params(self):
-        out = self.embedding.params()
-        for conv in self.convs:
-            out += conv.params()
-        return out + self.fc1.params() + self.fc2.params()
-
-    def header(self):
-        return {"kind": "cnn", "vocab_size": self.vocab_size,
-                "structured_dim": self.structured_dim, "seed": self.seed,
-                "widths": list(self.hp.widths), "filters": self.hp.filters,
-                "embed_dim": self.hp.embed_dim, "hidden": self.hp.hidden,
-                "dropout": self.hp.dropout, "max_len": self.hp.max_len}
+        layers = [self.embedding] if self.embedding is not None else []
+        layers += self.convs + [self.fc1, self.fc2]
+        return [p for layer in layers for p in layer.params()]
 
 
 def pad_sequences(seqs, max_len):
@@ -352,7 +335,14 @@ def pad_sequences(seqs, max_len):
     return out
 
 
-def _fit(model, fetch, y, hp, seed):
+def _eval_batches(model, fetch, rows):
+    """(batch rows, logits) with dropout off, EVAL_BATCH rows at a time."""
+    for lo in range(0, rows.size, EVAL_BATCH):
+        batch = rows[lo:lo + EVAL_BATCH]
+        yield batch, model.forward(fetch(batch), train=False)
+
+
+def _fit(model, inputs, y, hp, seed):
     """Shared minibatch loop: Adam, seed-derived val split, patience-based
     early stopping with best-snapshot restore."""
     y = np.asarray(y).astype(np.int64)
@@ -361,6 +351,7 @@ def _fit(model, fetch, y, hp, seed):
         raise NetError("empty training set")
     if len(np.unique(y)) < 2:
         raise NetError("training labels are single-class")
+    _, fetch = model.fetcher(inputs)
     rng = np.random.default_rng([seed, 1])
     perm = rng.permutation(n)
     if hp.patience is None:
@@ -377,16 +368,6 @@ def _fit(model, fetch, y, hp, seed):
     best_snapshot = None
     bad_epochs = 0
 
-    def eval_loss(rows):
-        total, count = 0.0, 0
-        for lo in range(0, rows.size, EVAL_BATCH):
-            batch = rows[lo:lo + EVAL_BATCH]
-            logits = model.forward(fetch(batch), train=False)
-            loss, _ = softmax_xent(logits, y[batch])
-            total += loss * batch.size
-            count += batch.size
-        return total / count
-
     for epoch in range(1, hp.max_epochs + 1):
         order = train_rows[rng.permutation(train_rows.size)]
         running, seen = 0.0, 0
@@ -402,7 +383,10 @@ def _fit(model, fetch, y, hp, seed):
             seen += batch.size
         entry = {"epoch": epoch, "train_loss": running / max(seen, 1)}
         if val_rows is not None:
-            val_loss = eval_loss(val_rows)
+            total = 0.0
+            for batch, logits in _eval_batches(model, fetch, val_rows):
+                total += softmax_xent(logits, y[batch])[0] * batch.size
+            val_loss = total / val_rows.size
             entry["val_loss"] = val_loss
             if val_loss < best_val - 1e-12:
                 best_val = val_loss
@@ -423,20 +407,13 @@ def _fit(model, fetch, y, hp, seed):
     return log
 
 
-def _as_dense_rows(X, rows):
-    if sp.issparse(X):
-        return np.asarray(X[rows].todense())
-    return np.asarray(X, dtype=float)[rows]
-
-
 def train_mlp(X, y, params=None, seed=0):
-    """Dense d -> hidden -> 2 classifier; returns (model, per-epoch log)."""
+    """Dense d -> hidden -> 2 classifier, the fusion net without a text
+    branch; X may be sparse. Returns (model, per-epoch log)."""
     if params is None:
         params = MlpParams()
-    d = X.shape[1]
-    model = MlpModel(d, params, seed)
-    log = _fit(model, lambda rows: _as_dense_rows(X, rows), y, params, seed)
-    return model, log
+    model = FusionNet(X.shape[1], params.hidden, params.dropout, seed)
+    return model, _fit(model, X, y, params, seed)
 
 
 def train_cnn_fusion(ids, structured, y, params, vocab_size, seed=0,
@@ -446,41 +423,23 @@ def train_cnn_fusion(ids, structured, y, params, vocab_size, seed=0,
     ids: (n, params.max_len) token ids, padded as pad_sequences pads them.
     structured: dense (n, d_s) block; d_s may be 0 for text-only models.
     """
-    ids = np.asarray(ids)
+    params.validate()
     structured = np.asarray(structured, dtype=float)
-    if ids.ndim != 2 or ids.shape[1] != params.max_len:
-        raise NetError(f"token ids must be (n, {params.max_len}), "
-                       f"not {ids.shape}")
-    if structured.ndim != 2 or structured.shape[0] != ids.shape[0]:
+    if structured.ndim != 2:
         raise NetError("structured block must be (n, d_s)")
-    model = CnnFusionModel(vocab_size, structured.shape[1], params, seed,
-                           embed_init=embed_init)
-    log = _fit(model, lambda rows: (ids[rows], structured[rows]), y, params,
-               seed)
-    return model, log
+    model = FusionNet(structured.shape[1], params.hidden, params.dropout,
+                      seed, widths=params.widths, filters=params.filters,
+                      embed_dim=params.embed_dim, vocab_size=vocab_size,
+                      max_len=params.max_len, embed_init=embed_init)
+    return model, _fit(model, (ids, structured), y, params, seed)
 
 
 def predict_proba_net(model, inputs):
     """Class-1 probabilities with dropout off; deterministic."""
-    if isinstance(model, MlpModel):
-        X = inputs
-        if X.shape[1] != model.in_dim:
-            raise NetError(f"feature dimension {X.shape[1]} does not match "
-                           f"model dimension {model.in_dim}")
-        n = X.shape[0]
-        fetch = lambda rows: _as_dense_rows(X, rows)
-    elif isinstance(model, CnnFusionModel):
-        ids, structured = inputs
-        ids = np.asarray(ids)
-        structured = np.asarray(structured, dtype=float)
-        n = ids.shape[0]
-        fetch = lambda rows: (ids[rows], structured[rows])
-    else:
-        raise NetError(f"unknown model type {type(model).__name__}")
+    n, fetch = model.fetcher(inputs)
     out = np.empty(n)
-    for lo in range(0, n, EVAL_BATCH):
-        rows = np.arange(lo, min(lo + EVAL_BATCH, n))
-        probs = softmax_probs(model.forward(fetch(rows), train=False))
+    for rows, logits in _eval_batches(model, fetch, np.arange(n)):
+        probs = softmax_probs(logits)
         if not np.allclose(probs.sum(axis=1), 1.0, atol=1e-9):
             raise NetError("softmax probabilities do not sum to 1")
         out[rows] = probs[:, 1]
@@ -492,8 +451,9 @@ def predict_proba_net(model, inputs):
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model, path):
-    """JSON header line + concatenated little-endian float64 parameters."""
-    header = model.header()
+    """JSON header line (the net's constructor arguments and its parameter
+    shapes) + concatenated little-endian float64 parameters."""
+    header = {name: getattr(model, name) for name in FusionNet.ARGS}
     header["shapes"] = [list(p.value.shape) for p in model.params()]
     blob = np.concatenate([p.value.ravel() for p in model.params()])
     with open(path, "wb") as f:
@@ -504,23 +464,18 @@ def save_checkpoint(model, path):
 
 def load_checkpoint(path):
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
+        line = f.readline()
         blob = np.frombuffer(f.read(), dtype="<f8")
-    if header["kind"] == "mlp":
-        hp = MlpParams(hidden=header["hidden"], dropout=header["dropout"])
-        model = MlpModel(header["in_dim"], hp, header["seed"])
-    elif header["kind"] == "cnn":
-        hp = CnnParams(widths=tuple(header["widths"]),
-                       filters=header["filters"],
-                       embed_dim=header["embed_dim"], hidden=header["hidden"],
-                       dropout=header["dropout"], max_len=header["max_len"])
-        model = CnnFusionModel(header["vocab_size"], header["structured_dim"],
-                               hp, header["seed"])
-    else:
-        raise NetError(f"unknown checkpoint kind {header['kind']!r}")
-    shapes = [tuple(s) for s in header["shapes"]]
-    actual = [p.value.shape for p in model.params()]
-    if shapes != actual:
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError:
+        raise NetError("checkpoint header is not JSON") from None
+    if not isinstance(header, dict) or (
+            set(header) != {*FusionNet.ARGS, "shapes"}):
+        raise NetError("checkpoint header is not a FusionNet header")
+    shapes = [tuple(s) for s in header.pop("shapes")]
+    model = FusionNet(**header)
+    if shapes != [p.value.shape for p in model.params()]:
         raise NetError("checkpoint shapes do not match the rebuilt model")
     total = sum(int(np.prod(s)) for s in shapes)
     if blob.size != total:
@@ -528,11 +483,8 @@ def load_checkpoint(path):
             f"checkpoint buffer holds {blob.size} values, expected {total}")
     offset = 0
     for p in model.params():
-        size = p.value.size
-        p.value[...] = blob[offset:offset + size].reshape(p.value.shape)
-        offset += size
-    if offset != blob.size:
-        raise NetError("checkpoint buffer length mismatch")
+        p.value[...] = blob[offset:offset + p.value.size].reshape(p.value.shape)
+        offset += p.value.size
     return model
 
 
@@ -545,7 +497,10 @@ def load_embedding_file(path):
             parts = line.split()
             if not parts:
                 continue
-            vec = [float(x) for x in parts[1:]]
+            try:
+                vec = [float(x) for x in parts[1:]]
+            except ValueError:
+                raise NetError(f"non-numeric value on line {lineno}") from None
             if dim is None:
                 dim = len(vec)
                 if dim == 0:

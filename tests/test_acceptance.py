@@ -7,7 +7,6 @@ to the tests, or frozen reference computations; none are tuned to the
 implementation under test.
 """
 
-import json
 import time
 
 import numpy as np
@@ -21,24 +20,18 @@ from icumort.evaluation import (
     stratified_split,
     undersample,
 )
-from icumort.experiment import (
-    ExperimentConfig,
-    replay_manifest,
-    run_experiment,
-    run_permtest,
-)
+from icumort import cli
+from icumort.experiment import ExperimentConfig, run_experiment, run_permtest
 from icumort.impute import impute_fit_transform
 from icumort.linmod import L1, L2, train_linear_svm, train_logreg
 from icumort.neural import (
-    CnnFusionModel,
     CnnParams,
     Conv1D,
     Dense,
     Dropout,
     Embedding,
+    FusionNet,
     GlobalMaxPool,
-    MlpModel,
-    MlpParams,
     ReLU,
     pad_sequences,
     predict_proba_net,
@@ -49,6 +42,7 @@ from icumort.neural import (
 from icumort.textfeat import build_vocab, tokenize_corpus
 from icumort.trees import GbtParams, train_gbt
 
+from test_experiment import _run_bytes
 from test_linmod import REFERENCE_L2_OBJECTIVE, _logreg_dataset
 from test_neural import TOL as FD_TOL
 from test_neural import _fd_check
@@ -217,41 +211,32 @@ def _layer_fd_suite(rng):
 
 
 def _model_fd_suite(rng):
-    """FD-checks both full architectures end to end."""
+    """FD-checks the network end to end, without and with a text branch."""
     d = int(rng.integers(3, 6))
     nb = int(rng.integers(4, 8))
     X = rng.normal(size=(nb, d))
     y = rng.integers(0, 2, size=nb)
-    mlp = MlpModel(d, MlpParams(hidden=int(rng.integers(3, 7)), dropout=0.0),
-                   seed=int(rng.integers(0, 100)))
-    for p in mlp.params():
-        p.value += rng.normal(0, 0.1, size=p.value.shape)  # break zero init
-    f = lambda: softmax_xent(mlp.forward(X, train=False), y)[0]
-    _, dlogits = softmax_xent(mlp.forward(X, train=False), y)
-    for p in mlp.params():
-        p.zero_grad()
-    mlp.backward(dlogits)
-    assert _fd_check(f, [(p.value, p.grad) for p in mlp.params()], rng,
-                     samples=6) < FD_TOL
-
-    params = CnnParams(widths=(2, 3), filters=int(rng.integers(2, 5)),
-                       embed_dim=int(rng.integers(3, 6)),
-                       hidden=int(rng.integers(4, 8)), dropout=0.0,
-                       max_len=int(rng.integers(4, 7)))
+    mlp = FusionNet(d, int(rng.integers(3, 7)), 0.0,
+                    seed=int(rng.integers(0, 100)))
+    max_len = int(rng.integers(4, 7))
     ds = int(rng.integers(0, 4))
-    cnn = CnnFusionModel(vocab_size=8, structured_dim=ds, params=params,
-                         seed=int(rng.integers(0, 100)))
-    for p in cnn.params():
-        p.value += rng.normal(0, 0.1, size=p.value.shape)
-    ids = rng.integers(0, 8, size=(nb, params.max_len))
+    cnn = FusionNet(ds, int(rng.integers(4, 8)), 0.0,
+                    seed=int(rng.integers(0, 100)), widths=(2, 3),
+                    filters=int(rng.integers(2, 5)),
+                    embed_dim=int(rng.integers(3, 6)), vocab_size=8,
+                    max_len=max_len)
+    ids = rng.integers(0, 8, size=(nb, max_len))
     S = rng.normal(size=(nb, ds))
-    f = lambda: softmax_xent(cnn.forward((ids, S), train=False), y)[0]
-    _, dlogits = softmax_xent(cnn.forward((ids, S), train=False), y)
-    for p in cnn.params():
-        p.zero_grad()
-    cnn.backward(dlogits)
-    assert _fd_check(f, [(p.value, p.grad) for p in cnn.params()], rng,
-                     samples=6) < FD_TOL
+    for net, inputs in ((mlp, X), (cnn, (ids, S))):
+        for p in net.params():
+            p.value += rng.normal(0, 0.1, size=p.value.shape)  # break zero init
+        f = lambda: softmax_xent(net.forward(inputs, train=False), y)[0]
+        _, dlogits = softmax_xent(net.forward(inputs, train=False), y)
+        for p in net.params():
+            p.zero_grad()
+        net.backward(dlogits)
+        assert _fd_check(f, [(p.value, p.grad) for p in net.params()], rng,
+                         samples=6) < FD_TOL
 
 
 def test_c05_finite_difference_gradients():
@@ -361,18 +346,6 @@ def test_c09_feature_fusion_ordering_end_to_end(tmp_path):
     assert time.monotonic() - t0 < 600.0
 
 
-def _read_run_bytes(out):
-    names = ["results.json", "results-structured.tsv", "results-notes.tsv"]
-    blobs = {n: (out / n).read_bytes() for n in names}
-    for cell in json.loads(blobs["results.json"]):
-        if cell["error"] is None:
-            rel = "cells/{feature_set}/{outcome}/{sampling}/{algorithm}".format(
-                **{k: cell[k] for k in
-                   ("feature_set", "outcome", "sampling", "algorithm")})
-            blobs[rel] = (out / rel / "scores.tsv").read_bytes()
-    return blobs
-
-
 def test_c10_manifest_replay_and_cnn_toy(tmp_path):
     cfg_obj = {
         "cohort": {"synth": {"n": 300}},
@@ -387,8 +360,10 @@ def test_c10_manifest_replay_and_cnn_toy(tmp_path):
     first = tmp_path / "first"
     run_experiment(ExperimentConfig.from_obj(cfg_obj), first)
     again = tmp_path / "again"
-    replay_manifest(first / "manifest.json", again)
-    a, b = _read_run_bytes(first), _read_run_bytes(again)
+    assert cli.main(["run", "--config", str(first / "manifest.json"),
+                     "--out", str(again)]) == 0
+    a, b = _run_bytes(first), _run_bytes(again)
+    assert "cells/notes/hospital/none/l2-lr/scores.tsv" in a
     assert a.keys() == b.keys()
     for name in a:
         assert a[name] == b[name], f"{name} differs across replay"

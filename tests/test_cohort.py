@@ -172,6 +172,17 @@ class TestIO:
         with pytest.raises(CohortError, match="line 1"):
             load_cohort(p, schema)
 
+    @pytest.mark.parametrize("line, message", [
+        ("5", "record must be a JSON object at line 2"),
+        ('["p2"]', "record must be a JSON object at line 2"),
+        ('{"id":"p2","features":[1],"label_30day":0,"label_hospital":0,'
+         '"note":""}', "features must be an object at line 2")])
+    def test_non_object_line_rejected(self, schema, tmp_path, line, message):
+        p = tmp_path / "bad.jsonl"
+        p.write_text(_jsonl([_record("p1", {})]) + line + "\n")
+        with pytest.raises(CohortError, match=message):
+            load_cohort(p, schema)
+
     def test_missing_key(self, schema, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text(json.dumps({"id": "x", "features": {}, "note": "",

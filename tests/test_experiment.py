@@ -28,7 +28,6 @@ from icumort.experiment import (
     cell_dir,
     fold_plan,
     load_cell_scores,
-    replay_manifest,
     run_experiment,
     run_permtest,
 )
@@ -141,6 +140,19 @@ class TestConfig:
         assert capsys.readouterr().err.startswith(
             "error: cohort path must be a non-empty string")
         assert not (tmp_path / "res").exists()
+        # a cohort line that is not a record object is an error line too
+        for line, message in (
+                ("5", "record must be a JSON object at line 1"),
+                ('{"id": "a", "features": [1], "note": "", '
+                 '"label_hospital": 0, "label_30day": 0}',
+                 "features must be an object at line 1")):
+            (tmp_path / "c.jsonl").write_text(line + "\n")
+            (tmp_path / "exp.json").write_text(json.dumps(_base_obj(
+                cohort={"path": str(tmp_path / "c.jsonl")})))
+            rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
+                           "--out", str(tmp_path / "res")])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
         (tmp_path / "synth.json").write_text('{"n": "50"}')
         rc = cli.main(["synth", "--config", str(tmp_path / "synth.json"),
                        "--out", str(tmp_path / "c.jsonl")])
@@ -279,11 +291,42 @@ class TestDeterminism:
                (tmp_path / "b" / sc).read_bytes()
 
     def test_replay_manifest(self, tmp_path):
+        from icumort import cli
+
         cfg = ExperimentConfig.from_obj(_base_obj())
         run_experiment(cfg, tmp_path / "a")
-        replay_manifest(tmp_path / "a" / "manifest.json", tmp_path / "b")
-        assert (tmp_path / "a" / "results.json").read_bytes() == \
-               (tmp_path / "b" / "results.json").read_bytes()
+        manifest = str(tmp_path / "a" / "manifest.json")
+        assert cli.main(["run", "--config", manifest,
+                         "--out", str(tmp_path / "b")]) == 0
+        assert _run_bytes(tmp_path / "a") == _run_bytes(tmp_path / "b")
+
+    def test_mlp_cells_replay_byte_identical(self, tmp_path):
+        """mlp cells run end to end, the notes and combined ones on sparse
+        tf-idf rows made dense batch by batch, and replay byte for byte,
+        model.ckpt included."""
+        from icumort import cli
+        from icumort.neural import load_checkpoint
+
+        obj = _base_obj(feature_sets=["structured", "notes", "combined"],
+                        algorithms=["mlp"],
+                        grids={"mlp": {"hidden": [4, 8]}},
+                        neural={"max_epochs": 3, "patience": 1})
+        (tmp_path / "exp.json").write_text(json.dumps(obj))
+        assert cli.main(["run", "--config", str(tmp_path / "exp.json"),
+                         "--out", str(tmp_path / "a")]) == 0
+        manifest = str(tmp_path / "a" / "manifest.json")
+        assert cli.main(["run", "--config", manifest,
+                         "--out", str(tmp_path / "b")]) == 0
+        first = _run_bytes(tmp_path / "a")
+        assert first == _run_bytes(tmp_path / "b")
+        ckpts = sorted(name for name in first if name.endswith("model.ckpt"))
+        assert len(ckpts) == 3
+        rows = json.loads(first["results.json"])
+        assert [r["error"] for r in rows] == [None] * 3
+        for name in ckpts:
+            model = load_checkpoint(tmp_path / "a" / name)
+            assert model.embedding is None
+            assert model.hidden in (4, 8)
 
 
     def test_cli_replay_reads_the_recorded_inputs(self, tmp_path,
@@ -303,6 +346,12 @@ class TestDeterminism:
         for name in ("results.json", "manifest.json",
                      "cells/notes/hospital/none/l2-lr/scores.tsv"):
             assert Path("a", name).read_bytes() == Path("b", name).read_bytes()
+
+
+def _run_bytes(out):
+    """Every file a run wrote, by its path under the output directory."""
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(Path(out).rglob("*")) if p.is_file()}
 
 
 @st.composite

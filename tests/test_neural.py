@@ -1,16 +1,21 @@
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icumort.neural import (
+    EVAL_BATCH,
     Adam,
-    CnnFusionModel,
     CnnParams,
     Conv1D,
     Dense,
     Dropout,
     Embedding,
+    FusionNet,
     GlobalMaxPool,
-    MlpModel,
     MlpParams,
     NetError,
     ReLU,
@@ -233,7 +238,7 @@ class TestMlp:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(6, 4))
         y = rng.integers(0, 2, size=6)
-        model = MlpModel(4, MlpParams(hidden=5, dropout=0.0), seed=0)
+        model = FusionNet(4, hidden=5, dropout=0.0, seed=0)
         # break the zero init so fc2 gradients are informative
         for p in model.params():
             p.value += rng.normal(0, 0.1, size=p.value.shape)
@@ -327,10 +332,8 @@ class TestCnn:
                 train_cnn_fusion(bad, S, y, params, vocab_size=6)
 
     def test_fresh_model_predicts_half(self):
-        params = CnnParams(widths=(2,), filters=3, embed_dim=4, hidden=5,
-                           max_len=4)
-        model = CnnFusionModel(vocab_size=7, structured_dim=2, params=params,
-                               seed=0)
+        model = FusionNet(2, hidden=5, dropout=0.5, seed=0, widths=(2,),
+                          filters=3, embed_dim=4, vocab_size=7, max_len=4)
         ids = np.array([[1, 2, 3, 0], [4, 5, 6, 0]])
         S = np.zeros((2, 2))
         p1 = predict_proba_net(model, (ids, S))
@@ -339,10 +342,8 @@ class TestCnn:
 
     def test_full_model_gradient_with_structured(self):
         rng = np.random.default_rng(9)
-        params = CnnParams(widths=(2, 3), filters=3, embed_dim=4, hidden=6,
-                           dropout=0.0, max_len=5)
-        model = CnnFusionModel(vocab_size=8, structured_dim=3, params=params,
-                               seed=2)
+        model = FusionNet(3, hidden=6, dropout=0.0, seed=2, widths=(2, 3),
+                          filters=3, embed_dim=4, vocab_size=8, max_len=5)
         for p in model.params():
             p.value += rng.normal(0, 0.1, size=p.value.shape)
         ids = rng.integers(0, 8, size=(4, 5))
@@ -366,6 +367,10 @@ class TestCnn:
             CnnParams(widths=(3,), max_len=2).validate()
         with pytest.raises(NetError):
             Dropout(1.0)
+        ids, S, y, params = self._toy()
+        params.widths = (2, 2)
+        with pytest.raises(NetError, match="distinct"):
+            train_cnn_fusion(ids, S, y, params, vocab_size=6)
 
 
 class TestHelpers:
@@ -396,9 +401,12 @@ class TestHelpers:
         assert tokens == ["alpha", "beta"]
         np.testing.assert_allclose(M, [[0.5, 1.0], [-1.0, 2.0]])
         bad = tmp_path / "bad.txt"
-        bad.write_text("alpha 0.5 1.0\nbeta -1.0\n")
-        with pytest.raises(NetError, match="line 2"):
-            load_embedding_file(bad)
+        for text, message in (
+                ("alpha 0.5 1.0\nbeta -1.0\n", "inconsistent width at line 2"),
+                ("alpha 0.5 1.0\nicu 0.3 abc\n", "non-numeric value on line 2")):
+            bad.write_text(text)
+            with pytest.raises(NetError, match=message):
+                load_embedding_file(bad)
 
 
 class TestCheckpoint:
@@ -439,8 +447,30 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         data = path.read_bytes()
         path.write_bytes(data[:-16])
-        with pytest.raises(NetError):
+        with pytest.raises(NetError, match="buffer holds"):
             load_checkpoint(path)
+        # a header line that is not JSON, or not a FusionNet header (the
+        # old per-family format had a "kind" and an MLP "in_dim")
+        header, blob = data.split(b"\n", 1)
+        old = dict(json.loads(header), kind="mlp", in_dim=3)
+        del old["structured_dim"]
+        for first in (b"{not json", b"\xff\xfe", b"[1, 2]",
+                      json.dumps(old).encode()):
+            path.write_bytes(first + b"\n" + blob)
+            with pytest.raises(NetError, match="checkpoint header"):
+                load_checkpoint(path)
+
+    def test_one_header_layout_for_both_families(self, tmp_path):
+        mlp = FusionNet(3, hidden=4, dropout=0.5, seed=1)
+        cnn = FusionNet(2, hidden=4, dropout=0.5, seed=1, widths=(2,),
+                        filters=3, embed_dim=4, vocab_size=7, max_len=4)
+        headers = []
+        for net in (mlp, cnn):
+            save_checkpoint(net, tmp_path / "m.ckpt")
+            line = (tmp_path / "m.ckpt").read_bytes().split(b"\n", 1)[0]
+            headers.append(json.loads(line))
+        assert headers[0].keys() == headers[1].keys()
+        assert headers[0]["widths"] == [] and headers[1]["widths"] == [2]
 
 
 def test_adam_minimizes_quadratic():
@@ -453,3 +483,252 @@ def test_adam_minimizes_quadratic():
         p.grad += 2.0 * p.value
         opt.step()
     assert np.abs(p.value).max() < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# References: the two per-family networks and the training loop that
+# FusionNet and _fit replaced, kept to pin the merge bit for bit.
+
+class _RefMlpModel:
+    def __init__(self, in_dim, params, seed):
+        rng = np.random.default_rng([seed, 0])
+        self.fc1 = Dense(in_dim, params.hidden, rng)
+        self.relu = ReLU()
+        self.drop = Dropout(params.dropout)
+        self.fc2 = Dense(params.hidden, 2, rng, zero_init=True)
+
+    def forward(self, X, train=False, rng=None):
+        h = self.drop.forward(self.relu.forward(self.fc1.forward(X)),
+                              train, rng)
+        return self.fc2.forward(h)
+
+    def backward(self, dlogits):
+        g = self.fc2.backward(dlogits)
+        g = self.drop.backward(g)
+        g = self.relu.backward(g)
+        return self.fc1.backward(g)
+
+    def params(self):
+        return self.fc1.params() + self.fc2.params()
+
+
+class _RefCnnFusionModel:
+    def __init__(self, vocab_size, structured_dim, params, seed,
+                 embed_init=None):
+        params.validate()
+        self.structured_dim = structured_dim
+        rng = np.random.default_rng([seed, 0])
+        self.embedding = Embedding(vocab_size, params.embed_dim, rng,
+                                   init=embed_init)
+        self.convs = [Conv1D(k, params.embed_dim, params.filters, rng)
+                      for k in params.widths]
+        self.pools = [GlobalMaxPool() for _ in params.widths]
+        concat_dim = params.filters * len(params.widths) + structured_dim
+        self.fc1 = Dense(concat_dim, params.hidden, rng)
+        self.relu = ReLU()
+        self.drop = Dropout(params.dropout)
+        self.fc2 = Dense(params.hidden, 2, rng, zero_init=True)
+
+    def forward(self, inputs, train=False, rng=None):
+        ids, structured = inputs
+        emb = self.embedding.forward(ids)
+        pooled = [pool.forward(conv.forward(emb))
+                  for conv, pool in zip(self.convs, self.pools)]
+        self._concat_parts = [p.shape[1] for p in pooled] + [self.structured_dim]
+        h = np.hstack(pooled + [structured])
+        h = self.drop.forward(self.relu.forward(self.fc1.forward(h)),
+                              train, rng)
+        return self.fc2.forward(h)
+
+    def backward(self, dlogits):
+        g = self.fc2.backward(dlogits)
+        g = self.drop.backward(g)
+        g = self.relu.backward(g)
+        g = self.fc1.backward(g)
+        splits = np.cumsum(self._concat_parts)[:-1]
+        parts = np.hsplit(g, splits)
+        demb = None
+        for conv, pool, gp in zip(self.convs, self.pools, parts):
+            d = conv.backward(pool.backward(gp))
+            demb = d if demb is None else demb + d
+        self.embedding.backward(demb)
+
+    def params(self):
+        out = self.embedding.params()
+        for conv in self.convs:
+            out += conv.params()
+        return out + self.fc1.params() + self.fc2.params()
+
+
+def _ref_fit(model, fetch, y, hp, seed):
+    y = np.asarray(y).astype(np.int64)
+    n = y.size
+    rng = np.random.default_rng([seed, 1])
+    perm = rng.permutation(n)
+    if hp.patience is None:
+        train_rows, val_rows = perm, None
+    else:
+        n_val = max(1, int(round(0.1 * n)))
+        val_rows, train_rows = perm[:n_val], perm[n_val:]
+    opt = Adam(model.params(), hp.learning_rate)
+    log = []
+    best_val = np.inf
+    best_snapshot = None
+    bad_epochs = 0
+
+    def eval_loss(rows):
+        total, count = 0.0, 0
+        for lo in range(0, rows.size, EVAL_BATCH):
+            batch = rows[lo:lo + EVAL_BATCH]
+            logits = model.forward(fetch(batch), train=False)
+            loss, _ = softmax_xent(logits, y[batch])
+            total += loss * batch.size
+            count += batch.size
+        return total / count
+
+    for epoch in range(1, hp.max_epochs + 1):
+        order = train_rows[rng.permutation(train_rows.size)]
+        running, seen = 0.0, 0
+        for lo in range(0, order.size, hp.batch_size):
+            batch = order[lo:lo + hp.batch_size]
+            logits = model.forward(fetch(batch), train=True, rng=rng)
+            loss, dlogits = softmax_xent(logits, y[batch])
+            for p in model.params():
+                p.zero_grad()
+            model.backward(dlogits)
+            opt.step()
+            running += loss * batch.size
+            seen += batch.size
+        entry = {"epoch": epoch, "train_loss": running / max(seen, 1)}
+        if val_rows is not None:
+            val_loss = eval_loss(val_rows)
+            entry["val_loss"] = val_loss
+            if val_loss < best_val - 1e-12:
+                best_val = val_loss
+                best_snapshot = [p.value.copy() for p in model.params()]
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+            log.append(entry)
+            if bad_epochs >= hp.patience:
+                entry["stopped_early"] = True
+                break
+        else:
+            log.append(entry)
+    if best_snapshot is not None:
+        for p, saved in zip(model.params(), best_snapshot):
+            p.value[...] = saved
+    return log
+
+
+def _ref_dense_rows(X, rows):
+    if sp.issparse(X):
+        return np.asarray(X[rows].todense())
+    return np.asarray(X, dtype=float)[rows]
+
+
+@st.composite
+def net_cases(draw):
+    """A small MLP or fusion-CNN problem: (kind, data, params, seed).
+
+    MLP inputs may be sparse; CNNs may have no structured block, a single
+    width and a pretrained embedding table."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(12, 40))
+    y = rng.integers(0, 2, size=n)
+    y[:2] = (0, 1)
+    common = dict(hidden=draw(st.integers(1, 6)),
+                  dropout=draw(st.sampled_from([0.0, 0.3])),
+                  learning_rate=0.02, batch_size=draw(st.integers(3, 9)),
+                  max_epochs=draw(st.integers(1, 4)),
+                  patience=draw(st.sampled_from([None, 1, 2])))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        X = rng.normal(size=(n, draw(st.integers(1, 5))))
+        X[rng.random(X.shape) < 0.5] = 0.0
+        if draw(st.booleans()):
+            X = sp.csr_matrix(X)
+        return "mlp", (X, y), MlpParams(**common), seed
+    widths = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3,
+                                 unique=True)))
+    params = CnnParams(widths=widths, filters=draw(st.integers(1, 4)),
+                       embed_dim=draw(st.integers(1, 4)),
+                       max_len=max(widths) + draw(st.integers(0, 3)),
+                       **common)
+    vocab = 6
+    ids = rng.integers(0, vocab, size=(n, params.max_len))
+    S = rng.normal(size=(n, draw(st.integers(0, 3))))
+    init = (rng.normal(size=(vocab, params.embed_dim))
+            if draw(st.booleans()) else None)
+    return "cnn", (ids, S, y, vocab, init), params, seed
+
+
+def _both_nets(kind, data, params, seed):
+    """(FusionNet, reference net, fetch) built from the same arguments."""
+    if kind == "mlp":
+        X, _ = data
+        net = FusionNet(X.shape[1], params.hidden, params.dropout, seed)
+        return (net, _RefMlpModel(X.shape[1], params, seed),
+                lambda rows: _ref_dense_rows(X, rows))
+    ids, S, _, vocab, init = data
+    net = FusionNet(S.shape[1], params.hidden, params.dropout, seed,
+                    widths=params.widths, filters=params.filters,
+                    embed_dim=params.embed_dim, vocab_size=vocab,
+                    max_len=params.max_len, embed_init=init)
+    return (net, _RefCnnFusionModel(vocab, S.shape[1], params, seed, init),
+            lambda rows: (ids[rows], S[rows]))
+
+
+def _assert_same_params(net, ref):
+    assert [p.value.shape for p in net.params()] == \
+           [p.value.shape for p in ref.params()]
+    for a, b in zip(net.params(), ref.params()):
+        np.testing.assert_array_equal(a.value, b.value)
+
+
+class TestMatchesPerFamilyReference:
+    @settings(max_examples=40, deadline=None)
+    @given(case=net_cases())
+    def test_logits_and_gradients_bit_identical(self, case):
+        kind, data, params, seed = case
+        net, ref, fetch = _both_nets(kind, data, params, seed)
+        _assert_same_params(net, ref)
+        y = data[-1] if kind == "mlp" else data[2]
+        rows = np.arange(y.size)
+        # perturb both alike so the zero-initialized fc2 passes gradient
+        rng = np.random.default_rng(seed)
+        for a, b in zip(net.params(), ref.params()):
+            a.value += rng.normal(0, 0.1, size=a.value.shape)
+            b.value[...] = a.value
+        for train in (False, True):
+            logits = net.forward(fetch(rows), train=train,
+                                 rng=np.random.default_rng(seed))
+            want = ref.forward(fetch(rows), train=train,
+                               rng=np.random.default_rng(seed))
+            np.testing.assert_array_equal(logits, want)
+            _, dlogits = softmax_xent(logits, y)
+            for p in net.params() + ref.params():
+                p.zero_grad()
+            net.backward(dlogits)
+            ref.backward(dlogits)
+            for a, b in zip(net.params(), ref.params()):
+                np.testing.assert_array_equal(a.grad, b.grad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=net_cases())
+    def test_training_bit_identical(self, case):
+        kind, data, params, seed = case
+        _, ref, fetch = _both_nets(kind, data, params, seed)
+        if kind == "mlp":
+            X, y = data
+            net, log = train_mlp(X, y, params, seed=seed)
+            inputs = X
+        else:
+            ids, S, y, vocab, init = data
+            net, log = train_cnn_fusion(ids, S, y, params, vocab_size=vocab,
+                                        seed=seed, embed_init=init)
+            inputs = (ids, S)
+        assert log == _ref_fit(ref, fetch, y, params, seed)
+        _assert_same_params(net, ref)
+        want = softmax_probs(ref.forward(fetch(np.arange(y.size))))[:, 1]
+        np.testing.assert_array_equal(predict_proba_net(net, inputs), want)
