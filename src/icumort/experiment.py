@@ -578,9 +578,6 @@ def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
     that pins seeds and resolved settings so a rerun is byte-identical.
     """
     config.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     if config.cohort_path is not None:
         cohort = load_cohort(config.cohort_path)
     else:
@@ -598,6 +595,9 @@ def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
 
     contexts = {outcome: _OutcomeContext(cohort, tokens, config, outcome, oi)
                 for oi, outcome in enumerate(config.outcomes)}
+    # every input is loaded and checked before anything is written
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     cells = [(fs, outcome, sampling, algo)
              for fs in config.feature_sets

@@ -340,7 +340,8 @@ def predict_proba(model, X):
     if model.loss != LOGISTIC:
         raise LinModError("probabilities are only defined for logistic models")
     scores = predict_scores(model, X)
-    return 1.0 / (1.0 + np.exp(-scores))
+    with np.errstate(over="ignore"):  # exp(-s) = inf gives exactly 0.0
+        return 1.0 / (1.0 + np.exp(-scores))
 
 
 def rank_coefficients(model, names, k):

@@ -1,6 +1,8 @@
-"""Minimal reverse-mode neural kernel: dense, relu, dropout, embedding,
-1-D convolution, global max-pool, softmax cross-entropy, and FusionNet, the
-one network built from them for both the MLP and the text-fusion CNN.
+"""Minimal reverse-mode neural kernel: dense, relu, dropout, a text branch
+(embedding, 1-D convolutions and global max-pool, computed from
+per-vocabulary tables and backpropagated only through each max-pool's
+winning window), softmax cross-entropy, and FusionNet, the one network
+built from them for both the MLP and the text-fusion CNN.
 
 Everything is float64 numpy; gradients are exact analytic expressions and
 are exercised against central finite differences in the test suite.
@@ -85,86 +87,74 @@ class Dropout:
         return g * self._mask
 
 
-class Embedding:
-    def __init__(self, vocab_size, dim, rng, init=None):
+class EmbeddingConvPool:
+    """Embedding table -> one valid 1-D convolution bank per width -> global
+    max-pool over positions: (n, L) token ids -> one (n, F) block per width.
+
+    A conv output depends only on the tokens in its window, so offset o of
+    a bank adds T_o[ids[:, o:o+L_out]] with T_o = table @ W[o], one (V, F)
+    product per offset.  The max-pool passes gradient to its first argmax
+    only, so the backward pass reads just the tokens of each row and
+    filter's winning window; only the ids and those argmaxes are kept.
+    """
+
+    def __init__(self, vocab_size, dim, widths, filters, rng, init=None):
         if init is not None:
             init = np.asarray(init, dtype=float)
             if init.shape != (vocab_size, dim):
                 raise NetError(
                     f"embedding init shape {init.shape} does not match "
                     f"({vocab_size}, {dim})")
-            self.W = Param(init.copy())
+            self.table = Param(init.copy())
         else:
-            self.W = Param(rng.normal(0.0, 0.1, size=(vocab_size, dim)))
+            self.table = Param(rng.normal(0.0, 0.1, size=(vocab_size, dim)))
+        self.widths = widths
+        self.W = [Param(rng.normal(0.0, np.sqrt(2.0 / (k * dim)),
+                                   size=(k, dim, filters))) for k in widths]
+        self.b = [Param(np.zeros(filters)) for _ in widths]
 
     def forward(self, ids):
-        if ids.min() < 0 or ids.max() >= self.W.value.shape[0]:
+        table = self.table.value
+        if ids.min() < 0 or ids.max() >= table.shape[0]:
             raise NetError("token id outside the embedding table")
-        self._ids = ids
-        return self.W.value[ids]
+        n, L = ids.shape
+        self._ids, self._idx = ids, []
+        pooled = []
+        for k, W, b in zip(self.widths, self.W, self.b):
+            L_out = L - k + 1
+            if L_out < 1:
+                raise NetError(f"sequence length {L} shorter than filter "
+                               f"width {k}")
+            out = np.broadcast_to(b.value, (n, L_out, b.value.size)).copy()
+            for o in range(k):
+                out += (table @ W.value[o])[ids[:, o:o + L_out]]
+            idx = np.argmax(out, axis=1)  # first occurrence on ties
+            self._idx.append(idx)
+            pooled.append(np.take_along_axis(out, idx[:, None], axis=1)[:, 0])
+        return pooled
 
     def backward(self, g):
-        np.add.at(self.W.grad, self._ids.ravel(),
-                  g.reshape(-1, self.W.value.shape[1]))
-        return None  # ids are not differentiable
+        """g: (n, >= F * len(widths)); its leading columns are the pooled
+        blocks' gradients side by side."""
+        ids, table = self._ids, self.table.value
+        V = table.shape[0]
+        F = self.b[0].value.size
+        rows = np.arange(ids.shape[0])[:, None]
+        cols = np.arange(F)
+        for i, (k, W, b, idx) in enumerate(zip(self.widths, self.W, self.b,
+                                               self._idx)):
+            gi = g[:, i * F:(i + 1) * F]
+            b.grad += gi.sum(axis=0)
+            for o in range(k):
+                tok = ids[rows, idx + o]
+                W.grad[o] += np.einsum("nfe,nf->ef", table[tok], gi)
+                C = np.bincount((tok * F + cols).ravel(), weights=gi.ravel(),
+                                minlength=V * F).reshape(V, F)
+                self.table.grad += C @ W.value[o].T
 
     def params(self):
-        return [self.W]
-
-
-class Conv1D:
-    """Valid 1-D convolution over the token axis: (n, L, E) -> (n, L-k+1, F)."""
-
-    def __init__(self, width, n_in, filters, rng):
-        self.width = width
-        self.W = Param(rng.normal(0.0, np.sqrt(2.0 / (width * n_in)),
-                                  size=(width, n_in, filters)))
-        self.b = Param(np.zeros(filters))
-
-    def forward(self, x):
-        n, L, _ = x.shape
-        L_out = L - self.width + 1
-        if L_out < 1:
-            raise NetError(f"sequence length {L} shorter than filter width "
-                           f"{self.width}")
-        self._x = x
-        out = np.broadcast_to(self.b.value, (n, L_out, self.b.value.size)).copy()
-        for o in range(self.width):
-            out += np.tensordot(x[:, o:o + L_out, :], self.W.value[o],
-                                axes=([2], [0]))
-        if out.shape[1] != L_out:
-            raise NetError(f"convolution output length {out.shape[1]}, "
-                           f"expected {L_out}")
-        return out
-
-    def backward(self, g):
-        x = self._x
-        L_out = g.shape[1]
-        dx = np.zeros_like(x)
-        for o in range(self.width):
-            self.W.grad[o] += np.tensordot(x[:, o:o + L_out, :], g,
-                                           axes=([0, 1], [0, 1]))
-            dx[:, o:o + L_out, :] += np.tensordot(g, self.W.value[o],
-                                                  axes=([2], [1]))
-        self.b.grad += g.sum(axis=(0, 1))
-        return dx
-
-    def params(self):
-        return [self.W, self.b]
-
-
-class GlobalMaxPool:
-    """Max over the token axis; gradient goes to the first argmax only."""
-
-    def forward(self, x):
-        self._idx = np.argmax(x, axis=1)  # first occurrence on ties
-        self._shape = x.shape
-        return np.take_along_axis(x, self._idx[:, None, :], axis=1)[:, 0, :]
-
-    def backward(self, g):
-        dx = np.zeros(self._shape)
-        np.put_along_axis(dx, self._idx[:, None, :], g[:, None, :], axis=1)
-        return dx
+        return [self.table] + [p for W, b in zip(self.W, self.b)
+                               for p in (W, b)]
 
 
 def softmax_probs(logits):
@@ -262,10 +252,10 @@ class FusionNet:
         self.max_len = max_len
         # creation order fixes the rng draws and Adam's parameter order
         rng = np.random.default_rng([seed, 0])
-        self.embedding = (Embedding(vocab_size, embed_dim, rng,
-                                    init=embed_init) if self.widths else None)
-        self.convs = [Conv1D(k, embed_dim, filters, rng) for k in self.widths]
-        self.pools = [GlobalMaxPool() for _ in self.widths]
+        self.embedding = (EmbeddingConvPool(vocab_size, embed_dim,
+                                            self.widths, filters, rng,
+                                            init=embed_init)
+                          if self.widths else None)
         self.fc1 = Dense(filters * len(self.widths) + structured_dim, hidden,
                          rng)
         self.relu = ReLU()
@@ -300,10 +290,7 @@ class FusionNet:
         h = inputs
         if self.embedding is not None:
             ids, structured = inputs
-            emb = self.embedding.forward(ids)
-            h = np.hstack([pool.forward(conv.forward(emb))
-                           for conv, pool in zip(self.convs, self.pools)]
-                          + [structured])
+            h = np.hstack(self.embedding.forward(ids) + [structured])
         h = self.drop.forward(self.relu.forward(self.fc1.forward(h)),
                               train, rng)
         return self.fc2.forward(h)
@@ -311,18 +298,12 @@ class FusionNet:
     def backward(self, dlogits):
         g = self.fc2.backward(dlogits)
         g = self.fc1.backward(self.relu.backward(self.drop.backward(g)))
-        if self.embedding is None:
-            return
-        F = self.filters
-        demb = None
-        for i, (conv, pool) in enumerate(zip(self.convs, self.pools)):
-            d = conv.backward(pool.backward(g[:, i * F:(i + 1) * F]))
-            demb = d if demb is None else demb + d
-        self.embedding.backward(demb)
+        if self.embedding is not None:
+            self.embedding.backward(g)
 
     def params(self):
         layers = [self.embedding] if self.embedding is not None else []
-        layers += self.convs + [self.fc1, self.fc2]
+        layers += [self.fc1, self.fc2]
         return [p for layer in layers for p in layer.params()]
 
 

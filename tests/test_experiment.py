@@ -817,6 +817,16 @@ class TestCli:
         assert proc.returncode == 1
         assert "error" in proc.stderr
 
+    def test_input_error_leaves_no_output_directory(self, tmp_path):
+        (tmp_path / "c.jsonl").write_text("5\n")
+        (tmp_path / "exp.json").write_text(
+            json.dumps(_base_obj(cohort={"path": "c.jsonl"})))
+        proc = self._run("run", "--config", "exp.json", "--out", "res",
+                         cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: record must be a JSON object at line 1\n"
+        assert not (tmp_path / "res").exists()
+
     def test_missing_config_exit_code(self, tmp_path):
         proc = self._run("run", "--config", "absent.json", "--out", "r",
                          cwd=tmp_path)

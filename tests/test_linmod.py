@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,13 @@ class TestPredict:
         m = LinearModel(np.array([1.0]), 0.0, "logistic", L2, 1.0)
         p = predict_proba(m, np.array([[0.4055]]))
         assert p[0] == pytest.approx(0.6, abs=1e-4)
+
+    def test_extreme_scores_saturate_without_warning(self):
+        m = LinearModel(np.array([1.0]), 0.0, "logistic", L2, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = predict_proba(m, np.array([[-1e6], [1e6]]))
+        np.testing.assert_array_equal(p, [0.0, 1.0])
 
     def test_monotone_in_score(self):
         rng = np.random.default_rng(2)
