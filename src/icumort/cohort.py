@@ -347,9 +347,12 @@ class StructuredEncoder:
         """Fit standardization statistics on a completed continuous block.
 
         `continuous` has one column per schema.continuous feature. Population
-        (1/n) standard deviation; constant columns (max equal to min, or sd
-        0) get sd 1 and a recorded warning. Missing values are rejected with
-        a pointer to the impute module.
+        (1/n) standard deviation; constant columns (max equal to min) get sd
+        1 and a recorded warning.  A column whose values differ but whose
+        squared deviations underflow to sd 0 takes its sd from the column
+        scaled to a largest magnitude of 1; if even that sd rounds to 0, the
+        column counts as constant.  Missing values are rejected with a
+        pointer to the impute module.
         """
         # C order: the column reductions' summation order depends on layout
         X = np.ascontiguousarray(continuous, dtype=float)
@@ -370,6 +373,9 @@ class StructuredEncoder:
         flat = X.max(axis=0) == X.min(axis=0)
         constant = []
         for j, name in enumerate(schema.continuous):
+            if sds[j] == 0.0 and not flat[j]:
+                scale = np.abs(X[:, j]).max()
+                sds[j] = (X[:, j] / scale).std() * scale
             if flat[j] or sds[j] == 0.0:
                 sds[j] = 1.0
                 constant.append(name)

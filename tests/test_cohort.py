@@ -2,6 +2,7 @@ import json
 import math
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,21 @@ class TestEncoder:
                         ).encode(enc, list(range(7)), block)
         assert np.abs(encoded).max() < 1e-9  # was -1.0 for every row
 
+    def test_tiny_varying_column_keeps_its_scale(self):
+        # its squared deviations underflow: the plain sd is exactly 0
+        block = np.array([[0.0], [5.03e-226]])
+        assert block.std() == 0.0
+        schema = FeatureSchema([FeatureDescriptor("x", "continuous")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            enc = StructuredEncoder.fit(schema, block)
+        assert enc.constant_columns == ()
+        assert enc.sds[0] == pytest.approx(2.515e-226, rel=1e-12)
+        encoded = _load(schema, [_record(f"p{i}", {"x": float(v)})
+                                 for i, v in enumerate(block[:, 0])]
+                        ).encode(enc, [0, 1], block)
+        np.testing.assert_allclose(encoded[:, 0], [-1.0, 1.0], rtol=1e-12)
+
     def test_missing_values_rejected_with_pointer(self):
         sch = _tiny_schema()
         c = _load(sch, [_record("a", {"flag": 0, "color": "red"})])
@@ -417,15 +433,32 @@ def _ref_filter(features, bounds):
     return out, report
 
 
+def _exact_sd(values):
+    """Population sd of float values from exact rational arithmetic, so it
+    cannot underflow: the variance is scaled by 4**k into the normal float
+    range, rooted, and the root scaled back by 2**-k."""
+    values = [Fraction(v) for v in values]
+    mean = sum(values) / len(values)
+    var = sum((v - mean) ** 2 for v in values) / len(values)
+    k = max(0, (var.denominator.bit_length() - var.numerator.bit_length()) // 2)
+    return math.ldexp(math.sqrt(var * 4 ** k), -k)
+
+
 def _ref_fold_stats(schema, fit_block):
     """Encoder statistics of a completed continuous block, read row by row
-    into a fresh matrix."""
+    into a fresh matrix.  A column whose float sd underflows to 0 although
+    its values differ takes the exact sd."""
     fit_block = np.array(fit_block.tolist()).reshape(fit_block.shape)
     means = fit_block.mean(axis=0)
     sds = fit_block.std(axis=0)  # ddof=0
     constant = []
     for j, name in enumerate(schema.continuous):
-        if len(set(fit_block[:, j].tolist())) == 1 or sds[j] == 0.0:
+        column = fit_block[:, j].tolist()
+        flat = len(set(column)) == 1
+        if sds[j] == 0.0 and not flat:
+            sds[j] = _exact_sd(column)
+        if flat or sds[j] == 0.0:
+            # even the exact sd can round to 0 below the least subnormal
             sds[j] = 1.0
             constant.append(name)
     return means, sds, constant
@@ -552,7 +585,12 @@ def test_arrays_match_record_reference(case):
         enc = StructuredEncoder.fit(cohort.schema, fit_block)
     means, sds, const_names = _ref_fold_stats(cohort.schema, fit_block)
     assert enc.means.tobytes() == means.tobytes()
-    assert enc.sds.tobytes() == sds.tobytes()
+    # an exact sd matches the encoder's to rounding, every other bit for bit
+    underflow = np.flatnonzero((fit_block.std(axis=0) == 0.0)
+                               & (fit_block.max(axis=0) != fit_block.min(axis=0)))
+    plain = np.setdiff1d(np.arange(len(sds)), underflow)
+    assert enc.sds[plain].tobytes() == sds[plain].tobytes()
+    np.testing.assert_allclose(enc.sds[underflow], sds[underflow], rtol=1e-12)
     assert enc.constant_columns == tuple(const_names)
     assert [str(w.message) for w in caught] == [
         f"continuous feature {name!r} is constant; sd set to 1"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -398,37 +399,53 @@ def split_cases(draw):
     return X, rows, cols, a, b, gain, dup
 
 
+# Budgets that put any test input on each side of the presort rule: 0 makes
+# every node sort its own columns, the input's size presorts it
+def _presort_budgets(X):
+    return (0, X.size)
+
+
 @pytest.mark.parametrize("width", ["default", "one", "split_duplicates"])
 @pytest.mark.parametrize("sparse", [False, True])
 @settings(max_examples=150, deadline=None)
 @given(case=split_cases())
 def test_block_split_search_matches_reference(width, sparse, case):
+    """Both sources of a block's sorted order, the fit's presort filtered to
+    the node and the node's own sort, give the reference's split."""
     X, rows, cols, a, b, gain, dup = case
-    block_values = trees._BLOCK_VALUES
-    if width == "one":
-        block_values = 1
-    elif width == "split_duplicates" and {dup, dup + 1} <= set(cols):
-        # the later of the pair is the first column of the second block
-        pos = [int(np.flatnonzero(cols == c)[0]) for c in (dup, dup + 1)]
-        block_values = max(pos) * rows.size
-    XT = sp.csr_matrix(X.T) if sparse else np.ascontiguousarray(X.T)
-    with pytest.MonkeyPatch.context() as mp, \
-            np.errstate(invalid="ignore", divide="ignore"):
-        mp.setattr(trees, "_BLOCK_VALUES", block_values)
-        got = trees._best_split(XT, rows, cols, a, b, gain)
+    with np.errstate(invalid="ignore", divide="ignore"):
         want = _ref_best_split(X, rows, cols, a, b, _reference_for(gain))
-    if want is None:
-        assert got is None
-        return
-    assert got is not None
-    assert got[0] == want[0]
-    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
-    np.testing.assert_array_equal(got[2], want[2])
+    Xin = sp.csr_matrix(X) if sparse else X
+    for budget in _presort_budgets(X):
+        with pytest.MonkeyPatch.context() as mp, \
+                np.errstate(invalid="ignore", divide="ignore"):
+            mp.setattr(trees, "_PRESORT_VALUES", budget)
+            _, XT, order, _ = trees._fit_inputs(Xin, np.zeros(X.shape[0]))
+            assert (order is None) == (budget == 0)
+            # values each candidate column adds to a block
+            per_column = rows.size if order is None else X.shape[0]
+            block_values = trees._BLOCK_VALUES
+            if width == "one":
+                block_values = 1
+            elif width == "split_duplicates" and {dup, dup + 1} <= set(cols):
+                # the later of the pair is the first column of the second block
+                pos = [int(np.flatnonzero(cols == c)[0]) for c in (dup, dup + 1)]
+                block_values = max(pos) * per_column
+            mp.setattr(trees, "_BLOCK_VALUES", block_values)
+            got = trees._best_split(XT, order, rows, cols, a, b, gain)
+        if want is None:
+            assert got is None
+            continue
+        assert got is not None
+        assert got[0] == want[0]
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+        np.testing.assert_array_equal(got[2], want[2])
 
 
 @pytest.mark.parametrize("sparse", [False, True])
 def test_fits_match_reference_split_search(monkeypatch, sparse):
-    """Whole forests and boosted models equal those grown by the reference."""
+    """Whole forests and boosted models equal those grown by the reference,
+    on both sides of the presort budget."""
     rng = np.random.default_rng(21)
     X = np.round(rng.normal(size=(120, 9)), 1)
     X[rng.random(X.shape) < 0.6] = 0.0
@@ -436,17 +453,40 @@ def test_fits_match_reference_split_search(monkeypatch, sparse):
     y = (X[:, 0] - X[:, 3] + 0.5 * rng.normal(size=120) > 0).astype(int)
     Xin = sp.csr_matrix(X) if sparse else X
     monkeypatch.setattr(trees, "_BLOCK_VALUES", 300)
-    forest = train_random_forest(Xin, y, ForestParams(n_trees=4), seed=2)
-    boosted = train_gbt(Xin, y, GbtParams(rounds=6))
+    fits = []
+    for budget in _presort_budgets(X):
+        monkeypatch.setattr(trees, "_PRESORT_VALUES", budget)
+        fits.append((
+            _record(train_random_forest(Xin, y, ForestParams(n_trees=4),
+                                        seed=2)),
+            _record(train_gbt(Xin, y, GbtParams(rounds=6)))))
 
-    def reference(XT, rows, cols, a, b, gain):
+    def reference(XT, order, rows, cols, a, b, gain):
         return _ref_best_split(X, rows, cols, a, b, _reference_for(gain))
 
     monkeypatch.setattr(trees, "_best_split", reference)
-    assert _record(forest) == _record(train_random_forest(
-        Xin, y, ForestParams(n_trees=4), seed=2))
-    assert _record(boosted) == _record(train_gbt(
-        Xin, y, GbtParams(rounds=6)))
+    want = (_record(train_random_forest(Xin, y, ForestParams(n_trees=4),
+                                        seed=2)),
+            _record(train_gbt(Xin, y, GbtParams(rounds=6))))
+    assert fits == [want, want]
+
+
+def test_wide_sparse_fit_is_never_densified(monkeypatch):
+    """Over the presort budget a sparse fit holds less than X's dense size."""
+    # small blocks keep the search's own scratch far below that size
+    monkeypatch.setattr(trees, "_BLOCK_VALUES", 2 ** 14)
+    rng = np.random.default_rng(23)
+    n, d = 600, 5000
+    assert n * d > trees._PRESORT_VALUES
+    X = sp.random(n, d, density=0.02, format="csr", random_state=rng)
+    y = (np.asarray(X[:, :10].sum(axis=1)).ravel() > 0.1).astype(int)
+    tracemalloc.start()
+    try:
+        train_gbt(X, y, GbtParams(rounds=1, max_depth=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8
 
 
 def test_second_order_gain_matches_scalar_totals():
