@@ -37,7 +37,7 @@ print(f"\nfirst record {cohort.ids[0]}: age={float(age)}, sofa={float(sofa)}")
 print("note starts:", cohort.notes[0][:110], "...")
 
 # values outside plausible physiology become missing, nothing is dropped
-heart_rate = cohort.continuous_columns[column["heart_rate"]]
+heart_rate = cohort.schema.continuous_columns[column["heart_rate"]]
 cohort.values[3, heart_rate] = 5000.0  # corrupt one cell
 filtered, report = filter_outliers(cohort)
 print(f"\noutlier cells nulled: {sum(report.values())} "

@@ -12,7 +12,7 @@ from icumort.impute import impute_fit_transform
 from icumort.linmod import (
     L1,
     L2,
-    compute_class_weights,
+    balanced_weights,
     predict_proba,
     rank_coefficients,
     train_linear_svm,
@@ -30,9 +30,8 @@ enc = fit_encoder(imputed)
 X = encode(enc, imputed)
 print(f"design matrix: {X.shape}")
 
-cw = compute_class_weights(y)
-print(f"class weights: positive {cw.positive:.3f}, negative {cw.negative:.3f}")
-w = cw.per_instance(y)
+w = balanced_weights(y)
+print(f"class weights: positive {w[y == 1][0]:.3f}, negative {w[y == 0][0]:.3f}")
 
 m2 = train_logreg(X, y, reg=L2, C=1.0, instance_weights=w)
 m1 = train_logreg(X, y, reg=L1, C=0.05, instance_weights=w)
@@ -41,9 +40,8 @@ print(f"L1 nonzero coefficients: {(m1.w != 0).sum()} of {m1.w.size}")
 
 print(f"\nin-sample AUC, L2 logistic: {auc(predict_proba(m2, X), y):.3f}")
 
-names = enc.column_names()
 print("\ntop risk coefficients (L2):")
-for name, coef in rank_coefficients(m2, names, 5):
+for name, coef in rank_coefficients(m2.w, cohort.schema.column_names, 5):
     print(f"  {name:<28} {coef:+.3f}")
 
 svm = train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=w)

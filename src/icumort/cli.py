@@ -113,9 +113,8 @@ def cmd_rank(args):
     if n_structured == 0:
         raise ConfigError("model has no structured block to rank")
     names = payload["feature_names"][:n_structured]
-    sub = linmod.LinearModel(w=model.w[:n_structured], b=model.b,
-                             loss=model.loss, reg=model.reg, C=model.C)
-    for name, coef in linmod.rank_coefficients(sub, names, args.k):
+    for name, coef in linmod.rank_coefficients(model.w[:n_structured], names,
+                                               args.k):
         print(f"{name}\t{coef:+.6f}")
     return 0
 
@@ -125,6 +124,8 @@ def main(argv=None):
     handlers = {"synth": cmd_synth, "run": cmd_run,
                 "permtest": cmd_permtest, "rank": cmd_rank}
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError("--seed must be an integer >= 0")
         return handlers[args.command](args)
     except (ConfigError, CohortError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError) as exc:

@@ -10,6 +10,7 @@ import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -47,21 +48,31 @@ class FeatureDescriptor:
 
 
 class FeatureSchema:
-    """Ordered list of feature descriptors with name uniqueness enforced."""
+    """Ordered feature descriptors, names unique, and the one encoded column
+    layout: in schema order a column per continuous or binary feature and per
+    category.  `columns` holds (descriptor, first column, end column) per
+    feature; `column_names` names each of the `width` columns."""
 
     def __init__(self, descriptors):
         self.descriptors = tuple(descriptors)
-        names = [d.name for d in self.descriptors]
-        if len(set(names)) != len(names):
-            raise CohortError("duplicate feature names in schema")
         self.by_name = {d.name: d for d in self.descriptors}
+        if len(self.by_name) != len(self.descriptors):
+            raise CohortError("duplicate feature names in schema")
         self.continuous = tuple(d.name for d in self.descriptors if d.kind == CONTINUOUS)
-        self.binary = tuple(d.name for d in self.descriptors if d.kind == BINARY)
         self.categorical = tuple(d.name for d in self.descriptors if d.kind == CATEGORICAL)
-
-    @property
-    def names(self):
-        return tuple(d.name for d in self.descriptors)
+        columns, names = [], []
+        for d in self.descriptors:
+            first = len(names)
+            if d.kind == CATEGORICAL:
+                names.extend(f"{d.name}={c}" for c in d.categories)
+            else:
+                names.append(d.name)
+            columns.append((d, first, len(names)))
+        self.columns = tuple(columns)
+        self.width = len(names)
+        self.column_names = tuple(names)
+        self.continuous_columns = np.array(
+            [a for d, a, _ in columns if d.kind == CONTINUOUS], dtype=np.intp)
 
     def __eq__(self, other):
         return isinstance(other, FeatureSchema) and self.descriptors == other.descriptors
@@ -75,24 +86,10 @@ class FeatureSchema:
             for e in json.loads(_data_text("schema.json")))
 
 
-def _layout(schema):
-    """((feature name, first column, end column) per feature in schema
-    order, total column count, the continuous features' columns)."""
-    layout = []
-    col = 0
-    for d in schema.descriptors:
-        width = len(d.categories) if d.kind == CATEGORICAL else 1
-        layout.append((d.name, col, col + width))
-        col += width
-    continuous = np.array([a for d, (_, a, _) in zip(schema.descriptors, layout)
-                           if d.kind == CONTINUOUS], dtype=np.intp)
-    return tuple(layout), col, continuous
-
-
 class Cohort:
     """Admissions as columns: record ids, notes, the two outcome label
-    vectors, and `values`, one float row per admission in the encoder's
-    column layout (_layout).
+    vectors, and `values`, one float row per admission in the schema's
+    column layout.
 
     Continuous columns hold raw values, binary columns 0/1, and each
     categorical its one-hot columns; NaN across a feature's columns marks it
@@ -108,7 +105,6 @@ class Cohort:
         self.label_hospital = np.asarray(label_hospital, dtype=np.int64)
         self.label_30day = np.asarray(label_30day, dtype=np.int64)
         self.values = values
-        self.layout, _, self.continuous_columns = _layout(schema)
 
     def __len__(self):
         return len(self.ids)
@@ -127,18 +123,18 @@ class Cohort:
         per schema.continuous feature, NaN marking missing cells."""
         rows = np.arange(len(self)) if rows is None else rows
         return self.values[np.ix_(np.asarray(rows, dtype=np.intp),
-                                  self.continuous_columns)]
+                                  self.schema.continuous_columns)]
 
     def with_continuous(self, matrix):
         """New cohort whose continuous values are replaced from a completed matrix."""
         matrix = np.asarray(matrix, dtype=float)
-        shape = (len(self), self.continuous_columns.size)
+        shape = (len(self), self.schema.continuous_columns.size)
         if matrix.shape != shape:
             raise CohortError(f"matrix shape {matrix.shape} does not match {shape}")
         if not np.isfinite(matrix).all():
             raise CohortError("continuous values must be finite numbers")
         values = self.values.copy()
-        values[:, self.continuous_columns] = matrix
+        values[:, self.schema.continuous_columns] = matrix
         return self._with_values(values)
 
     def subset(self, indices):
@@ -162,11 +158,11 @@ class Cohort:
                 f"continuous block shape {continuous.shape} does not match "
                 f"({rows.size}, {encoder.means.size})")
         X = self.values[rows]
-        X[:, encoder.continuous_columns] = (continuous - encoder.means) / encoder.sds
+        X[:, self.schema.continuous_columns] = (continuous - encoder.means) / encoder.sds
         missing = np.isnan(X)
         if missing.any():
             i, col = np.argwhere(missing)[0]
-            name = next(n for n, a, b in encoder.layout if a <= col < b)
+            name = next(d.name for d, a, b in self.schema.columns if a <= col < b)
             raise CohortError(
                 f"missing value for {name!r} in record {self.ids[rows[i]]!r}; "
                 "encode requires a fully imputed cohort")
@@ -207,8 +203,7 @@ def load_cohort(path, schema=None):
     """Read a JSONL cohort file, checking every record against the schema."""
     if schema is None:
         schema = FeatureSchema.default()
-    layout, width, _ = _layout(schema)
-    slots = {name: (schema.by_name[name], a, b) for name, a, b in layout}
+    slots = {d.name: (d, a, b) for d, a, b in schema.columns}
     ids, notes, rows = [], [], []
     labels = {"label_hospital": [], "label_30day": []}
     seen = set()
@@ -237,13 +232,13 @@ def load_cohort(path, schema=None):
             if rid in seen:
                 raise CohortError(f"duplicate record id {rid!r}{where}")
             seen.add(rid)
-            row = [math.nan] * width
+            row = [math.nan] * schema.width
             for name, value in obj["features"].items():
                 _set_value(row, slots, name, value, where)
             ids.append(rid)
             notes.append(str(obj["note"]))
             rows.append(row)
-    values = np.array(rows, dtype=float).reshape(len(rows), width)
+    values = np.array(rows, dtype=float).reshape(len(rows), schema.width)
     return Cohort(schema, ids, notes, labels["label_hospital"],
                   labels["label_30day"], values)
 
@@ -252,7 +247,7 @@ def save_cohort(cohort, path):
     """Write a cohort as canonical JSONL, leaving missing values out;
     save-load-save is byte stable."""
     columns = [(d.name, d.kind, a, b, d.categories)
-               for d, (_, a, b) in zip(cohort.schema.descriptors, cohort.layout)]
+               for d, a, b in cohort.schema.columns]
     records = zip(cohort.ids, cohort.notes, cohort.label_hospital.tolist(),
                   cohort.label_30day.tolist(), cohort.values.tolist())
     with open(path, "w", encoding="utf-8") as f:
@@ -272,32 +267,24 @@ def save_cohort(cohort, path):
                                sort_keys=True, separators=(",", ":")) + "\n")
 
 
-class PlausibleRangeTable:
-    """Inclusive [min, max] bounds per continuous feature."""
-
-    def __init__(self, bounds):
-        self.bounds = {}
-        for name, (lo, hi) in bounds.items():
-            lo, hi = float(lo), float(hi)
-            if not lo < hi:
-                raise CohortError(f"range for {name!r} must satisfy min < max")
-            self.bounds[name] = (lo, hi)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls({k: tuple(v) for k, v in json.loads(text).items()})
-
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json(f.read())
-
-    @classmethod
-    def default(cls):
-        return cls.from_json(_data_text("ranges.json"))
-
-    def get(self, name):
-        return self.bounds.get(name)
+def load_ranges(path=None):
+    """{feature name: (min, max)} inclusive plausible bounds from a JSON
+    object of [min, max] pairs; the bundled table when path is None."""
+    try:
+        text = _data_text("ranges.json") if path is None else Path(path).read_bytes()
+        # integers parse as floats, so a huge bound cannot overflow float()
+        obj = json.loads(text, parse_int=float)
+    except ValueError as exc:
+        raise CohortError(f"range table is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise CohortError("range table must be a JSON object of [min, max] pairs")
+    for name, pair in obj.items():
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_number, pair))):
+            raise CohortError(f"range for {name!r} must be a pair of numbers [min, max], "
+                              f"not {pair!r}")
+        if not pair[0] < pair[1]:
+            raise CohortError(f"range for {name!r} must satisfy min < max")
+    return {name: tuple(pair) for name, pair in obj.items()}
 
 
 def filter_outliers(cohort, ranges=None):
@@ -308,11 +295,11 @@ def filter_outliers(cohort, ranges=None):
     for unknown or non-continuous features are ignored with a warning.
     """
     if ranges is None:
-        ranges = PlausibleRangeTable.default()
-    first = {name: a for name, a, _ in cohort.layout}
+        ranges = load_ranges()
+    first = {d.name: a for d, a, _ in cohort.schema.columns}
     values = cohort.values.copy()
     report = {}
-    for name, (lo, hi) in ranges.bounds.items():
+    for name, (lo, hi) in ranges.items():
         desc = cohort.schema.by_name.get(name)
         if desc is None or desc.kind != CONTINUOUS:
             warnings.warn(f"range table entry {name!r} does not match a continuous "
@@ -327,10 +314,11 @@ def filter_outliers(cohort, ranges=None):
 
 
 class StructuredEncoder:
-    """One-hot layout plus per-continuous-column standardization statistics.
+    """Per-continuous-column standardization statistics.
 
-    Column order follows schema order: continuous columns z-scored, binary as
-    {0,1}, categoricals expanded to all categories (no reference drop).
+    Cohort.encode writes a design matrix in the schema's column layout:
+    continuous columns z-scored, binary as {0,1}, categoricals expanded to
+    all categories (no reference drop).
     """
 
     def __init__(self, schema, means, sds, constant_columns=()):
@@ -338,7 +326,6 @@ class StructuredEncoder:
         self.means = np.asarray(means, dtype=float)
         self.sds = np.asarray(sds, dtype=float)
         self.constant_columns = tuple(constant_columns)
-        self.layout, self.n_columns, self.continuous_columns = _layout(schema)
         if np.any(self.sds <= 0):
             raise CohortError("encoder standard deviations must be positive")
 
@@ -382,14 +369,6 @@ class StructuredEncoder:
                 warnings.warn(f"continuous feature {name!r} is constant; sd set to 1")
         return cls(schema, means, sds, constant)
 
-    def column_names(self):
-        names = []
-        for d in self.schema.descriptors:
-            if d.kind == CATEGORICAL:
-                names.extend(f"{d.name}={c}" for c in d.categories)
-            else:
-                names.append(d.name)
-        return names
 
 
 def fit_encoder(cohort):
@@ -684,7 +663,7 @@ def synth_cohort_with_truth(config=None, seed=0, schema=None):
     _validate_synth_config(config, schema)
     rng = np.random.default_rng(seed)
     n = config.n
-    ranges = PlausibleRangeTable.default()
+    ranges = load_ranges()
 
     cont_values = {}
     for name in schema.continuous:
@@ -741,18 +720,17 @@ def synth_cohort_with_truth(config=None, seed=0, schema=None):
                      for name in sorted(config.missing_rates)
                      if config.missing_rates[name] > 0}
 
-    layout, width, _ = _layout(schema)
-    values = np.zeros((n, width))
-    for d, (name, a, _) in zip(schema.descriptors, layout):
+    values = np.zeros((n, schema.width))
+    for d, a, _ in schema.columns:
         if d.kind == CONTINUOUS:
             # Python's round: a saved cohort holds values to 4 decimals
-            values[:, a] = [round(x, 4) for x in cont_values[name].tolist()]
-            if name in missing_masks:
-                values[missing_masks[name], a] = np.nan
+            values[:, a] = [round(x, 4) for x in cont_values[d.name].tolist()]
+            if d.name in missing_masks:
+                values[missing_masks[d.name], a] = np.nan
         elif d.kind == BINARY:
-            values[:, a] = bin_values[name]
+            values[:, a] = bin_values[d.name]
         else:
-            values[np.arange(n), a + cat_values[name]] = 1.0
+            values[np.arange(n), a + cat_values[d.name]] = 1.0
     digits = len(str(n - 1))
     ids = [f"synth-{i:0{digits}d}" for i in range(n)]
     return Cohort(schema, ids, notes, label_hosp, label_30d, values), risk

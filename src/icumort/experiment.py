@@ -16,12 +16,12 @@ import scipy
 
 from . import __version__, linmod, neural, trees
 from .cohort import (
-    PlausibleRangeTable,
     StructuredEncoder,
     SynthConfig,
     filter_outliers,
     is_number,
     load_cohort,
+    load_ranges,
     synth_cohort,
 )
 from .evaluation import (
@@ -101,6 +101,22 @@ def _check_param(key, value, where):
         raise ConfigError(f"{where} {key} must be {kind}, not {value!r}")
 
 
+def _check_cell(algo, params, config):
+    """Run the family's own range checks on one grid cell's settings."""
+    if algo == "rf":
+        trees.ForestParams(**params).validate()
+    elif algo == "gbt":
+        trees.GbtParams(**params).validate()
+    elif algo in ("mlp", "cnn"):
+        hp = _neural_params(neural.MlpParams if algo == "mlp"
+                            else neural.CnnParams, config, params)
+        neural.Dropout(hp.dropout)
+        if algo == "cnn":
+            hp.validate()
+    elif not params["C"] > 0:
+        raise linmod.LinModError("C must be positive")
+
+
 def _as_tuple(value, kind):
     items = [value] if isinstance(value, str) else value
     if not (isinstance(items, (list, tuple))
@@ -152,8 +168,8 @@ class ExperimentConfig:
         if "cnn" in self.algorithms and not (
                 set(self.feature_sets) & {"notes", "combined"}):
             raise ConfigError("cnn needs a feature set that includes notes")
-        if not is_number(self.seed, integral=True):
-            raise ConfigError("seed must be an integer")
+        if not (is_number(self.seed, integral=True) and self.seed >= 0):
+            raise ConfigError("seed must be an integer >= 0")
         if not (is_number(self.folds, integral=True) and self.folds >= 2):
             raise ConfigError("folds must be an integer of at least 2")
         if not (is_number(self.min_df, integral=True) and self.min_df >= 1):
@@ -173,6 +189,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown neural settings: {sorted(bad)}")
         for key, value in self.neural.items():
             _check_param(key, value, "neural setting")
+        for algo in self.algorithms:
+            for params in self.grid_cells(algo):
+                try:
+                    _check_cell(algo, params, self)
+                except (trees.TreeError, neural.NetError,
+                        linmod.LinModError) as exc:
+                    raise ConfigError(f"grid cell {params} of {algo}: {exc}")
         return self
 
     @classmethod
@@ -384,10 +407,11 @@ class _Fold:
 
     def feature_names(self, feature_set):
         """The feature set's column names, structured block first."""
-        names = [] if feature_set == "notes" else self.encoder.column_names()
+        names = (() if feature_set == "notes"
+                 else self.cohort.schema.column_names)
         if feature_set != "structured":
             names += self.vocab.tokens
-        return names
+        return list(names)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +444,7 @@ def _fit_model(algo, params, fold, feature_set, fit_rows, y_fit, seed,
         return model, lambda r: neural.predict_proba_net(
             model, fold.cnn_inputs(feature_set, r, hp.max_len))
     if algo in ("l1-lr", "l2-lr", "l1-svm", "l2-svm", "rf"):
-        weights = linmod.compute_class_weights(y_fit).per_instance(y_fit)
+        weights = linmod.balanced_weights(y_fit)
     X = fold.matrix(feature_set, fit_rows)
     if algo in ("l1-lr", "l2-lr"):
         reg = linmod.L1 if algo == "l1-lr" else linmod.L2
@@ -461,7 +485,7 @@ def _save_model(algo, model, fold, feature_set, path_base):
         payload = {"kind": "linear", "algorithm": algo,
                    "model": model.to_obj(),
                    "n_structured": (0 if feature_set == "notes"
-                                    else fold.encoder.n_columns),
+                                    else fold.cohort.schema.width),
                    "feature_names": fold.feature_names(feature_set)}
     path_base.with_suffix(".json").write_text(
         json.dumps(payload, sort_keys=True), encoding="utf-8")
@@ -582,9 +606,7 @@ def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
         cohort = load_cohort(config.cohort_path)
     else:
         cohort = synth_cohort(config.synth, seed=config.seed)
-    ranges = (PlausibleRangeTable.load(ranges_path) if ranges_path
-              else None)
-    cohort, outlier_report = filter_outliers(cohort, ranges)
+    cohort, outlier_report = filter_outliers(cohort, load_ranges(ranges_path))
     stopwords = (load_stopwords(stopwords_path) if stopwords_path
                  else default_stopwords())
     needs_text = bool(set(config.feature_sets) & {"notes", "combined"})

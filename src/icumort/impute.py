@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-RIDGE_PENALTY = 1e-6
 # A scaled Cholesky pivot is 1 - R^2 of its column on the columns before it;
 # at or below this the normal equations lose too many digits, so the column
 # is solved by SVD least squares instead.
@@ -24,11 +23,12 @@ class ImputationModel:
 
     visit_order covers exactly the columns that had missing cells at fit
     time, ascending by missing fraction. coefficients[j] has one weight per
-    other column plus a trailing intercept.
+    other column plus a trailing intercept. A column in rank_deficient_columns
+    had a rank-deficient regression and took its minimum-norm solution.
     """
 
     def __init__(self, n_columns, means, visit_order, coefficients, residual_sds,
-                 cycles, seed, ridge_columns=(), cycle_median_change=()):
+                 cycles, seed, rank_deficient_columns=(), cycle_median_change=()):
         self.n_columns = int(n_columns)
         self.means = np.asarray(means, dtype=float)
         self.visit_order = tuple(int(j) for j in visit_order)
@@ -37,7 +37,8 @@ class ImputationModel:
         self.residual_sds = {int(j): float(s) for j, s in residual_sds.items()}
         self.cycles = int(cycles)
         self.seed = int(seed)
-        self.ridge_columns = tuple(sorted(int(j) for j in ridge_columns))
+        self.rank_deficient_columns = tuple(
+            sorted(int(j) for j in rank_deficient_columns))
         self.cycle_median_change = tuple(float(x) for x in cycle_median_change)
         if any(s < 0 for s in self.residual_sds.values()):
             raise ImputeError("residual sd must be non-negative")
@@ -66,22 +67,19 @@ def _fit_column(W, rows, j):
     """Regress column j of W on every other column (the last is all ones)
     over the rows where j is observed.
 
-    Returns (weights w over W's columns with w[j] = 0, residual sd, used_ridge).
+    Returns (weights w over W's columns, w[j] = 0; residual sd; rank deficient).
     """
     Wr = W[rows]
     keep = np.delete(np.arange(W.shape[1]), j)
     beta = _cholesky_solve(Wr.T @ Wr, keep, j)
-    used_ridge = False
-    if beta is None:  # SVD least squares, with a small ridge if rank deficient
-        A, y = Wr[:, keep], Wr[:, j]
-        beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-        used_ridge = rank < A.shape[1]
-        if used_ridge:
-            G = A.T @ A + RIDGE_PENALTY * np.eye(A.shape[1])
-            beta = np.linalg.solve(G, A.T @ y)
+    rank_deficient = False
+    if beta is None:  # SVD least squares: the minimum-norm solution if rank deficient
+        A = Wr[:, keep]
+        beta, _, rank, _ = np.linalg.lstsq(A, Wr[:, j], rcond=None)
+        rank_deficient = rank < A.shape[1]
     w = np.insert(beta, j, 0.0)
     sd = float((Wr[:, j] - Wr @ w).std())  # population sd
-    return w, sd, used_ridge
+    return w, sd, rank_deficient
 
 
 def _work_matrix(X, observed_mask, means):
@@ -103,16 +101,16 @@ def _run_chain(X, observed_mask, cycles, seed):
                          key=lambda j: (frac[j], j))
 
     coefficients, residual_sds = {}, {}
-    ridge_columns = set()
+    rank_deficient_columns = set()
     median_changes = []
     for _ in range(cycles):
         changes = []
         for j in visit_order:
-            w, sd, used_ridge = _fit_column(W, observed_mask[:, j], j)
+            w, sd, rank_deficient = _fit_column(W, observed_mask[:, j], j)
             coefficients[j] = np.delete(w, j)
             residual_sds[j] = sd
-            if used_ridge:
-                ridge_columns.add(j)
+            if rank_deficient:
+                rank_deficient_columns.add(j)
             miss = ~observed_mask[:, j]
             new = W[miss] @ w + sd * rng.standard_normal(miss.sum())
             changes.append(np.abs(new - W[miss, j]))
@@ -123,8 +121,8 @@ def _run_chain(X, observed_mask, cycles, seed):
     model = ImputationModel(
         n_columns=d, means=means, visit_order=visit_order,
         coefficients=coefficients, residual_sds=residual_sds,
-        cycles=cycles, seed=seed, ridge_columns=ridge_columns,
-        cycle_median_change=median_changes)
+        cycles=cycles, seed=seed, cycle_median_change=median_changes,
+        rank_deficient_columns=rank_deficient_columns)
     return W[:, :-1], model
 
 

@@ -27,31 +27,16 @@ class LinModError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ClassWeights:
-    negative: float
-    positive: float
-
-    def __post_init__(self):
-        if self.negative <= 0 or self.positive <= 0:
-            raise LinModError("class weights must be strictly positive")
-
-    def per_instance(self, y):
-        y = np.asarray(y)
-        return np.where(y == 1, self.positive, self.negative).astype(float)
-
-
-def compute_class_weights(labels):
-    """Balanced rule w_c = N / (2 * N_c)."""
+def balanced_weights(labels):
+    """Per-row weights by the balanced rule: a row of class c weighs
+    N / (2 * N_c)."""
     y = np.asarray(labels)
-    n = y.size
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
+    n, n_pos, n_neg = y.size, int((y == 1).sum()), int((y == 0).sum())
     if n_pos + n_neg != n:
         raise LinModError("labels must be 0/1")
     if n_pos == 0 or n_neg == 0:
         raise LinModError("both classes must be present to balance weights")
-    return ClassWeights(negative=n / (2.0 * n_neg), positive=n / (2.0 * n_pos))
+    return np.where(y == 1, n / (2.0 * n_pos), n / (2.0 * n_neg))
 
 
 @dataclass
@@ -344,13 +329,13 @@ def predict_proba(model, X):
         return 1.0 / (1.0 + np.exp(-scores))
 
 
-def rank_coefficients(model, names, k):
-    """Top-k (name, coefficient) sorted descending, ties by column index."""
+def rank_coefficients(w, names, k):
+    """Top-k (name, weight) of w, sorted descending, ties by column index."""
+    w = np.asarray(w, dtype=float)
     names = list(names)
-    if len(names) != model.w.size:
-        raise LinModError(
-            f"{len(names)} names for {model.w.size} coefficients")
+    if len(names) != w.size:
+        raise LinModError(f"{len(names)} names for {w.size} coefficients")
     if k < 1:
         raise LinModError("k must be >= 1")
-    order = np.argsort(-model.w, kind="stable")
-    return [(names[j], float(model.w[j])) for j in order[:k]]
+    order = np.argsort(-w, kind="stable")
+    return [(names[j], float(w[j])) for j in order[:k]]

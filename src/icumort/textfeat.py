@@ -91,10 +91,6 @@ class TfIdfModel:
         if np.any(self.idf <= 0):
             raise TextFeatError("idf weights must be positive")
 
-    @property
-    def dimension(self):
-        return len(self.vocab)
-
 
 def tfidf_fit(vocab):
     """idf = ln((1+N)/(1+df)) + 1, always positive."""
@@ -111,7 +107,7 @@ def transform_corpus(model, token_docs):
     dropped, and a document with none of the vocabulary is an empty row.
     """
     token_docs = list(token_docs)
-    n, width = len(token_docs), model.dimension
+    n, width = len(token_docs), len(model.vocab)
     lengths = np.fromiter(map(len, token_docs), dtype=np.int64, count=n)
     index = model.vocab.index
     tokens = itertools.chain.from_iterable(token_docs)

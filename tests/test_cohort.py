@@ -3,6 +3,7 @@ import math
 import tempfile
 import warnings
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,13 @@ from icumort.cohort import (
     CohortError,
     FeatureDescriptor,
     FeatureSchema,
-    PlausibleRangeTable,
     SynthConfig,
     StructuredEncoder,
     encode,
     filter_outliers,
     fit_encoder,
     load_cohort,
+    load_ranges,
     save_cohort,
     synth_cohort,
     synth_cohort_with_truth,
@@ -52,10 +53,31 @@ def schema():
 
 class TestSchema:
     def test_default_counts(self, schema):
-        assert len(schema.names) == 44
+        assert len(schema.descriptors) == 44
         assert len(schema.continuous) == 36
-        assert len(schema.binary) == 4
+        assert sum(d.kind == "binary" for d in schema.descriptors) == 4
         assert len(schema.categorical) == 4
+
+    def test_default_layout(self, schema):
+        # 36 continuous + 4 binary + (5 + 5 + 5 + 3) one-hot = 58
+        assert schema.width == len(schema.column_names) == 58
+        assert schema.continuous_columns.size == 36
+        assert ([schema.column_names[c] for c in schema.continuous_columns]
+                == list(schema.continuous))
+        # the features tile the columns in schema order
+        spans = [(a, b) for _, a, b in schema.columns]
+        assert [d for d, _, _ in schema.columns] == list(schema.descriptors)
+        assert spans[0][0] == 0 and spans[-1][1] == 58
+        assert all(b == a for (_, b), (a, _) in zip(spans, spans[1:]))
+
+    def test_tiny_layout_spans_its_one_hot_block(self):
+        sch = _tiny_schema()
+        assert [(d.name, a, b) for d, a, b in sch.columns] == [
+            ("x", 0, 1), ("flag", 1, 2), ("color", 2, 5)]
+        assert sch.width == 5
+        assert sch.continuous_columns.tolist() == [0]
+        assert sch.column_names == (
+            "x", "flag", "color=red", "color=green", "color=blue")
 
     def test_duplicate_names_rejected(self):
         d = FeatureDescriptor("age", "continuous")
@@ -201,7 +223,7 @@ class TestOutlierFilter:
         assert report == {"heart_rate": 1}
 
     def test_boundary_values_kept(self, schema):
-        table = PlausibleRangeTable({"heart_rate": (0, 350)})
+        table = {"heart_rate": (0, 350)}
         c = _load(schema, [_record("a", {"heart_rate": 350})])
         filtered, report = filter_outliers(c, table)
         assert _cell(filtered, 0, "heart_rate") == 350
@@ -217,12 +239,31 @@ class TestOutlierFilter:
         assert c2.values.tobytes() == c1.values.tobytes()
 
     def test_unknown_entry_warns_and_is_ignored(self, schema):
-        table = PlausibleRangeTable({"banana": (0, 1), "race": (0, 1)})
+        table = {"banana": (0, 1), "race": (0, 1)}
         c = _load(schema, [_record("a", {"age": 50})])
         with pytest.warns(UserWarning):
             filtered, report = filter_outliers(c, table)
         assert report == {}
         assert _cell(filtered, 0, "age") == 50
+
+
+class TestRanges:
+    def test_bundled_table_loads_its_bounds(self):
+        raw = json.loads(resources.files("icumort.data")
+                         .joinpath("ranges.json").read_text(encoding="utf-8"))
+        ranges = load_ranges()
+        assert ranges == {name: (float(lo), float(hi))
+                          for name, (lo, hi) in raw.items()}
+        assert all(type(v) is float for pair in ranges.values() for v in pair)
+        assert ranges["heart_rate"] == (0.0, 350.0)
+
+    def test_file_loads_as_a_mapping(self, tmp_path):
+        path = tmp_path / "ranges.json"
+        path.write_text('{"age": [18, 120.5], "ph": [6, 8]}')
+        assert load_ranges(path) == {"age": (18.0, 120.5), "ph": (6.0, 8.0)}
+        # an integer beyond the float range is an infinite bound, not an error
+        path.write_text('{"age": [0, 1%s]}' % ("0" * 400))
+        assert load_ranges(path) == {"age": (0.0, math.inf)}
 
 
 def _tiny_schema():
@@ -248,9 +289,8 @@ class TestEncoder:
                 else:
                     values[d.name] = d.categories[int(rng.integers(len(d.categories)))]
             records.append(_record(f"p{i}", values))
-        enc = fit_encoder(_load(schema, records))
-        assert enc.n_columns == 58
-        assert len(enc.column_names()) == 58
+        cohort = _load(schema, records)
+        assert encode(fit_encoder(cohort), cohort).shape == (5, 58)
 
     def test_standardization_stats(self):
         """Values {2, 4}: mean 3, population sd 1."""
@@ -339,7 +379,7 @@ class TestEncoder:
         np.testing.assert_allclose(M2, M + 1.0)
         # untouched parts carried over
         assert c2.notes == c.notes
-        others = np.delete(np.arange(c.values.shape[1]), c.continuous_columns)
+        others = np.delete(np.arange(c.values.shape[1]), c.schema.continuous_columns)
         assert c2.values[:, others].tobytes() == c.values[:, others].tobytes()
 
     def test_with_continuous_refuses_bad_block(self, schema):
@@ -467,9 +507,12 @@ def _ref_fold_stats(schema, fit_block):
 def _ref_fold_matrix(encoder, features, rows, block):
     """Rows `rows` of per-record feature dicts, their continuous values
     replaced by `block`, encoded one record and one feature at a time."""
-    X = np.zeros((len(rows), encoder.n_columns))
+    first, width = {}, 0
+    for d in encoder.schema.descriptors:
+        first[d.name] = width
+        width += len(d.categories) if d.kind == "categorical" else 1
+    X = np.zeros((len(rows), width))
     cont_index = {name: j for j, name in enumerate(encoder.schema.continuous)}
-    first = {name: a for name, a, _ in encoder.layout}
     for i, row in enumerate(rows):
         for d in encoder.schema.descriptors:
             a = first[d.name]
@@ -537,8 +580,7 @@ def test_columns_match_record_reference(features):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        filtered, report = filter_outliers(cohort,
-                                           PlausibleRangeTable(_SMALL_RANGES))
+        filtered, report = filter_outliers(cohort, _SMALL_RANGES)
     want, want_report = _ref_filter(features, _SMALL_RANGES)
     assert filtered.values.tobytes() == _ref_values(_SMALL_SCHEMA, want).tobytes()
     assert report == want_report
@@ -597,14 +639,14 @@ def test_arrays_match_record_reference(case):
         for name in const_names]
     if constant is not None:
         assert cohort.schema.continuous[constant] in const_names
-        column = enc.continuous_columns[constant]
+        column = cohort.schema.continuous_columns[constant]
         fit_matrix = cohort.encode(enc, fit_rows, fit_block)
         assert np.abs(fit_matrix[:, column]).max() < 1e-9
 
     for request, values in ((fit_rows, fit_block), (rows, block)):
         got = cohort.encode(enc, request, values)
         want = _ref_fold_matrix(enc, features, request, values)
-        assert got.shape == want.shape == (len(request), enc.n_columns)
+        assert got.shape == want.shape == (len(request), cohort.schema.width)
         assert got.tobytes() == want.tobytes()
 
 

@@ -160,6 +160,74 @@ class TestConfig:
         assert capsys.readouterr().err.startswith(
             "error: generator needs an integer n")
 
+    @pytest.mark.parametrize("overrides, args, message", [
+        ({"seed": -1}, [], "seed must be an integer >= 0"),
+        ({}, ["--seed", "-1"], "--seed must be an integer >= 0"),
+        ({"algorithms": ["rf"], "grids": {"rf": {"n_trees": [0]}}}, [],
+         "n_trees must be >= 1"),
+        ({"algorithms": ["gbt"], "grids": {"gbt": {"learning_rate": [2.0]}}},
+         [], "learning_rate must lie in (0, 1]"),
+        ({"grids": {"l2-lr": {"C": [1.0, 0]}}}, [], "C must be positive"),
+        ({"algorithms": ["l1-svm"], "grids": {"l1-svm": {"C": -1.0}}}, [],
+         "C must be positive"),
+        ({"algorithms": ["mlp"], "neural": {"dropout": 1.0}}, [],
+         "dropout rate must lie in [0, 1)"),
+        ({"algorithms": ["cnn"], "feature_sets": ["notes"],
+          "grids": {"cnn": {"widths": [[3, 9]]}}, "neural": {"max_len": 8}},
+         [], "max_len shorter than the widest filter")])
+    def test_cli_refuses_out_of_range_value(self, tmp_path, capsys,
+                                            overrides, args, message):
+        """Refused before any work: exit 1, an error line, no output."""
+        from icumort import cli
+
+        (tmp_path / "exp.json").write_text(json.dumps(_base_obj(**overrides)))
+        rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
+                       "--out", str(tmp_path / "res"), *args])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "res").exists()
+
+    def test_cli_refuses_negative_seed_flags(self, tmp_path, capsys):
+        from icumort import cli
+
+        for argv in (["synth", "--seed", "-1", "--out",
+                      str(tmp_path / "c.jsonl")],
+                     ["permtest", str(tmp_path), "a/b/c/d", "a/b/c/e",
+                      "--seed", "-1"]):
+            assert cli.main(argv) == 1
+            assert (capsys.readouterr().err
+                    == "error: --seed must be an integer >= 0\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "range table is not valid JSON"),
+        (b"\xff\xfe{", "range table is not valid JSON"),
+        ("[1, 2]", "range table must be a JSON object"),
+        ('{"age": 5}', "range for 'age' must be a pair of numbers"),
+        ('{"age": [null, 5]}', "range for 'age' must be a pair of numbers"),
+        ('{"age": [1]}', "range for 'age' must be a pair of numbers"),
+        ('{"age": ["a", 5]}', "range for 'age' must be a pair of numbers"),
+        ('{"age": [false, 5]}', "range for 'age' must be a pair of numbers"),
+        ('{"age": [5, 5]}', "range for 'age' must satisfy min < max"),
+        ('{"age": [NaN, 5]}', "range for 'age' must satisfy min < max")])
+    def test_cli_refuses_malformed_ranges(self, tmp_path, capsys, text,
+                                          message):
+        from icumort import cli
+
+        path = tmp_path / "ranges.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        (tmp_path / "exp.json").write_text(json.dumps(_base_obj()))
+        rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
+                       "--out", str(tmp_path / "res"), "--ranges", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {message}")
+        assert not (tmp_path / "res").exists()
+
     def test_cohort_source_exclusive(self):
         obj = _base_obj()
         obj["cohort"] = {"path": "x.jsonl", "synth": {"n": 100}}
@@ -554,7 +622,7 @@ class TestLeakage:
 
         # rewrite every test row: shifted vitals, replaced note text
         rows = sorted(test_rows)
-        cells = np.ix_(rows, cohort.continuous_columns)
+        cells = np.ix_(rows, cohort.schema.continuous_columns)
         values = cohort.values.copy()
         values[cells] = values[cells] * 1.5 + 1.0
         notes = ["unrelated words only" if i in test_rows else note
@@ -612,8 +680,8 @@ def _imputer_state(model):
     """Every fitted value of an imputation model, comparable with ==."""
     return (model.n_columns, model.means.tobytes(), model.visit_order,
             {j: c.tobytes() for j, c in model.coefficients.items()},
-            model.residual_sds, model.cycles, model.seed, model.ridge_columns,
-            model.cycle_median_change)
+            model.residual_sds, model.cycles, model.seed,
+            model.rank_deficient_columns, model.cycle_median_change)
 
 
 def _ref_fold(cohort, fit_rows, seed):
@@ -674,7 +742,7 @@ class TestFoldFeatures:
             notes = list(cohort.notes)
             for i in range(len(cohort)):
                 if i not in fit:
-                    for j, col in enumerate(cohort.continuous_columns):
+                    for j, col in enumerate(cohort.schema.continuous_columns):
                         values[i, col] = np.nan if (i + j) % 3 == 0 else 7.0 * i + j
                     notes[i] = f"leaked{i % 4} pressors w{i}"
             mutated = Cohort(cohort.schema, cohort.ids, notes,
@@ -698,10 +766,20 @@ class TestFoldFeatures:
 
 
 class TestFailureIsolation:
-    def test_failed_cell_recorded_others_proceed(self, tmp_path):
+    def test_failed_cell_recorded_others_proceed(self, tmp_path,
+                                                 monkeypatch):
+        import icumort.experiment as experiment
+
+        real = experiment._fit_model
+
+        def failing_l1(algo, *args, **kwargs):
+            if algo == "l1-lr":
+                raise RuntimeError("forced l1-lr failure")
+            return real(algo, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "_fit_model", failing_l1)
         obj = _base_obj(algorithms=["l2-lr", "l1-lr"],
-                        grids={"l2-lr": {"C": [1.0]},
-                               "l1-lr": {"C": [-1.0]}})  # invalid C
+                        grids={"l2-lr": {"C": [1.0]}, "l1-lr": {"C": [1.0]}})
         rows = run_experiment(ExperimentConfig.from_obj(obj), tmp_path)
         by_algo = {r["algorithm"]: r for r in rows}
         assert by_algo["l2-lr"]["error"] is None

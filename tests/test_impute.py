@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from icumort.cohort import SynthConfig, synth_cohort
 from icumort.impute import (
-    RIDGE_PENALTY,
     ImputeError,
     apply_imputation,
     impute_fit_transform,
@@ -13,20 +12,17 @@ from icumort.impute import (
 
 
 # Reference: the chain as it was solved before the Cholesky path, one SVD
-# least-squares fit per column (ridge when rank deficient) and the prediction
-# built from the other columns plus the intercept.
+# least-squares fit per column (the minimum-norm solution when rank
+# deficient) and the prediction built from the other columns plus the
+# intercept.
 def _ref_fit_column(work, observed_mask, j):
     rows = observed_mask[:, j]
     others = [k for k in range(work.shape[1]) if k != j]
     A = np.column_stack([work[rows][:, others], np.ones(rows.sum())])
     y = work[rows, j]
     beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    used_ridge = rank < A.shape[1]
-    if used_ridge:
-        G = A.T @ A + RIDGE_PENALTY * np.eye(A.shape[1])
-        beta = np.linalg.solve(G, A.T @ y)
     resid = y - A @ beta
-    return beta, float(resid.std()), used_ridge
+    return beta, float(resid.std()), rank < A.shape[1]
 
 
 def _ref_predict_column(work, j, beta):
@@ -45,16 +41,16 @@ def _ref_chain(X, cycles=10, seed=0):
     frac = (~observed_mask).mean(axis=0)
     visit_order = sorted((j for j in range(d) if frac[j] > 0),
                          key=lambda j: (frac[j], j))
-    ridge_columns = set()
+    rank_deficient_columns = set()
     for _ in range(cycles):
         for j in visit_order:
-            beta, sd, used_ridge = _ref_fit_column(work, observed_mask, j)
-            if used_ridge:
-                ridge_columns.add(j)
+            beta, sd, rank_deficient = _ref_fit_column(work, observed_mask, j)
+            if rank_deficient:
+                rank_deficient_columns.add(j)
             miss = ~observed_mask[:, j]
             pred = _ref_predict_column(work, j, beta)[miss]
             work[miss, j] = pred + sd * rng.standard_normal(miss.sum())
-    return work, tuple(visit_order), tuple(sorted(ridge_columns))
+    return work, tuple(visit_order), tuple(sorted(rank_deficient_columns))
 
 
 def _linear_dataset(rng, n=400, noise=0.05):
@@ -158,7 +154,7 @@ def test_stabilization_on_near_exact_data():
     assert changes[-1] < 1e-6
 
 
-def test_ridge_fallback_on_duplicate_column():
+def test_rank_deficient_fallback_on_duplicate_column():
     rng = np.random.default_rng(3)
     x = rng.normal(size=50)
     y = 3.0 * x + rng.normal(size=50) * 0.1
@@ -166,17 +162,17 @@ def test_ridge_fallback_on_duplicate_column():
     M[5, 2] = np.nan
     out, model = impute_fit_transform(M, seed=0)
     assert np.isfinite(out).all()
-    assert 2 in model.ridge_columns
+    assert 2 in model.rank_deficient_columns
 
 
-def test_ridge_fallback_on_all_zero_column():
+def test_rank_deficient_fallback_on_all_zero_column():
     rng = np.random.default_rng(4)
     x = rng.normal(size=50)
     M = np.column_stack([x, np.zeros(50), 3.0 * x + rng.normal(size=50) * 0.1])
     M[5, 2] = np.nan
     out, model = impute_fit_transform(M, seed=0)
     assert np.isfinite(out).all()
-    assert model.ridge_columns == (2,)
+    assert model.rank_deficient_columns == (2,)
 
 
 def test_error_cases():
@@ -245,7 +241,7 @@ def incomplete_matrices(draw):
     X = rng.normal(size=(n, k)) @ rng.normal(size=(k, d)) + rng.normal(size=(n, d))
     X = (X + rng.normal(scale=3.0, size=d)) * 10.0 ** rng.uniform(-3, 3, size=d)
     # at least d + 1 observed cells per column: with fewer, the regression is
-    # rank deficient and its ridge answer moves with the last bit of its input
+    # rank deficient (test_rank_deficient_columns_are_stable covers that case)
     for j in range(d):
         rate = draw(st.floats(0.0, 0.5))
         missing = np.flatnonzero(rng.random(n) < rate)
@@ -258,11 +254,51 @@ def incomplete_matrices(draw):
 def test_chain_matches_least_squares_reference(X, seed):
     """The Cholesky solve imputes what per-column SVD least squares imputes."""
     out, model = impute_fit_transform(X, seed=seed)
-    want, visit_order, ridge_columns = _ref_chain(X, seed=seed)
+    want, visit_order, rank_deficient_columns = _ref_chain(X, seed=seed)
     assert model.visit_order == visit_order
-    assert model.ridge_columns == ridge_columns
+    assert model.rank_deficient_columns == rank_deficient_columns
     atol = 1e-9 * np.nanstd(X, axis=0)
     assert np.all(np.abs(out - want) <= 1e-6 * np.abs(want) + atol)
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """Matrices whose last column, the only one with missing cells, has a
+    rank-deficient regression: one of its regressors duplicates another or
+    is all zero, or it has fewer observed cells than regressors."""
+    n = draw(st.integers(20, 200))
+    d = draw(st.integers(3, 6))
+    kind = draw(st.sampled_from(["duplicate", "zero", "few"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = int(rng.integers(1, d))
+    X = rng.normal(size=(n, k)) @ rng.normal(size=(k, d)) + rng.normal(size=(n, d))
+    X = (X + rng.normal(scale=3.0, size=d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+    if kind == "duplicate":
+        X[:, 1] = X[:, 0]
+    elif kind == "zero":
+        X[:, 1] = 0.0
+    # d regressors: the other d - 1 columns and the intercept
+    observed = draw(st.integers(2, d - 1) if kind == "few"
+                    else st.integers(d + 1, n - 1))
+    X[rng.permutation(n)[observed:], -1] = np.nan
+    return X
+
+
+@settings(max_examples=150, deadline=None)
+@given(X=rank_deficient_matrices(), seed=st.integers(0, 1000),
+       flips=st.integers(0, 2**32 - 1))
+def test_rank_deficient_columns_are_stable(X, seed, flips):
+    """Moving half the input cells by one ulp moves a rank-deficient
+    column's imputations by at most 1e-8 of its observed sd."""
+    moved = np.random.default_rng(flips).random(X.shape) < 0.5
+    X_moved = np.where(moved, np.nextafter(X, np.inf), X)
+    out, model = impute_fit_transform(X, seed=seed)
+    out_moved, model_moved = impute_fit_transform(X_moved, seed=seed)
+    j = X.shape[1] - 1
+    assert model.rank_deficient_columns == model_moved.rank_deficient_columns == (j,)
+    miss = np.isnan(X[:, j])
+    change = np.abs(out_moved[miss, j] - out[miss, j]).max()
+    assert change <= 1e-8 * np.nanstd(X[:, j])
 
 
 def _count_lstsq(monkeypatch):

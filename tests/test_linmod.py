@@ -11,7 +11,7 @@ from icumort.linmod import (
     L2,
     LinModError,
     LinearModel,
-    compute_class_weights,
+    balanced_weights,
     predict_proba,
     predict_scores,
     rank_coefficients,
@@ -56,25 +56,26 @@ def test_reference_objective_regenerates():
 
 class TestClassWeights:
     def test_balanced_case(self):
-        cw = compute_class_weights([0, 1, 0, 1])
-        assert cw.negative == pytest.approx(1.0)
-        assert cw.positive == pytest.approx(1.0)
+        np.testing.assert_allclose(balanced_weights([0, 1, 0, 1]), 1.0)
 
     def test_published_cohort_counts(self):
         y = np.concatenate([np.ones(483), np.zeros(3294)])
-        cw = compute_class_weights(y)
-        assert cw.positive == pytest.approx(3.9099, abs=1e-4)
-        assert cw.negative == pytest.approx(0.5733, abs=1e-4)
+        s = balanced_weights(y)
+        assert s[0] == pytest.approx(3.9099, abs=1e-4)
+        assert s[-1] == pytest.approx(0.5733, abs=1e-4)
+        # each class carries half the total weight
+        assert s[y == 1].sum() == pytest.approx(s[y == 0].sum())
 
     def test_single_class_rejected(self):
         with pytest.raises(LinModError):
-            compute_class_weights([0, 0, 0])
+            balanced_weights([0, 0, 0])
         with pytest.raises(LinModError):
-            compute_class_weights([1, 1])
+            balanced_weights([1, 1])
+        with pytest.raises(LinModError, match="0/1"):
+            balanced_weights([0, 1, 2])
 
     def test_per_instance_expansion(self):
-        cw = compute_class_weights([1, 0, 0, 0])
-        s = cw.per_instance([1, 0, 0, 0])
+        s = balanced_weights([1, 0, 0, 0])
         np.testing.assert_allclose(s, [2.0, 2 / 3, 2 / 3, 2 / 3])
 
 
@@ -90,7 +91,7 @@ class TestLogReg:
     def test_tiny_c_balanced_weights_center_intercept(self):
         X = np.array([[1.0], [2.0], [-1.0], [0.5]])
         y = np.array([1, 0, 0, 0])
-        s = compute_class_weights(y).per_instance(y)
+        s = balanced_weights(y)
         m = train_logreg(X, y, reg=L2, C=1e-8, instance_weights=s)
         assert m.b == pytest.approx(0.0, abs=1e-3)
 
@@ -309,18 +310,16 @@ class TestPredict:
 
 class TestRank:
     def test_top1(self):
-        m = LinearModel(np.array([0.2, -0.5, 0.9]), 0.0, "logistic", L2, 1.0)
-        assert rank_coefficients(m, ["a", "b", "c"], 1) == [("c", 0.9)]
+        assert rank_coefficients([0.2, -0.5, 0.9], ["a", "b", "c"], 1) == \
+            [("c", 0.9)]
 
     def test_all_zero_ties_break_by_index(self):
-        m = LinearModel(np.zeros(3), 0.0, "logistic", L2, 1.0)
-        assert rank_coefficients(m, ["a", "b", "c"], 3) == \
+        assert rank_coefficients(np.zeros(3), ["a", "b", "c"], 3) == \
             [("a", 0.0), ("b", 0.0), ("c", 0.0)]
 
     def test_length_mismatch(self):
-        m = LinearModel(np.zeros(3), 0.0, "logistic", L2, 1.0)
         with pytest.raises(LinModError):
-            rank_coefficients(m, ["a", "b"], 1)
+            rank_coefficients(np.zeros(3), ["a", "b"], 1)
 
     def test_recovers_dominant_generator_effect(self):
         rng = np.random.default_rng(17)
@@ -330,7 +329,7 @@ class TestRank:
         y = (1 / (1 + np.exp(-logits)) > rng.random(n)).astype(int)
         m = train_logreg(X, y, reg=L2, C=1.0)
         top = [name for name, _ in
-               rank_coefficients(m, [f"f{j}" for j in range(6)], 3)]
+               rank_coefficients(m.w, [f"f{j}" for j in range(6)], 3)]
         assert "f0" in top
 
 

@@ -44,7 +44,7 @@ def _ref_corpus(model, docs):
     return sp.csr_matrix((np.array(data, dtype=float),
                           np.array(indices, dtype=np.int64),
                           np.array(indptr, dtype=np.int64)),
-                         shape=(len(docs), model.dimension))
+                         shape=(len(docs), len(model.vocab)))
 
 
 def assert_csr_identical(got, want):
