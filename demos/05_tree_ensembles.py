@@ -24,7 +24,7 @@ print(f"logistic test AUC:  {auc(predict_proba(lin, Xte), yte):.3f}  (chance-lev
 rf = train_random_forest(Xtr, ytr, ForestParams(n_trees=100, max_depth=10), seed=0)
 print(f"forest test AUC:    {auc(predict_proba_trees(rf, Xte), yte):.3f}")
 
-gbt = train_gbt(Xtr, ytr, GbtParams(rounds=100, max_depth=3), seed=0)
+gbt = train_gbt(Xtr, ytr, GbtParams(rounds=100, max_depth=3))
 print(f"boosting test AUC:  {auc(predict_proba_trees(gbt, Xte), yte):.3f}")
 
 losses = np.array(gbt.train_loss)

@@ -24,7 +24,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic cohort JSONL file")
-    p.add_argument("--config", help="generator settings JSON")
+    p.add_argument("--config", help='generator config JSON: {"n": N}')
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output JSONL path")
 

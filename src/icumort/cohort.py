@@ -8,7 +8,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -466,7 +466,7 @@ _TRUE_EFFECTS_CATEGORICAL = {
     "admission_type": {"Elective": -0.5, "Emergency": 0.0, "Urgent": 0.4},
 }
 
-DEFAULT_RISK_TOKENS = (
+_RISK_TOKENS = (
     "unresponsive", "pressors", "intubated", "deteriorating", "anuric",
     "hypotensive", "obtunded", "coagulopathy", "hospice", "arrest",
 )
@@ -494,17 +494,11 @@ _NOTE_LEXICON = (
 
 @dataclass
 class SynthConfig:
-    """Generator settings; defaults follow the published cohort statistics."""
+    """Generator settings: only the cohort size varies. The base rates,
+    missingness, risk weights and note shape are fixed constants that
+    follow the published cohort statistics."""
 
     n: int = 5396
-    rate_hospital: float = 0.1294
-    rate_30day: float = 0.1651
-    missing_rates: dict = field(default_factory=lambda: dict(DEFAULT_MISSING_RATES))
-    structured_weight: float = 1.8
-    text_weight: float = 0.8
-    risk_tokens: tuple = DEFAULT_RISK_TOKENS
-    note_length: tuple = (40, 120)
-    risk_token_mean: float = 0.9
 
     @classmethod
     def from_obj(cls, obj):
@@ -515,10 +509,8 @@ class SynthConfig:
         for key, value in obj.items():
             if key not in names:
                 raise CohortError(f"unknown generator config key {key!r}")
-            if key in ("risk_tokens", "note_length") and isinstance(value, list):
-                value = tuple(value)
             setattr(cfg, key, value)
-        _validate_synth_config(cfg, FeatureSchema.default())
+        _validate_synth_config(cfg)
         return cfg
 
     @classmethod
@@ -556,34 +548,22 @@ def _default_missing_rates():
     return rates
 
 
-DEFAULT_MISSING_RATES = _default_missing_rates()
+# The generator's fixed statistics: outcome base rates and per-feature
+# missingness of the published cohort, the weights of the structured and
+# note parts of the true risk, and the note shape (length range, mean count
+# of risk tokens per note).
+_MISSING_RATES = _default_missing_rates()
+_RATE_HOSPITAL = 0.1294
+_RATE_30DAY = 0.1651
+_STRUCTURED_WEIGHT = 1.8
+_TEXT_WEIGHT = 0.8
+_NOTE_LENGTH = (40, 120)
+_RISK_TOKEN_MEAN = 0.9
 
 
-def _validate_synth_config(config, schema):
+def _validate_synth_config(config):
     if not (is_number(config.n, integral=True) and config.n >= 10):
         raise CohortError(f"generator needs an integer n >= 10, not {config.n!r}")
-    for rate in (config.rate_hospital, config.rate_30day):
-        if not (is_number(rate) and 0.0 < rate < 1.0):
-            raise CohortError(f"target base rate {rate!r} must lie strictly in (0, 1)")
-    if not isinstance(config.missing_rates, dict):
-        raise CohortError("missing_rates must map features to rates")
-    for name, rate in config.missing_rates.items():
-        desc = schema.by_name.get(name)
-        if desc is None or desc.kind != CONTINUOUS:
-            raise CohortError(f"missingness configured for non-continuous feature {name!r}")
-        if not (is_number(rate) and 0.0 <= rate < 1.0):
-            raise CohortError(f"missingness rate {rate!r} for {name!r} must lie in [0, 1)")
-    lengths = config.note_length
-    if not (isinstance(lengths, (list, tuple)) and len(lengths) == 2
-            and all(is_number(v, integral=True) for v in lengths)
-            and 5 <= lengths[0] <= lengths[1]):
-        raise CohortError("note_length must be integers (lo, hi) with 5 <= lo <= hi")
-    if not (isinstance(config.risk_tokens, (list, tuple)) and config.risk_tokens
-            and all(isinstance(token, str) for token in config.risk_tokens)):
-        raise CohortError("risk_tokens must be a non-empty list of strings")
-    weights = (config.structured_weight, config.text_weight, config.risk_token_mean)
-    if not all(map(is_number, weights)):
-        raise CohortError("structured_weight, text_weight and risk_token_mean must be numbers")
 
 
 def _standardize(x):
@@ -612,8 +592,8 @@ def _calibrate_intercept(thresholds, target, iters=100):
     return hi
 
 
-def _make_note(rng, config, n_risk):
-    lo, hi = config.note_length
+def _make_note(rng, n_risk):
+    lo, hi = _NOTE_LENGTH
     length = int(rng.integers(lo, hi + 1))
     probs = 1.0 / (np.arange(len(_NOTE_LEXICON)) + 5.0)
     probs /= probs.sum()
@@ -621,7 +601,7 @@ def _make_note(rng, config, n_risk):
     words = [_NOTE_LEXICON[t] for t in tokens]
     for _ in range(n_risk):
         pos = int(rng.integers(0, len(words) + 1))
-        words.insert(pos, config.risk_tokens[int(rng.integers(0, len(config.risk_tokens)))])
+        words.insert(pos, _RISK_TOKENS[int(rng.integers(0, len(_RISK_TOKENS)))])
     # de-identification masks and numerals, to exercise note preprocessing
     n_masks = int(rng.integers(1, 4))
     masks = ("[**Name (NI) %d**]" % rng.integers(10, 9999),
@@ -660,7 +640,7 @@ def synth_cohort_with_truth(config=None, seed=0, schema=None):
         config = SynthConfig()
     if schema is None:
         schema = FeatureSchema.default()
-    _validate_synth_config(config, schema)
+    _validate_synth_config(config)
     rng = np.random.default_rng(seed)
     n = config.n
     ranges = load_ranges()
@@ -699,26 +679,25 @@ def synth_cohort_with_truth(config=None, seed=0, schema=None):
             contrib = e[cat_values[name]]
             struct_score += contrib - contrib.mean()
 
-    n_risk = rng.poisson(config.risk_token_mean, size=n)
+    n_risk = rng.poisson(_RISK_TOKEN_MEAN, size=n)
     text_score = n_risk.astype(float)
 
-    risk = (config.structured_weight * _standardize(struct_score)
-            + config.text_weight * _standardize(text_score))
+    risk = (_STRUCTURED_WEIGHT * _standardize(struct_score)
+            + _TEXT_WEIGHT * _standardize(text_score))
 
     u = rng.random(n)
     # positive iff logit(u) - risk < intercept
     thresholds = np.log(u / (1.0 - u)) - risk
-    a_hosp = _calibrate_intercept(thresholds, config.rate_hospital)
-    a_30d = _calibrate_intercept(thresholds, config.rate_30day)
+    a_hosp = _calibrate_intercept(thresholds, _RATE_HOSPITAL)
+    a_30d = _calibrate_intercept(thresholds, _RATE_30DAY)
     label_hosp = thresholds < a_hosp
     label_30d = thresholds < a_30d
 
-    notes = [_make_note(rng, config, int(k)) for k in n_risk]
+    notes = [_make_note(rng, int(k)) for k in n_risk]
 
     # sorted draw order keeps the stream independent of dict insertion order
-    missing_masks = {name: rng.random(n) < config.missing_rates[name]
-                     for name in sorted(config.missing_rates)
-                     if config.missing_rates[name] > 0}
+    missing_masks = {name: rng.random(n) < _MISSING_RATES[name]
+                     for name in sorted(_MISSING_RATES)}
 
     values = np.zeros((n, schema.width))
     for d, a, _ in schema.columns:

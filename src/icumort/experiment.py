@@ -85,9 +85,7 @@ _INTEGER_PARAMS = {"n_trees", "max_depth", "rounds", "hidden", "filters",
 
 def _check_param(key, value, where):
     """Refuse a grid candidate or neural setting of the wrong type."""
-    if key == "bootstrap":
-        ok, kind = isinstance(value, bool), "true or false"
-    elif key == "patience":
+    if key == "patience":
         ok, kind = value is None or is_number(value, True), "an integer or null"
     elif key == "widths":
         ok = (isinstance(value, (list, tuple)) and len(value) > 0
@@ -108,11 +106,8 @@ def _check_cell(algo, params, config):
     elif algo == "gbt":
         trees.GbtParams(**params).validate()
     elif algo in ("mlp", "cnn"):
-        hp = _neural_params(neural.MlpParams if algo == "mlp"
-                            else neural.CnnParams, config, params)
-        neural.Dropout(hp.dropout)
-        if algo == "cnn":
-            hp.validate()
+        _neural_params(neural.MlpParams if algo == "mlp"
+                       else neural.CnnParams, config, params).validate()
     elif not params["C"] > 0:
         raise linmod.LinModError("C must be positive")
 
@@ -462,8 +457,7 @@ def _fit_model(algo, params, fold, feature_set, fit_rows, y_fit, seed,
                                           instance_weights=weights, seed=seed)
         predict = trees.predict_proba_trees
     elif algo == "gbt":
-        model = trees.train_gbt(X, y_fit, trees.GbtParams(**params),
-                                seed=seed)
+        model = trees.train_gbt(X, y_fit, trees.GbtParams(**params))
         predict = trees.predict_proba_trees
     elif algo == "mlp":
         hp = _neural_params(neural.MlpParams, config, params)

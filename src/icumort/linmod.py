@@ -131,58 +131,62 @@ def _prox(v, step_lam, reg):
     return v / (1.0 + step_lam)
 
 
-def _proximal_gradient(smooth, gradient, d, reg, lam, tol, max_iter):
-    """Minimizes smooth(w, b) + lam * penalty(w) by proximal gradient.
+def _proximal_gradient(X, smooth, gradient, reg, lam, tol, max_iter):
+    """Minimizes smooth(m) + lam * penalty(w) by proximal gradient, where
+    m = X @ w + b are the margins; gradient(m) is d smooth / d m.
 
     Accelerated as in FISTA (Beck & Teboulle 2009), with a backtracking line
     search and a restart from the current iterate whenever momentum
     overshoots, so the objective never increases; the intercept is excluded
-    from the penalty. Stops on relative objective change < tol.
+    from the penalty. Each point's margins are computed once. Stops on
+    relative objective change < tol.
     """
-    def objective(w, b):
-        return smooth(w, b) + lam * _penalty(w, reg)
-
-    w = np.zeros(d)
-    b = 0.0
-    w_prev, b_prev = w, b
-    theta = 1.0
-    step = 1.0
-    F = objective(w, b)
-    converged = False
-    iterations = 0
-
-    def prox_step(w0, b0, step):
-        g0 = smooth(w0, b0)
-        gw, gb = gradient(w0, b0)
+    def prox_step(w0, b0, m0, g0, step):
+        r = gradient(m0)
+        gw, gb = X.T @ r, float(r.sum())
         while True:
             w1 = _prox(w0 - step * gw, step * lam, reg)
             b1 = b0 - step * gb
             dw, db = w1 - w0, b1 - b0
             quad = g0 + gw @ dw + gb * db + (dw @ dw + db * db) / (2.0 * step)
-            if smooth(w1, b1) <= quad + 1e-12 * max(1.0, abs(quad)):
-                return w1, b1, step
+            m1 = X @ w1 + b1
+            g1 = smooth(m1)
+            if g1 <= quad + 1e-12 * max(1.0, abs(quad)):
+                return w1, b1, m1, g1, step
             step *= 0.5
             if step < 1e-20:
                 raise LinModError("line search failed; inputs may be ill-scaled")
 
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    m = X @ w + b
+    g = smooth(m)
+    w_prev, b_prev = w, b
+    theta = 1.0
+    step = 1.0
+    F = g + lam * _penalty(w, reg)
+    converged = False
+    iterations = 0
     for iterations in range(1, max_iter + 1):
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         mom = (theta - 1.0) / theta_next
         z_w = w + mom * (w - w_prev)
         z_b = b + mom * (b - b_prev)
-        w_new, b_new, step = prox_step(z_w, z_b, step * 2.0)
-        F_new = objective(w_new, b_new)
+        z_m = X @ z_w + z_b
+        w_new, b_new, m_new, g_new, step = prox_step(z_w, z_b, z_m,
+                                                     smooth(z_m), step * 2.0)
+        F_new = g_new + lam * _penalty(w_new, reg)
         if F_new > F:
             # momentum overshot: restart from the current iterate
             theta_next = 1.0
-            w_new, b_new, step = prox_step(w, b, step)
-            F_new = objective(w_new, b_new)
+            w_new, b_new, m_new, g_new, step = prox_step(w, b, m, g, step)
+            F_new = g_new + lam * _penalty(w_new, reg)
         if not F_new <= F + 1e-9 * max(1.0, abs(F)):  # NaN raises too
             raise LinModError(
                 f"objective increased from {F!r} to {F_new!r} at iteration "
                 f"{iterations}")
         w_prev, b_prev = w, b
-        w, b = w_new, b_new
+        w, b, m, g = w_new, b_new, m_new, g_new
         theta = theta_next
         if abs(F - F_new) <= tol * max(1.0, abs(F)):
             F = F_new
@@ -202,16 +206,14 @@ def train_logreg(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
         raise LinModError(f"unknown regularizer {reg!r}")
     X, y, s = _check_training_inputs(X, y, C, instance_weights)
 
-    def smooth(w, b):
-        return _log_loss_sum(X @ w + b, y, s)
+    def smooth(m):
+        return _log_loss_sum(m, y, s)
 
-    def gradient(w, b):
-        p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
-        r = s * (p - y)
-        return X.T @ r, float(r.sum())
+    def gradient(m):
+        return s * (1.0 / (1.0 + np.exp(-m)) - y)
 
-    w, b, diag = _proximal_gradient(smooth, gradient, X.shape[1], reg, 1.0 / C,
-                                    tol, max_iter)
+    w, b, diag = _proximal_gradient(X, smooth, gradient, reg, 1.0 / C, tol,
+                                    max_iter)
     return LinearModel(w=w, b=b, loss=LOGISTIC, reg=reg, C=C, diagnostics=diag)
 
 
@@ -297,16 +299,15 @@ def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
         return LinearModel(w=w, b=b, loss=HINGE, reg=reg, C=C,
                            diagnostics=diag)
 
-    def smooth(w, b):
-        slack = np.maximum(1.0 - y_pm * (X @ w + b), 0.0)
+    def smooth(m):
+        slack = np.maximum(1.0 - y_pm * m, 0.0)
         return float(s @ (slack * slack))
 
-    def gradient(w, b):
-        r = -2.0 * s * y_pm * np.maximum(1.0 - y_pm * (X @ w + b), 0.0)
-        return X.T @ r, float(r.sum())
+    def gradient(m):
+        return -2.0 * s * y_pm * np.maximum(1.0 - y_pm * m, 0.0)
 
-    w, b, diag = _proximal_gradient(smooth, gradient, X.shape[1], L1, 1.0 / C,
-                                    tol, max_epochs)
+    w, b, diag = _proximal_gradient(X, smooth, gradient, L1, 1.0 / C, tol,
+                                    max_epochs)
     return LinearModel(w=w, b=b, loss=SQUARED_HINGE, reg=reg, C=C,
                        diagnostics=diag)
 

@@ -195,6 +195,17 @@ class Adam:
             p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
+def _check_training(params):
+    """Range checks of the settings that both neural families share."""
+    for name in ("hidden", "batch_size", "max_epochs"):
+        if getattr(params, name) < 1:
+            raise NetError(f"{name} must be >= 1")
+    if not params.learning_rate > 0:
+        raise NetError("learning_rate must be positive")
+    if not 0.0 <= params.dropout < 1.0:
+        raise NetError("dropout rate must lie in [0, 1)")
+
+
 @dataclass
 class MlpParams:
     hidden: int = 100
@@ -203,6 +214,9 @@ class MlpParams:
     batch_size: int = 32
     max_epochs: int = 20
     patience: int | None = 3
+
+    def validate(self):
+        _check_training(self)
 
 
 @dataclass
@@ -219,6 +233,7 @@ class CnnParams:
     patience: int | None = 3
 
     def validate(self):
+        _check_training(self)
         if len(set(self.widths)) != len(self.widths):
             raise NetError("convolution widths must be distinct")
         if self.max_len < max(self.widths):
@@ -393,6 +408,7 @@ def train_mlp(X, y, params=None, seed=0):
     branch; X may be sparse. Returns (model, per-epoch log)."""
     if params is None:
         params = MlpParams()
+    params.validate()
     model = FusionNet(X.shape[1], params.hidden, params.dropout, seed)
     return model, _fit(model, X, y, params, seed)
 

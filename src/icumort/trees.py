@@ -32,20 +32,22 @@ class TreeError(ValueError):
     pass
 
 
+# A forest node with less bootstrap weight than this is a leaf.
+_MIN_NODE_WEIGHT = 2.0
+# Boosting's L2 penalty on leaf values, lambda (Chen & Guestrin 2016).
+_REG_LAMBDA = 1.0
+
+
 @dataclass
 class ForestParams:
     n_trees: int = 100
     max_depth: int = 10
-    min_node_weight: float = 2.0
-    bootstrap: bool = True
 
     def validate(self):
         if self.n_trees < 1:
             raise TreeError("n_trees must be >= 1")
         if self.max_depth < 0:
             raise TreeError("max_depth must be >= 0")
-        if self.min_node_weight < 0:
-            raise TreeError("min_node_weight must be >= 0")
 
 
 @dataclass
@@ -53,7 +55,6 @@ class GbtParams:
     rounds: int = 100
     max_depth: int = 3
     learning_rate: float = 0.1
-    reg_lambda: float = 1.0
 
     def validate(self):
         if self.rounds < 0:
@@ -62,8 +63,6 @@ class GbtParams:
             raise TreeError("max_depth must be >= 0")
         if not 0.0 < self.learning_rate <= 1.0:
             raise TreeError("learning_rate must lie in (0, 1]")
-        if self.reg_lambda < 0:
-            raise TreeError("reg_lambda must be >= 0")
 
 
 class DecisionTree:
@@ -329,18 +328,15 @@ class RandomForest:
 def _single_tree(XT, order, y, u, params, tree_seed):
     d, n = XT.shape
     rng = np.random.default_rng(tree_seed)
-    if params.bootstrap:
-        picks = rng.choice(n, size=n, replace=True, p=u / u.sum())
-        # sampling already folded the instance weights in
-        weights = np.bincount(picks, minlength=n).astype(float)
-    else:
-        weights = u
+    picks = rng.choice(n, size=n, replace=True, p=u / u.sum())
+    # sampling already folded the instance weights in
+    weights = np.bincount(picks, minlength=n).astype(float)
     wy = weights * y
     m_try = max(1, math.ceil(math.sqrt(d)))
 
     def split(rows):
         ys = y[rows]
-        if weights[rows].sum() < params.min_node_weight or (ys == ys[0]).all():
+        if weights[rows].sum() < _MIN_NODE_WEIGHT or (ys == ys[0]).all():
             return None
         candidates = rng.choice(d, size=m_try, replace=False)
         return _best_split(XT, order, rows, candidates, wy, weights,
@@ -384,13 +380,12 @@ class GradientBoostedTrees:
     base_score: float  # log-odds
     params: GbtParams
     trees: list
-    seed: int
     n_features: int
     train_loss: list
 
     def to_obj(self):
         return {
-            "kind": "gbt", "base_score": self.base_score, "seed": self.seed,
+            "kind": "gbt", "base_score": self.base_score,
             "n_features": self.n_features,
             "params": asdict(self.params),
             "trees": [t.to_obj() for t in self.trees],
@@ -404,7 +399,7 @@ class GradientBoostedTrees:
         return cls(base_score=o["base_score"],
                    params=GbtParams(**o["params"]),
                    trees=[DecisionTree.from_obj(t) for t in o["trees"]],
-                   seed=o["seed"], n_features=o["n_features"],
+                   n_features=o["n_features"],
                    train_loss=o.get("train_loss", []))
 
 
@@ -412,7 +407,7 @@ def _log_loss_mean(margins, y):
     return float(np.mean(np.logaddexp(0.0, margins) - y * margins))
 
 
-def train_gbt(X, y, params=None, seed=0):
+def train_gbt(X, y, params=None):
     """Second-order boosting on logistic loss from a 0.5-probability base.
 
     Each round fits a depth-limited tree to the gradient/hessian pairs
@@ -424,8 +419,7 @@ def train_gbt(X, y, params=None, seed=0):
     params.validate()
     X, XT, order, y = _fit_inputs(X, y)
     n, d = X.shape
-    lam = params.reg_lambda
-    gain = partial(_second_order_gain, lam=lam)
+    gain = partial(_second_order_gain, lam=_REG_LAMBDA)
     cols = np.arange(d)
     base = 0.0
     margins = np.full(n, base)
@@ -438,7 +432,7 @@ def train_gbt(X, y, params=None, seed=0):
         tree = _grow(np.arange(n), params.max_depth,
                      lambda rows: _best_split(XT, order, rows, cols, g, h,
                                               gain),
-                     lambda rows: float(-g[rows].sum() / (h[rows].sum() + lam)))
+                     lambda rows: float(-g[rows].sum() / (h[rows].sum() + _REG_LAMBDA)))
         trees.append(tree)
         margins = margins + params.learning_rate * tree.predict_value(X)
         loss = _log_loss_mean(margins, y)
@@ -447,7 +441,7 @@ def train_gbt(X, y, params=None, seed=0):
                             f"to {loss!r} in round {len(losses)}")
         losses.append(loss)
     return GradientBoostedTrees(base_score=base, params=params, trees=trees,
-                                seed=seed, n_features=d, train_loss=losses)
+                                n_features=d, train_loss=losses)
 
 
 def predict_proba_trees(model, X):

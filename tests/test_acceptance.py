@@ -239,12 +239,12 @@ def test_c06_boosting_loss_descent_and_leaf_weights():
         assert (np.diff(losses) <= 1e-10).all()
         assert losses[-1] < losses[0]
 
-    # forced single leaf from the 0.5 base: weight is -G/(H + lambda)
+    # forced single leaf from the 0.5 base: weight is -G/(H + lambda), lambda 1
     m = train_gbt(np.zeros((2, 1)), np.array([1, 0]),
-                  GbtParams(rounds=1, max_depth=0, reg_lambda=1.0))
+                  GbtParams(rounds=1, max_depth=0))
     assert m.trees[0].value[0] == pytest.approx(0.0, abs=1e-12)
     m = train_gbt(np.zeros((2, 1)), np.array([1, 1]),
-                  GbtParams(rounds=1, max_depth=0, reg_lambda=1.0))
+                  GbtParams(rounds=1, max_depth=0))
     assert m.trees[0].value[0] == pytest.approx(1.0 / 1.5, abs=1e-12)
 
 

@@ -266,6 +266,14 @@ class TestRanges:
         assert load_ranges(path) == {"age": (0.0, math.inf)}
 
 
+def _complete_synth(n, seed):
+    """A synthetic cohort with every missing continuous cell filled by its
+    column's observed mean, so the encoder can read it directly."""
+    c = synth_cohort(SynthConfig(n=n), seed=seed)
+    M = c.continuous_matrix()
+    return c.with_continuous(np.where(np.isnan(M), np.nanmean(M, axis=0), M))
+
+
 def _tiny_schema():
     return FeatureSchema([
         FeatureDescriptor("x", "continuous"),
@@ -313,7 +321,7 @@ class TestEncoder:
         assert desc.categories.index("Asian") == 3
 
     def test_training_columns_have_zero_mean(self, schema):
-        c = synth_cohort(SynthConfig(n=200, missing_rates={}), seed=3)
+        c = _complete_synth(200, seed=3)
         enc = fit_encoder(c)
         X = encode(enc, c)
         cont = X[:, :36]
@@ -365,13 +373,13 @@ class TestEncoder:
             fit_encoder(c)
 
     def test_encode_injective_on_distinct_rows(self, schema):
-        c = synth_cohort(SynthConfig(n=80, missing_rates={}), seed=11)
+        c = _complete_synth(80, seed=11)
         enc = fit_encoder(c)
         X = encode(enc, c)
         assert len({tuple(row) for row in np.round(X, 10)}) == 80
 
     def test_with_continuous_round_trip(self, schema):
-        c = synth_cohort(SynthConfig(n=30, missing_rates={}), seed=5)
+        c = _complete_synth(30, seed=5)
         M = c.continuous_matrix()
         assert not np.isnan(M).any()
         c2 = c.with_continuous(M + 1.0)
@@ -383,7 +391,7 @@ class TestEncoder:
         assert c2.values[:, others].tobytes() == c.values[:, others].tobytes()
 
     def test_with_continuous_refuses_bad_block(self, schema):
-        c = synth_cohort(SynthConfig(n=30, missing_rates={}), seed=5)
+        c = _complete_synth(30, seed=5)
         M = c.continuous_matrix()
         with pytest.raises(CohortError, match="shape"):
             c.with_continuous(M[:, 1:])
@@ -650,6 +658,9 @@ def test_arrays_match_record_reference(case):
         assert got.tobytes() == want.tobytes()
 
 
+_UNKNOWN = "unknown generator config key"
+
+
 class TestSynth:
     def test_seed_determinism_byte_identical(self, tmp_path):
         cfg = SynthConfig(n=150)
@@ -701,19 +712,16 @@ class TestSynth:
     def test_config_validation(self):
         with pytest.raises(CohortError):
             synth_cohort(SynthConfig(n=5))
-        with pytest.raises(CohortError):
-            synth_cohort(SynthConfig(rate_hospital=0.0))
-        with pytest.raises(CohortError):
-            synth_cohort(SynthConfig(missing_rates={"race": 0.5}))
-        with pytest.raises(CohortError):
-            synth_cohort(SynthConfig(missing_rates={"bmi": 1.0}))
+        # the generator's statistics are constants, not settings
+        for key in ("rate_hospital", "missing_rates"):
+            with pytest.raises(TypeError, match=key):
+                SynthConfig(**{key: 0.5})
 
     def test_config_json_round_trip(self, tmp_path):
-        (tmp_path / "synth.json").write_text('{"n": 64, "text_weight": 0.3}')
+        (tmp_path / "synth.json").write_text('{"n": 64}')
         cfg = SynthConfig.load(tmp_path / "synth.json")
         assert cfg.n == 64
-        assert cfg.text_weight == 0.3
-        assert cfg.rate_hospital == 0.1294
+        assert cfg.to_obj() == {"n": 64}
         # methods and dunders are attributes, not settings
         for key in ("banana", "to_obj", "from_json", "load", "__class__"):
             with pytest.raises(CohortError,
@@ -722,18 +730,32 @@ class TestSynth:
         with pytest.raises(CohortError, match="JSON object"):
             SynthConfig.from_obj([1, 2])
 
+    # Every key but n names a former setting, now a constant: it is refused
+    # as unknown whatever its value. Those cases keep the ids they had as
+    # type checks of the setting.
     @pytest.mark.parametrize("key, value, message", [
         ("n", "50", "integer n"), ("n", 50.0, "integer n"),
-        ("n", True, "integer n"), ("rate_hospital", None, "base rate"),
-        ("text_weight", "0.3", "text_weight"),
-        ("risk_token_mean", [1], "risk_token_mean"),
-        ("missing_rates", ["bmi"], "missing_rates"),
-        ("missing_rates", {"bmi": "0.4"}, "missingness rate"),
-        ("risk_tokens", "arrest", "risk_tokens"),
-        ("risk_tokens", ["arrest", 3], "risk_tokens"),
-        ("note_length", 40, "note_length"),
-        ("note_length", [40], "note_length"),
-        ("note_length", [40, "120"], "note_length")])
+        ("n", True, "integer n"),
+        pytest.param("rate_hospital", None, _UNKNOWN,
+                     id="rate_hospital-None-base rate"),
+        pytest.param("text_weight", "0.3", _UNKNOWN,
+                     id="text_weight-0.3-text_weight"),
+        pytest.param("risk_token_mean", [1], _UNKNOWN,
+                     id="risk_token_mean-value5-risk_token_mean"),
+        pytest.param("missing_rates", ["bmi"], _UNKNOWN,
+                     id="missing_rates-value6-missing_rates"),
+        pytest.param("missing_rates", {"bmi": "0.4"}, _UNKNOWN,
+                     id="missing_rates-value7-missingness rate"),
+        pytest.param("risk_tokens", "arrest", _UNKNOWN,
+                     id="risk_tokens-arrest-risk_tokens"),
+        pytest.param("risk_tokens", ["arrest", 3], _UNKNOWN,
+                     id="risk_tokens-value9-risk_tokens"),
+        pytest.param("note_length", 40, _UNKNOWN,
+                     id="note_length-40-note_length"),
+        pytest.param("note_length", [40], _UNKNOWN,
+                     id="note_length-value11-note_length"),
+        pytest.param("note_length", [40, "120"], _UNKNOWN,
+                     id="note_length-value12-note_length")])
     def test_wrongly_typed_value_rejected(self, key, value, message):
         with pytest.raises(CohortError, match=message):
             SynthConfig.from_obj({key: value})

@@ -106,7 +106,10 @@ class TestConfig:
         ("neural", {"max_epochs": "2"},
          "neural setting max_epochs must be an integer, not '2'"),
         ("grids", {"l1-lr": {"C": True}}, "l1-lr C must be a number"),
-        ("grids", {"rf": {"bootstrap": [1]}}, "bootstrap must be true or false"),
+        # bootstrap is no longer a forest setting; the case keeps its id
+        pytest.param("grids", {"rf": {"bootstrap": [1]}},
+                     r"unknown grid parameters for rf: \['bootstrap'\]",
+                     id="grids-value17-bootstrap must be true or false"),
         ("neural", {"patience": 2.5}, "patience must be an integer or null"),
         ("neural", {"widths": []}, "widths must be a non-empty list"),
         ("grids", {"cnn": {"widths": [3, 4]}}, "widths must be a non-empty list")])
@@ -174,7 +177,20 @@ class TestConfig:
          "dropout rate must lie in [0, 1)"),
         ({"algorithms": ["cnn"], "feature_sets": ["notes"],
           "grids": {"cnn": {"widths": [[3, 9]]}}, "neural": {"max_len": 8}},
-         [], "max_len shorter than the widest filter")])
+         [], "max_len shorter than the widest filter"),
+        ({"algorithms": ["mlp"], "neural": {"batch_size": 0}}, [],
+         "batch_size must be >= 1"),
+        ({"algorithms": ["mlp"], "grids": {"mlp": {"hidden": [0]}}}, [],
+         "hidden must be >= 1"),
+        ({"algorithms": ["mlp"], "neural": {"max_epochs": 0}}, [],
+         "max_epochs must be >= 1"),
+        ({"algorithms": ["mlp"], "grids": {"mlp": {"learning_rate": [-1]}}},
+         [], "learning_rate must be positive"),
+        ({"algorithms": ["cnn"], "feature_sets": ["notes"],
+          "neural": {"batch_size": 0}}, [], "batch_size must be >= 1"),
+        ({"algorithms": ["cnn"], "feature_sets": ["notes"],
+          "grids": {"cnn": {"learning_rate": [0]}}}, [],
+         "learning_rate must be positive")])
     def test_cli_refuses_out_of_range_value(self, tmp_path, capsys,
                                             overrides, args, message):
         """Refused before any work: exit 1, an error line, no output."""
@@ -187,6 +203,74 @@ class TestConfig:
         assert rc == 1
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"algorithms": ["rf"], "grids": {"rf": {"bootstrap": [True]}}},
+         "unknown grid parameters for rf: ['bootstrap']"),
+        ({"algorithms": ["rf"], "grids": {"rf": {"min_node_weight": [2.0]}}},
+         "unknown grid parameters for rf: ['min_node_weight']"),
+        ({"algorithms": ["gbt"], "grids": {"gbt": {"reg_lambda": [1.0]}}},
+         "unknown grid parameters for gbt: ['reg_lambda']"),
+        *(({"cohort": {"synth": {"n": 260, key: value}}},
+           f"unknown generator config key {key!r}")
+          for key, value in (
+              ("rate_hospital", 0.1294), ("rate_30day", 0.1651),
+              ("missing_rates", {"bmi": 0.48}), ("structured_weight", 1.8),
+              ("text_weight", 0.8), ("risk_tokens", ["arrest"]),
+              ("note_length", [40, 120]), ("risk_token_mean", 0.9)))])
+    def test_cli_refuses_removed_setting(self, tmp_path, capsys, overrides,
+                                         message):
+        """The generator statistics, the forest's bootstrap and node weight
+        and boosting's lambda are constants: naming one is a config error,
+        even at its fixed value."""
+        from icumort import cli
+
+        (tmp_path / "exp.json").write_text(json.dumps(_base_obj(**overrides)))
+        rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
+                       "--out", str(tmp_path / "res")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "res").exists()
+        if "cohort" in overrides:  # icumort synth reads the same block
+            (tmp_path / "synth.json").write_text(
+                json.dumps(overrides["cohort"]["synth"]))
+            rc = cli.main(["synth", "--config", str(tmp_path / "synth.json"),
+                           "--out", str(tmp_path / "c.jsonl")])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "c.jsonl").exists()
+
+    def test_cli_refuses_manifest_with_removed_setting(self, tmp_path,
+                                                       capsys):
+        from icumort import cli
+
+        (tmp_path / "exp.json").write_text(json.dumps(_base_obj(
+            algorithms=["rf", "gbt"], grids={"rf": {"n_trees": [2]},
+                                              "gbt": {"rounds": [2]}})))
+        assert cli.main(["run", "--config", str(tmp_path / "exp.json"),
+                         "--out", str(tmp_path / "res")]) == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "res" / "manifest.json").read_text())
+        assert manifest["config"]["cohort"] == {"synth": {"n": 260}}
+        for edit, message in (
+                (("cohort", "synth", "text_weight", 0.8),
+                 "unknown generator config key 'text_weight'"),
+                (("grids", "rf", "bootstrap", [True]),
+                 "unknown grid parameters for rf: ['bootstrap']"),
+                (("grids", "gbt", "reg_lambda", [1.0]),
+                 "unknown grid parameters for gbt: ['reg_lambda']")):
+            *path, key, value = edit
+            changed = json.loads(json.dumps(manifest))
+            block = changed["config"]
+            for name in path:
+                block = block[name]
+            block[key] = value
+            (tmp_path / "m.json").write_text(json.dumps(changed))
+            rc = cli.main(["run", "--config", str(tmp_path / "m.json"),
+                           "--out", str(tmp_path / "again")])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "again").exists()
 
     def test_cli_refuses_negative_seed_flags(self, tmp_path, capsys):
         from icumort import cli
@@ -646,7 +730,7 @@ class TestLeakage:
 
 
 # Generated cohorts for the fold properties: a few features of the default
-# schema, missing values in two continuous columns, short notes.
+# schema, with missing values in two continuous columns at drawn rates.
 _FOLD_SCHEMA = FeatureSchema([FeatureSchema.default().by_name[n] for n in (
     "age", "lactate", "diabetes", "sofa", "admission_type", "albumin")])
 _FOLD_MIN_DF = 2
@@ -657,11 +741,20 @@ def fold_plans(draw):
     """(cohort, fit rows per fold, fold seed): n from 30 to 120, any plan
     of 2-4 folds, each fold's rows in the plan's (unsorted) order."""
     n = draw(st.integers(30, 120))
-    config = SynthConfig(n=n, note_length=(5, 12), missing_rates={
-        "lactate": draw(st.sampled_from([0.0, 0.1, 0.3])),
-        "albumin": draw(st.sampled_from([0.1, 0.3]))})
-    cohort = synth_cohort(config, seed=draw(st.integers(0, 2**16)),
+    cohort = synth_cohort(SynthConfig(n=n), seed=draw(st.integers(0, 2**16)),
                           schema=_FOLD_SCHEMA)
+    # replace the generator's missingness of lactate and albumin by a drawn
+    # rate: fill every cell from the column's observed values, then mask
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    values = cohort.values.copy()
+    for name, rates in (("lactate", [0.0, 0.1, 0.3]), ("albumin", [0.1, 0.3])):
+        column = values[:, _FOLD_SCHEMA.column_names.index(name)]
+        observed = column[~np.isnan(column)]
+        gaps = np.isnan(column)
+        column[gaps] = rng.choice(observed, size=int(gaps.sum()))
+        column[rng.random(n) < draw(st.sampled_from(rates))] = np.nan
+    cohort = Cohort(_FOLD_SCHEMA, cohort.ids, cohort.notes,
+                    cohort.label_hospital, cohort.label_30day, values)
     order = np.array(draw(st.permutations(range(n))))
     k = draw(st.integers(2, 4))
     fit_rows = [np.concatenate([order[g::k] for g in range(k) if g != f])

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icumort.linmod import (
     L1,
@@ -349,3 +351,125 @@ def test_json_round_trip():
     again = LinearModel.from_obj(json.loads(json.dumps(svm.to_obj())))
     assert again.diagnostics == svm.diagnostics
     assert "duality_gap" in again.diagnostics
+
+
+def _ref_proximal_gradient(smooth, gradient, d, reg, lam, tol, max_iter):
+    """The proximal-gradient loop with smooth(w, b) and gradient(w, b) as
+    closures that each compute the margins X @ w + b themselves."""
+    from icumort.linmod import _penalty, _prox
+
+    def objective(w, b):
+        return smooth(w, b) + lam * _penalty(w, reg)
+
+    w = np.zeros(d)
+    b = 0.0
+    w_prev, b_prev = w, b
+    theta = 1.0
+    step = 1.0
+    F = objective(w, b)
+    converged = False
+    iterations = 0
+
+    def prox_step(w0, b0, step):
+        g0 = smooth(w0, b0)
+        gw, gb = gradient(w0, b0)
+        while True:
+            w1 = _prox(w0 - step * gw, step * lam, reg)
+            b1 = b0 - step * gb
+            dw, db = w1 - w0, b1 - b0
+            quad = g0 + gw @ dw + gb * db + (dw @ dw + db * db) / (2.0 * step)
+            if smooth(w1, b1) <= quad + 1e-12 * max(1.0, abs(quad)):
+                return w1, b1, step
+            step *= 0.5
+            if step < 1e-20:
+                raise LinModError("line search failed; inputs may be ill-scaled")
+
+    for iterations in range(1, max_iter + 1):
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+        mom = (theta - 1.0) / theta_next
+        z_w = w + mom * (w - w_prev)
+        z_b = b + mom * (b - b_prev)
+        w_new, b_new, step = prox_step(z_w, z_b, step * 2.0)
+        F_new = objective(w_new, b_new)
+        if F_new > F:
+            theta_next = 1.0
+            w_new, b_new, step = prox_step(w, b, step)
+            F_new = objective(w_new, b_new)
+        if not F_new <= F + 1e-9 * max(1.0, abs(F)):
+            raise LinModError(
+                f"objective increased from {F!r} to {F_new!r} at iteration "
+                f"{iterations}")
+        w_prev, b_prev = w, b
+        w, b = w_new, b_new
+        theta = theta_next
+        if abs(F - F_new) <= tol * max(1.0, abs(F)):
+            F = F_new
+            converged = True
+            break
+        F = F_new
+
+    return w, b, {"final_objective": F, "iterations": iterations,
+                  "converged": converged}
+
+
+def _ref_fit(family, X, y, s, C, tol, max_iter):
+    """(w, b, diagnostics) of the reference loop on l1-lr, l2-lr or l1-svm."""
+    from icumort.linmod import _log_loss_sum
+
+    if family == "l1-svm":
+        y_pm = 2.0 * y - 1.0
+
+        def smooth(w, b):
+            slack = np.maximum(1.0 - y_pm * (X @ w + b), 0.0)
+            return float(s @ (slack * slack))
+
+        def gradient(w, b):
+            r = -2.0 * s * y_pm * np.maximum(1.0 - y_pm * (X @ w + b), 0.0)
+            return X.T @ r, float(r.sum())
+    else:
+        def smooth(w, b):
+            return _log_loss_sum(X @ w + b, y, s)
+
+        def gradient(w, b):
+            p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
+            r = s * (p - y)
+            return X.T @ r, float(r.sum())
+    reg = L2 if family == "l2-lr" else L1
+    return _ref_proximal_gradient(smooth, gradient, X.shape[1], reg, 1.0 / C,
+                                  tol, max_iter)
+
+
+@st.composite
+def proximal_fits(draw):
+    """(family, X, y, weights, C, tol, max_iter): dense or CSR X with both
+    classes, positive weights, C across four decades."""
+    n = draw(st.integers(4, 40))
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * draw(st.sampled_from([0.1, 1.0, 5.0]))
+    if draw(st.booleans()):
+        X[rng.random((n, d)) < 0.7] = 0.0
+        X = sp.csr_matrix(X)
+    y = np.zeros(n, dtype=int)
+    y[rng.permutation(n)[:draw(st.integers(1, n - 1))]] = 1
+    s = rng.uniform(0.2, 3.0, size=n)
+    return (draw(st.sampled_from(["l1-lr", "l2-lr", "l1-svm"])), X, y, s,
+            draw(st.sampled_from([0.01, 0.1, 1.0, 10.0])),
+            draw(st.sampled_from([1e-3, 1e-6])), draw(st.integers(1, 300)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=proximal_fits())
+def test_proximal_gradient_matches_two_closure_loop(case):
+    """Margins computed once per point give the loop's result bit for bit."""
+    family, X, y, s, C, tol, max_iter = case
+    w, b, diag = _ref_fit(family, X, y.astype(float), s, C, tol, max_iter)
+    if family == "l1-svm":
+        m = train_linear_svm(X, y, reg=L1, C=C, instance_weights=s, tol=tol,
+                             max_epochs=max_iter)
+    else:
+        m = train_logreg(X, y, reg=L2 if family == "l2-lr" else L1, C=C,
+                         instance_weights=s, tol=tol, max_iter=max_iter)
+    assert m.w.tobytes() == w.tobytes()
+    assert m.b == b
+    assert m.diagnostics == diag

@@ -342,6 +342,27 @@ class TestMlp:
         acc = ((predict_proba_net(model, X) >= 0.5).astype(int) == y).mean()
         assert acc >= 0.95
 
+    @pytest.mark.parametrize("family", [MlpParams, CnnParams])
+    @pytest.mark.parametrize("setting, value, message", [
+        ("hidden", 0, "hidden must be >= 1"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("max_epochs", 0, "max_epochs must be >= 1"),
+        ("learning_rate", 0.0, "learning_rate must be positive"),
+        ("learning_rate", -1.0, "learning_rate must be positive"),
+        ("dropout", 1.0, r"dropout rate must lie in \[0, 1\)"),
+        ("dropout", -0.1, r"dropout rate must lie in \[0, 1\)")])
+    def test_setting_out_of_range_refused(self, family, setting, value,
+                                          message):
+        family().validate()
+        with pytest.raises(NetError, match=message):
+            family(**{setting: value}).validate()
+
+    def test_train_mlp_validates(self):
+        X = np.zeros((8, 2))
+        y = np.array([0, 1] * 4)
+        with pytest.raises(NetError, match="batch_size must be >= 1"):
+            train_mlp(X, y, MlpParams(batch_size=0))
+
     def test_probabilities_not_summing_to_one_raise(self, monkeypatch):
         import icumort.neural as neural
 

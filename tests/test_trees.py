@@ -93,10 +93,15 @@ class TestForest:
     def test_single_leaf_fraction(self):
         X = np.zeros((4, 1))
         y = np.array([1, 1, 0, 1])
-        params = ForestParams(n_trees=1, max_depth=0, bootstrap=False)
-        f = train_random_forest(X, y, params, seed=0)
+        params = ForestParams(n_trees=1, max_depth=0)
+        f = train_random_forest(X, y, params, seed=2)
+        # the leaf is the positive fraction of tree 0's bootstrap draw,
+        # which for seed 2 differs from the sample's 0.75
+        rng = np.random.default_rng(np.random.SeedSequence([2, 0]))
+        drawn = y[rng.choice(4, size=4, replace=True, p=np.full(4, 0.25))]
+        assert drawn.mean() != y.mean()
         np.testing.assert_allclose(
-            predict_proba_trees(f, np.zeros((3, 1))), 0.75)
+            predict_proba_trees(f, np.zeros((3, 1))), drawn.mean())
 
     def test_prediction_invariant_to_tree_order(self):
         rng = np.random.default_rng(9)
@@ -169,10 +174,11 @@ class TestGbt:
         assert m.trees[0].value[0] == pytest.approx(0.0)
 
     def test_single_leaf_hand_computed_weight(self):
-        # base p = 0.5 on labels {1,1}: G = -1, H = 0.5, leaf = 1/1.5
+        # base p = 0.5 on labels {1,1}: G = -1, H = 0.5, lambda = 1,
+        # leaf = 1/1.5
         X = np.zeros((2, 1))
         y = np.array([1, 1])
-        m = train_gbt(X, y, GbtParams(rounds=1, max_depth=0, reg_lambda=1.0))
+        m = train_gbt(X, y, GbtParams(rounds=1, max_depth=0))
         assert m.trees[0].value[0] == pytest.approx(1.0 / 1.5, abs=1e-12)
 
     def test_zero_rounds_predicts_half(self):
@@ -247,7 +253,7 @@ class TestGbt:
         with pytest.raises(TreeError):
             GbtParams(rounds=-1).validate()
         with pytest.raises(TreeError):
-            GbtParams(reg_lambda=-0.1).validate()
+            GbtParams(max_depth=-1).validate()
 
 
 def test_label_permutation_sanity():
