@@ -90,6 +90,8 @@ def cmd_run(args):
 
 
 def cmd_permtest(args):
+    if args.n_perm < 1:
+        raise ConfigError("--n-perm must be an integer >= 1")
     result = run_permtest(args.results_dir, args.cell_a, args.cell_b,
                           n_perm=args.n_perm, seed=args.seed)
     verdict = ("significant at 0.05" if result.p_value < 0.05
@@ -101,6 +103,8 @@ def cmd_permtest(args):
 
 
 def cmd_rank(args):
+    if args.k < 1:
+        raise ConfigError("-k must be an integer >= 1")
     try:
         with open(args.model_path, encoding="utf-8") as f:
             payload = json.load(f)

@@ -515,8 +515,13 @@ class SynthConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            return cls.from_obj(json.load(f))
+        try:
+            with open(path, encoding="utf-8") as f:
+                obj = json.load(f)
+        except ValueError as exc:
+            raise CohortError(f"generator config {path} is not valid JSON: "
+                              f"{exc}") from None
+        return cls.from_obj(obj)
 
     def to_obj(self):
         return asdict(self)
@@ -622,13 +627,13 @@ def _make_note(rng, n_risk):
     return " ".join(text)
 
 
-def synth_cohort(config=None, seed=0, schema=None):
+def synth_cohort(config=None, seed=0):
     """Deterministic synthetic cohort with a known logistic ground truth."""
-    cohort, _ = synth_cohort_with_truth(config, seed, schema)
+    cohort, _ = synth_cohort_with_truth(config, seed)
     return cohort
 
 
-def synth_cohort_with_truth(config=None, seed=0, schema=None):
+def synth_cohort_with_truth(config=None, seed=0):
     """Generate a cohort and return it with the true per-record risk scores.
 
     The risk score combines a linear function of standardized structured
@@ -638,8 +643,7 @@ def synth_cohort_with_truth(config=None, seed=0, schema=None):
     """
     if config is None:
         config = SynthConfig()
-    if schema is None:
-        schema = FeatureSchema.default()
+    schema = FeatureSchema.default()
     _validate_synth_config(config)
     rng = np.random.default_rng(seed)
     n = config.n
@@ -647,37 +651,30 @@ def synth_cohort_with_truth(config=None, seed=0, schema=None):
 
     cont_values = {}
     for name in schema.continuous:
-        mean, sd = _CONTINUOUS_STATS.get(name, (0.0, 1.0))
+        mean, sd = _CONTINUOUS_STATS[name]
         x = rng.normal(mean, sd, size=n)
-        bound = ranges.get(name)
-        if bound is not None:
-            x = np.clip(x, bound[0], bound[1])
+        # elixhauser_score has no plausible range
+        if name in ranges:
+            x = np.clip(x, *ranges[name])
         cont_values[name] = x
     bin_values = {name: (rng.random(n) < p).astype(int)
                   for name, p in _BINARY_PREVALENCE.items()}
     cat_values = {}
     for name in schema.categorical:
-        cats = schema.by_name[name].categories
-        probs = np.asarray(_CATEGORICAL_PROBS.get(name, ()), dtype=float)
-        if probs.size != len(cats):
-            probs = np.ones(len(cats))
-        probs = probs / probs.sum()
-        cat_values[name] = rng.choice(len(cats), size=n, p=probs)
+        probs = np.asarray(_CATEGORICAL_PROBS[name], dtype=float)
+        cat_values[name] = rng.choice(probs.size, size=n, p=probs / probs.sum())
 
     struct_score = np.zeros(n)
     for name, beta in _TRUE_EFFECTS_CONTINUOUS.items():
-        if name in cont_values:
-            struct_score += beta * _standardize(cont_values[name])
+        struct_score += beta * _standardize(cont_values[name])
     for name, beta in _TRUE_EFFECTS_BINARY.items():
-        if name in bin_values:
-            x = bin_values[name].astype(float)
-            struct_score += beta * (x - x.mean())
+        x = bin_values[name].astype(float)
+        struct_score += beta * (x - x.mean())
     for name, effects in _TRUE_EFFECTS_CATEGORICAL.items():
-        if name in cat_values:
-            cats = schema.by_name[name].categories
-            e = np.array([effects.get(c, 0.0) for c in cats])
-            contrib = e[cat_values[name]]
-            struct_score += contrib - contrib.mean()
+        e = np.array([effects.get(c, 0.0)
+                      for c in schema.by_name[name].categories])
+        contrib = e[cat_values[name]]
+        struct_score += contrib - contrib.mean()
 
     n_risk = rng.poisson(_RISK_TOKEN_MEAN, size=n)
     text_score = n_risk.astype(float)
@@ -704,6 +701,7 @@ def synth_cohort_with_truth(config=None, seed=0, schema=None):
         if d.kind == CONTINUOUS:
             # Python's round: a saved cohort holds values to 4 decimals
             values[:, a] = [round(x, 4) for x in cont_values[d.name].tolist()]
+            # age, elixhauser_score, sofa and sirs are never missing
             if d.name in missing_masks:
                 values[missing_masks[d.name], a] = np.nan
         elif d.kind == BINARY:

@@ -259,7 +259,7 @@ def load_run(path):
     try:
         with open(path, encoding="utf-8") as f:
             obj = json.load(f)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if isinstance(obj, dict) and "config" in obj and "cells" in obj:
         inputs = obj.get("inputs", {})
@@ -588,6 +588,24 @@ def _results_tsv(rows):
     return "\n".join(lines) + "\n"
 
 
+def _load_pretrained(path, config):
+    """The embedding file's (tokens, matrix), refused unless its width is
+    the embed_dim of every cnn grid cell."""
+    try:
+        pretrained = neural.load_embedding_file(path)
+    except ValueError as exc:
+        raise ConfigError(f"embedding file {path}: {exc}") from None
+    if "cnn" in config.algorithms:
+        width = pretrained[1].shape[1]
+        for params in config.grid_cells("cnn"):
+            dim = _neural_params(neural.CnnParams, config, params).embed_dim
+            if dim != width:
+                raise ConfigError(
+                    f"embedding file {path} has width {width}, but cnn grid "
+                    f"cell {params} has embed_dim {dim}")
+    return pretrained
+
+
 def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
                    embeddings_path=None):
     """Execute every cell of an ExperimentConfig; returns the result rows.
@@ -606,7 +624,7 @@ def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
     needs_text = bool(set(config.feature_sets) & {"notes", "combined"})
     tokens = (tokenize_corpus(cohort.notes, stopwords) if needs_text
               else None)
-    pretrained = (neural.load_embedding_file(embeddings_path)
+    pretrained = (_load_pretrained(embeddings_path, config)
                   if embeddings_path else None)
 
     contexts = {outcome: _OutcomeContext(cohort, tokens, config, outcome, oi)

@@ -11,6 +11,7 @@ are exercised against central finite differences in the test suite.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,15 +280,19 @@ class FusionNet:
 
     def fetcher(self, inputs):
         """(row count, rows -> that batch's forward input); a sparse
-        feature matrix is made dense one batch at a time."""
+        feature matrix is made dense one batch at a time.  Features must
+        be finite."""
         if self.embedding is None:
             X = inputs
             if X.shape[1] != self.structured_dim:
                 raise NetError(f"feature dimension {X.shape[1]} does not "
                                f"match model dimension {self.structured_dim}")
+            if not sp.issparse(X):
+                X = np.asarray(X, dtype=float)
+            if not np.isfinite(X.data if sp.issparse(X) else X).all():
+                raise NetError("features must be finite")
             if sp.issparse(X):
                 return X.shape[0], lambda rows: np.asarray(X[rows].todense())
-            X = np.asarray(X, dtype=float)
             return X.shape[0], lambda rows: X[rows]
         ids, structured = inputs
         ids = np.asarray(ids)
@@ -299,6 +304,8 @@ class FusionNet:
             raise NetError(
                 f"structured block shape {structured.shape} does not match "
                 f"({ids.shape[0]}, {self.structured_dim})")
+        if not np.isfinite(structured).all():
+            raise NetError("features must be finite")
         return ids.shape[0], lambda rows: (ids[rows], structured[rows])
 
     def forward(self, inputs, train=False, rng=None):
@@ -341,13 +348,18 @@ def _eval_batches(model, fetch, rows):
 def _fit(model, inputs, y, hp, seed):
     """Shared minibatch loop: Adam, seed-derived val split, patience-based
     early stopping with best-snapshot restore."""
-    y = np.asarray(y).astype(np.int64)
+    y = np.asarray(y)
     n = y.size
     if n == 0:
         raise NetError("empty training set")
+    if not ((y == 0) | (y == 1)).all():
+        raise NetError("labels must be 0 or 1")
+    y = y.astype(np.int64)
     if len(np.unique(y)) < 2:
         raise NetError("training labels are single-class")
-    _, fetch = model.fetcher(inputs)
+    n_rows, fetch = model.fetcher(inputs)
+    if n_rows != n:
+        raise NetError("labels must align with rows")
     rng = np.random.default_rng([seed, 1])
     perm = rng.permutation(n)
     if hp.patience is None:
@@ -504,6 +516,8 @@ def load_embedding_file(path):
                     raise NetError(f"no values on line {lineno}")
             elif len(vec) != dim:
                 raise NetError(f"inconsistent width at line {lineno}")
+            if not all(map(math.isfinite, vec)):
+                raise NetError(f"non-finite value on line {lineno}")
             tokens.append(parts[0])
             rows.append(vec)
     if not tokens:

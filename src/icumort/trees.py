@@ -16,13 +16,15 @@ kept ascending.  A larger X keeps CSR form if sparse, and every node
 densifies and sorts its candidate columns itself, in blocks of about
 _BLOCK_VALUES (2**18) values; such an X is never copied to n x d dense form.
 Both ways give the same splits, bit for bit.
+
+Fits take labels 0 and 1 only, and fits and predictions take finite
+features only; anything else is a TreeError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,44 +114,6 @@ class DecisionTree:
                 "left": self.to_obj(self.left[idx]),
                 "right": self.to_obj(self.right[idx])}
 
-    @classmethod
-    def from_obj(cls, obj):
-        tb = _TreeBuilder()
-
-        def walk(o):
-            if "leaf" in o:
-                return tb.add(value=o["leaf"])
-            idx = tb.add(o["feature"], o["threshold"])
-            tb.left[idx] = walk(o["left"])
-            tb.right[idx] = walk(o["right"])
-            return idx
-
-        walk(obj)
-        return tb.build()
-
-
-class _TreeBuilder:
-    def __init__(self):
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
-
-    def add(self, feature=-1, threshold=np.nan, value=0.0):
-        """Append a node, a leaf unless a feature is given; returns its index."""
-        idx = len(self.feature)
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        return idx
-
-    def build(self):
-        return DecisionTree(self.feature, self.threshold, self.left,
-                            self.right, self.value)
-
 
 def _as_matrix(X):
     """X as a CSR matrix if sparse, else as a float ndarray; must be 2-d."""
@@ -158,6 +122,14 @@ def _as_matrix(X):
     if X.ndim != 2:
         raise TreeError("expected a 2-d matrix")
     return X.tocsr().astype(float, copy=False) if sp.issparse(X) else X
+
+
+def _finite_matrix(X):
+    """_as_matrix(X), refused unless every stored value is finite."""
+    X = _as_matrix(X)
+    if not np.isfinite(X.data if sp.issparse(X) else X).all():
+        raise TreeError("features must be finite")
+    return X
 
 
 # Largest n x d of a fit that sorts each column once.  Above it a dense copy
@@ -181,10 +153,12 @@ def _fit_inputs(X, y):
     ascending order of column j over all rows.  Above it order is None and
     XT is CSR when X is sparse.
     """
-    X = _as_matrix(X)
+    X = _finite_matrix(X)
     y = np.asarray(y, dtype=float)
     if y.shape != (X.shape[0],):
         raise TreeError("labels must align with rows")
+    if not ((y == 0) | (y == 1)).all():
+        raise TreeError("labels must be 0 or 1")
     if X.shape[0] * X.shape[1] <= _PRESORT_VALUES:
         XT = X.T.toarray() if sp.issparse(X) else np.ascontiguousarray(X.T)
         return X, XT, np.argsort(XT, axis=1, kind="stable"), y
@@ -207,8 +181,7 @@ def _best_split(XT, order, rows, cols, a, b, gain):
     at, bt.  The threshold is the boundary's midpoint.  Returns (column,
     threshold, left mask over rows) or None when no gain exceeds 1e-12.
     Ties resolve as a left-to-right scan with a strict '>' would: the first
-    column in `cols` and its first boundary win, and a NaN gain wins only
-    when it comes first.
+    column in `cols` and its first boundary win.
     """
     if rows.size < 2:
         return None
@@ -239,18 +212,10 @@ def _best_split(XT, order, rows, cols, a, b, gain):
         gains[~(Vs[:, 1:] > Vs[:, :-1])] = -np.inf
         k = np.argmax(gains, axis=1)
         top = gains[np.arange(block.size), k]
-        ok = np.flatnonzero(~(top <= 1e-12))
-        if not ok.size:
-            continue
-        t = top[ok]
-        if best is None and np.isnan(t[0]):
-            i = 0
-        else:
-            i = int(np.argmax(np.where(np.isnan(t), -np.inf, t)))
-        if best is None or t[i] > best[0]:
-            c = ok[i]
+        c = int(np.argmax(top))
+        if top[c] > (1e-12 if best is None else best[0]):
             thr = 0.5 * (Vs[c, k[c]] + Vs[c, k[c] + 1])
-            best = (t[i], int(block[c]), thr, S[c][Vs[c] <= thr])
+            best = (top[c], int(block[c]), thr, S[c][Vs[c] <= thr])
     if best is None:
         return None
     _, j, thr, left = best
@@ -271,9 +236,14 @@ def _gini_gain(pl, wl, p_tot, w_tot):
     return np.nan_to_num(gains, nan=-np.inf)
 
 
-def _second_order_gain(gl, hl, G, H, lam):
-    """Loss reduction of splitting gradient/hessian sums (G, H) at (gl, hl)."""
+def _second_order_gain(gl, hl, G, H):
+    """Loss reduction of splitting gradient/hessian sums (G, H) at (gl, hl).
+
+    Hessians are non-negative, so hl and H - hl are too and every
+    denominator is at least lambda: no gain is NaN.
+    """
     gr, hr = G - gl, H - hl
+    lam = _REG_LAMBDA
     # float_power calls libm pow, as G ** 2 on a NumPy scalar does; an
     # array's ** 2 squares instead, which can differ in the last bit
     return 0.5 * (gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam)
@@ -286,20 +256,28 @@ def _grow(rows, max_depth, split, leaf):
     Below max_depth, split(rows) gives (column, threshold, left mask) or
     None to stop; leaf(rows) gives a leaf's value.
     """
-    tb = _TreeBuilder()
+    feature, threshold, left, right, value = [], [], [], [], []
 
     def grow(rows, depth):
         found = split(rows) if depth < max_depth else None
-        if found is None:
-            return tb.add(value=leaf(rows))
-        j, thr, go_left = found
-        idx = tb.add(j, thr)
-        tb.left[idx] = grow(rows[go_left], depth + 1)
-        tb.right[idx] = grow(rows[~go_left], depth + 1)
+        j, thr, go_left = (-1, np.nan, None) if found is None else found
+        idx = len(feature)
+        feature.append(j)
+        threshold.append(thr)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0 if found else leaf(rows))
+        if found:
+            left[idx] = grow(rows[go_left], depth + 1)
+            right[idx] = grow(rows[~go_left], depth + 1)
         return idx
 
     grow(rows, 0)
-    return tb.build()
+    # grow reaches itself through its closure; unbinding it frees that cycle,
+    # and the fit arrays that split and leaf hold, without waiting for the
+    # cycle collector
+    del grow
+    return DecisionTree(feature, threshold, left, right, value)
 
 
 @dataclass
@@ -315,14 +293,6 @@ class RandomForest:
             "params": asdict(self.params),
             "trees": [t.to_obj() for t in self.trees],
         }
-
-    @classmethod
-    def from_obj(cls, o):
-        if o.get("kind") != "forest":
-            raise TreeError("not a forest record")
-        return cls(trees=[DecisionTree.from_obj(t) for t in o["trees"]],
-                   params=ForestParams(**o["params"]), seed=o["seed"],
-                   n_features=o["n_features"])
 
 
 def _single_tree(XT, order, y, u, params, tree_seed):
@@ -392,16 +362,6 @@ class GradientBoostedTrees:
             "train_loss": list(self.train_loss),
         }
 
-    @classmethod
-    def from_obj(cls, o):
-        if o.get("kind") != "gbt":
-            raise TreeError("not a boosted-tree record")
-        return cls(base_score=o["base_score"],
-                   params=GbtParams(**o["params"]),
-                   trees=[DecisionTree.from_obj(t) for t in o["trees"]],
-                   n_features=o["n_features"],
-                   train_loss=o.get("train_loss", []))
-
 
 def _log_loss_mean(margins, y):
     return float(np.mean(np.logaddexp(0.0, margins) - y * margins))
@@ -419,7 +379,6 @@ def train_gbt(X, y, params=None):
     params.validate()
     X, XT, order, y = _fit_inputs(X, y)
     n, d = X.shape
-    gain = partial(_second_order_gain, lam=_REG_LAMBDA)
     cols = np.arange(d)
     base = 0.0
     margins = np.full(n, base)
@@ -431,7 +390,7 @@ def train_gbt(X, y, params=None):
         h = p * (1.0 - p)
         tree = _grow(np.arange(n), params.max_depth,
                      lambda rows: _best_split(XT, order, rows, cols, g, h,
-                                              gain),
+                                              _second_order_gain),
                      lambda rows: float(-g[rows].sum() / (h[rows].sum() + _REG_LAMBDA)))
         trees.append(tree)
         margins = margins + params.learning_rate * tree.predict_value(X)
@@ -446,7 +405,7 @@ def train_gbt(X, y, params=None):
 
 def predict_proba_trees(model, X):
     """Forest: mean per-tree class-1 fraction. Boosted: sigmoid of margins."""
-    X = _as_matrix(X)
+    X = _finite_matrix(X)
     n, d = X.shape
     if d != model.n_features:
         raise TreeError(f"feature dimension {d} does not match "

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icumort
+from icumort import experiment, linmod
 from icumort.cohort import (
     Cohort,
     CohortError,
@@ -311,6 +312,112 @@ class TestConfig:
         assert rc == 1
         assert err.startswith(f"error: {message}")
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("tok 1 x\n", "non-numeric value on line 1"),
+        (b"\xff\xfe tok 1\n", "'utf-8' codec can't decode"),
+        ("a 1 2\nb 1\n", "inconsistent width at line 2"),
+        ("a 1 2\nb nan 2\n", "non-finite value on line 2"),
+        ("a\n", "no values on line 1"),
+        ("\n", "embedding file is empty")])
+    def test_cli_refuses_malformed_embeddings(self, tmp_path, capsys, text,
+                                              message):
+        from icumort import cli
+
+        path = tmp_path / "emb.txt"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        (tmp_path / "exp.json").write_text(json.dumps(_base_obj()))
+        rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
+                       "--out", str(tmp_path / "res"),
+                       "--embeddings", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: embedding file {path}: {message}")
+        assert not (tmp_path / "res").exists()
+
+    def test_cli_refuses_embedding_width_of_any_cnn_cell(self, tmp_path,
+                                                        capsys):
+        from icumort import cli
+
+        path = tmp_path / "emb.txt"
+        path.write_text("sepsis 0.1 0.2 0.3 0.4\nshock 0.5 0.6 0.7 0.8\n")
+        obj = _base_obj(feature_sets=["notes"], algorithms=["cnn"],
+                        grids={"cnn": {"embed_dim": [4, 6], "filters": [2]}})
+        (tmp_path / "exp.json").write_text(json.dumps(obj))
+        rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
+                       "--out", str(tmp_path / "res"),
+                       "--embeddings", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: embedding file {path} has width 4, "
+                              f"but cnn grid cell ")
+        assert err.endswith("'embed_dim': 6} has embed_dim 6\n")
+        assert not (tmp_path / "res").exists()
+        # the width is checked against the resolved embed_dim, which the
+        # neural block sets for every cell without its own
+        obj["grids"]["cnn"] = {"filters": [2]}
+        ok = ExperimentConfig.from_obj(dict(obj, neural={"embed_dim": 4}))
+        tokens, matrix = experiment._load_pretrained(path, ok)
+        assert tokens == ["sepsis", "shock"] and matrix.shape == (2, 4)
+        with pytest.raises(ConfigError, match="has embed_dim 64"):
+            experiment._load_pretrained(path, ExperimentConfig.from_obj(obj))
+        # without a cnn cell no width is required
+        plain = ExperimentConfig.from_obj(_base_obj())
+        assert experiment._load_pretrained(path, plain)[1].shape == (2, 4)
+
+    def test_cli_refuses_config_that_is_not_json(self, tmp_path, capsys):
+        from icumort import cli
+
+        path = tmp_path / "config.json"
+        for text in ('{"n": ', b'\xff{}'):
+            if isinstance(text, bytes):
+                path.write_bytes(text)
+            else:
+                path.write_text(text)
+            rc = cli.main(["synth", "--config", str(path),
+                           "--out", str(tmp_path / "c.jsonl")])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: generator config {path} is not valid JSON: ")
+            rc = cli.main(["run", "--config", str(path),
+                           "--out", str(tmp_path / "res")])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith(
+                "error: config is not valid JSON: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_cli_refuses_non_positive_counts(self, tmp_path, capsys):
+        from icumort import cli
+
+        for name in ("a", "b"):
+            cdir = cell_dir(tmp_path / "res", "structured", "hospital",
+                            "none", name)
+            cdir.mkdir(parents=True)
+            (cdir / "scores.tsv").write_text(
+                "row\tlabel\tscore\n0\t0\t0.1\n1\t1\t0.9\n")
+        model = linmod.train_logreg(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                    np.array([0, 1]))
+        (tmp_path / "model.json").write_text(json.dumps({
+            "kind": "linear", "model": model.to_obj(), "n_structured": 2,
+            "feature_names": ["u", "v"]}))
+        before = sorted(tmp_path.rglob("*"))
+        for argv, message in (
+                (["permtest", str(tmp_path / "res"),
+                  "structured/hospital/none/a", "structured/hospital/none/b",
+                  "--n-perm", "0"],
+                 "--n-perm must be an integer >= 1"),
+                (["rank", str(tmp_path / "model.json"), "-k", "0"],
+                 "-k must be an integer >= 1")):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            # the same files still run with a count of 1
+            argv[-1] = "1"
+            assert cli.main(argv) == 0
+            capsys.readouterr()
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_cohort_source_exclusive(self):
         obj = _base_obj()
@@ -733,6 +840,10 @@ class TestLeakage:
 # schema, with missing values in two continuous columns at drawn rates.
 _FOLD_SCHEMA = FeatureSchema([FeatureSchema.default().by_name[n] for n in (
     "age", "lactate", "diabetes", "sofa", "admission_type", "albumin")])
+# _FOLD_SCHEMA's columns within the default schema's layout
+_FOLD_COLUMNS = np.concatenate([
+    np.arange(a, end) for name in _FOLD_SCHEMA.by_name
+    for d, a, end in FeatureSchema.default().columns if d.name == name])
 _FOLD_MIN_DF = 2
 
 
@@ -741,12 +852,11 @@ def fold_plans(draw):
     """(cohort, fit rows per fold, fold seed): n from 30 to 120, any plan
     of 2-4 folds, each fold's rows in the plan's (unsorted) order."""
     n = draw(st.integers(30, 120))
-    cohort = synth_cohort(SynthConfig(n=n), seed=draw(st.integers(0, 2**16)),
-                          schema=_FOLD_SCHEMA)
+    cohort = synth_cohort(SynthConfig(n=n), seed=draw(st.integers(0, 2**16)))
     # replace the generator's missingness of lactate and albumin by a drawn
     # rate: fill every cell from the column's observed values, then mask
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    values = cohort.values.copy()
+    values = cohort.values[:, _FOLD_COLUMNS]
     for name, rates in (("lactate", [0.0, 0.1, 0.3]), ("albumin", [0.1, 0.3])):
         column = values[:, _FOLD_SCHEMA.column_names.index(name)]
         observed = column[~np.isnan(column)]

@@ -410,6 +410,32 @@ class TestMlp:
         with pytest.raises(NetError, match="empty"):
             train_mlp(np.zeros((0, 2)), np.array([], dtype=int))
 
+    @pytest.mark.parametrize("labels", [[0, 2], [0.0, 0.5], [0.0, np.nan]])
+    def test_labels_other_than_0_1_refused(self, labels):
+        X = np.random.default_rng(5).normal(size=(8, 2))
+        with pytest.raises(NetError, match="labels must be 0 or 1"):
+            train_mlp(X, np.array(labels * 4), MlpParams(max_epochs=1))
+
+    def test_labels_must_align_with_rows(self):
+        X = np.random.default_rng(5).normal(size=(8, 2))
+        with pytest.raises(NetError, match="labels must align with rows"):
+            train_mlp(X, np.array([0, 1] * 3), MlpParams(max_epochs=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_finite_features_refused(self, bad, sparse):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(20, 3))
+        y = np.array([0, 1] * 10)
+        params = MlpParams(hidden=4, max_epochs=2, patience=None)
+        model, _ = train_mlp(X, y, params, seed=0)
+        X[3, 1] = bad
+        Xin = sp.csr_matrix(X) if sparse else X
+        with pytest.raises(NetError, match="features must be finite"):
+            train_mlp(Xin, y, params, seed=0)
+        with pytest.raises(NetError, match="features must be finite"):
+            predict_proba_net(model, Xin)
+
     def test_early_stop_restores_best_epoch(self):
         """Stopping early must hand back exactly the best epoch's weights."""
         rng = np.random.default_rng(6)
@@ -483,6 +509,16 @@ class TestCnn:
                 train_cnn_fusion(wrong, S, y, params, vocab_size=6)
             with pytest.raises(NetError, match="outside the embedding table"):
                 predict_proba_net(model, (wrong, S))
+
+    def test_non_finite_structured_block_refused(self):
+        ids, _, y, params = self._toy()
+        S = np.ones((8, 2))
+        model, _ = train_cnn_fusion(ids, S, y, params, seed=0, vocab_size=6)
+        S[5, 0] = np.nan
+        with pytest.raises(NetError, match="features must be finite"):
+            train_cnn_fusion(ids, S, y, params, seed=0, vocab_size=6)
+        with pytest.raises(NetError, match="features must be finite"):
+            predict_proba_net(model, (ids, S))
 
     def test_fresh_model_predicts_half(self):
         model = FusionNet(2, hidden=5, dropout=0.5, seed=0, widths=(2,),

@@ -12,8 +12,6 @@ import icumort.trees as trees
 from icumort.trees import (
     ForestParams,
     GbtParams,
-    GradientBoostedTrees,
-    RandomForest,
     TreeError,
     train_gbt,
     train_random_forest,
@@ -270,34 +268,36 @@ def test_label_permutation_sanity():
     assert 0.4 <= auc <= 0.6
 
 
-def test_forest_json_round_trip():
-    rng = np.random.default_rng(15)
-    X = rng.normal(size=(60, 4))
-    y = (X[:, 0] > 0).astype(int)
-    f = train_random_forest(X, y, ForestParams(n_trees=3), seed=6)
-    again = RandomForest.from_obj(json.loads(json.dumps(f.to_obj())))
-    np.testing.assert_allclose(predict_proba_trees(again, X),
-                               predict_proba_trees(f, X))
-    assert again.params == f.params
-
-
-def test_gbt_json_round_trip():
-    rng = np.random.default_rng(16)
-    X = rng.normal(size=(60, 4))
-    y = (X[:, 2] > 0).astype(int)
-    m = train_gbt(X, y, GbtParams(rounds=6))
-    again = GradientBoostedTrees.from_obj(json.loads(json.dumps(m.to_obj())))
-    np.testing.assert_allclose(predict_proba_trees(again, X),
-                               predict_proba_trees(m, X))
-    assert again.base_score == m.base_score
-    assert again.params == m.params
-
-
 @pytest.mark.parametrize("train", [train_random_forest, train_gbt])
 @pytest.mark.parametrize("shape", [(6,), (3, 2, 2)])
 def test_trainers_reject_non_matrix_input(train, shape):
     with pytest.raises(TreeError, match="2-d"):
         train(np.zeros(shape), np.zeros(shape[0]))
+
+
+@pytest.mark.parametrize("train", [train_random_forest, train_gbt])
+@pytest.mark.parametrize("labels", [[0, 2], [0.0, 0.5], [0.0, np.nan]])
+def test_trainers_refuse_labels_other_than_0_1(train, labels):
+    X = np.random.default_rng(24).normal(size=(10, 2))
+    with pytest.raises(TreeError, match="labels must be 0 or 1"):
+        train(X, np.array(labels * 5))
+
+
+@pytest.mark.parametrize("train", [train_random_forest, train_gbt])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_non_finite_features_refused(train, bad, sparse):
+    """Fits and predictions refuse a non-finite feature, dense or sparse."""
+    rng = np.random.default_rng(25)
+    X = rng.normal(size=(30, 3))
+    y = (X[:, 0] > 0).astype(int)
+    model = train(X, y)
+    X[7, 2] = bad
+    Xin = sp.csr_matrix(X) if sparse else X
+    with pytest.raises(TreeError, match="features must be finite"):
+        train(Xin, y)
+    with pytest.raises(TreeError, match="features must be finite"):
+        predict_proba_trees(model, Xin)
 
 
 # Reference split search: one column at a time, each sorted on its own, the
@@ -369,7 +369,7 @@ def _ref_best_split(X, rows, cols, a, b, score):
 def _reference_for(gain):
     if gain is trees._gini_gain:
         return _ref_gini
-    return partial(_ref_second_order, lam=gain.keywords["lam"])
+    return partial(_ref_second_order, lam=trees._REG_LAMBDA)
 
 
 @st.composite
@@ -395,13 +395,11 @@ def split_cases(draw):
                                    min_size=n, max_size=n)))
         a, b, gain = w * label, w, trees._gini_gain
     else:
-        # p of exactly 0 or 1 gives zero hessians, and with lam 0 NaN gains
+        # p of exactly 0 or 1 gives zero hessians
         p = np.array(draw(st.lists(
             st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.5, 0.8, 1.0]),
             min_size=n, max_size=n)))
-        lam = draw(st.sampled_from([0.0, 1.0]))
-        a, b = p - label, p * (1.0 - p)
-        gain = partial(trees._second_order_gain, lam=lam)
+        a, b, gain = p - label, p * (1.0 - p), trees._second_order_gain
     return X, rows, cols, a, b, gain, dup
 
 
@@ -419,12 +417,10 @@ def test_block_split_search_matches_reference(width, sparse, case):
     """Both sources of a block's sorted order, the fit's presort filtered to
     the node and the node's own sort, give the reference's split."""
     X, rows, cols, a, b, gain, dup = case
-    with np.errstate(invalid="ignore", divide="ignore"):
-        want = _ref_best_split(X, rows, cols, a, b, _reference_for(gain))
+    want = _ref_best_split(X, rows, cols, a, b, _reference_for(gain))
     Xin = sp.csr_matrix(X) if sparse else X
     for budget in _presort_budgets(X):
-        with pytest.MonkeyPatch.context() as mp, \
-                np.errstate(invalid="ignore", divide="ignore"):
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trees, "_PRESORT_VALUES", budget)
             _, XT, order, _ = trees._fit_inputs(Xin, np.zeros(X.shape[0]))
             assert (order is None) == (budget == 0)
@@ -506,7 +502,7 @@ def test_second_order_gain_matches_scalar_totals():
     hl = rng.random((2000, 5))
     G = rng.normal(size=(2000, 1)) * 10.0 ** rng.uniform(-4, 2, (2000, 1))
     H = 5.0 + rng.random((2000, 1))
-    got = trees._second_order_gain(gl, hl, G, H, lam=1.0)
+    got = trees._second_order_gain(gl, hl, G, H)
     want = np.array([_ref_second_order_gains(gl[i], hl[i], G[i, 0], H[i, 0], 1.0)
                      for i in range(G.shape[0])])
     np.testing.assert_array_equal(got, want)
