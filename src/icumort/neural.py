@@ -287,12 +287,13 @@ class FusionNet:
             if X.shape[1] != self.structured_dim:
                 raise NetError(f"feature dimension {X.shape[1]} does not "
                                f"match model dimension {self.structured_dim}")
-            if not sp.issparse(X):
-                X = np.asarray(X, dtype=float)
-            if not np.isfinite(X.data if sp.issparse(X) else X).all():
-                raise NetError("features must be finite")
             if sp.issparse(X):
+                if not np.isfinite(X.data).all():
+                    raise NetError("features must be finite")
                 return X.shape[0], lambda rows: np.asarray(X[rows].todense())
+            X = np.asarray(X, dtype=float)
+            if not np.isfinite(X).all():
+                raise NetError("features must be finite")
             return X.shape[0], lambda rows: X[rows]
         ids, structured = inputs
         ids = np.asarray(ids)

@@ -258,18 +258,22 @@ def _grow(rows, max_depth, split, leaf):
     """
     feature, threshold, left, right, value = [], [], [], [], []
 
-    def grow(rows, depth):
-        found = split(rows) if depth < max_depth else None
-        j, thr, go_left = (-1, np.nan, None) if found is None else found
-        idx = len(feature)
+    def add(j, thr, v):
         feature.append(j)
         threshold.append(thr)
         left.append(-1)
         right.append(-1)
-        value.append(0.0 if found else leaf(rows))
-        if found:
-            left[idx] = grow(rows[go_left], depth + 1)
-            right[idx] = grow(rows[~go_left], depth + 1)
+        value.append(v)
+        return len(feature) - 1
+
+    def grow(rows, depth):
+        found = split(rows) if depth < max_depth else None
+        if found is None:
+            return add(-1, np.nan, leaf(rows))
+        j, thr, go_left = found
+        idx = add(j, thr, 0.0)
+        left[idx] = grow(rows[go_left], depth + 1)
+        right[idx] = grow(rows[~go_left], depth + 1)
         return idx
 
     grow(rows, 0)
