@@ -28,6 +28,14 @@ def _data_text(name):
     return resources.files("icumort.data").joinpath(name).read_text(encoding="utf-8")
 
 
+def read_json(path, what, error=CohortError, **kw):
+    """The JSON value in the file at path; if malformed, error names it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"), **kw)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 @dataclass(frozen=True)
 class FeatureDescriptor:
     name: str
@@ -270,12 +278,9 @@ def save_cohort(cohort, path):
 def load_ranges(path=None):
     """{feature name: (min, max)} inclusive plausible bounds from a JSON
     object of [min, max] pairs; the bundled table when path is None."""
-    try:
-        text = _data_text("ranges.json") if path is None else Path(path).read_bytes()
-        # integers parse as floats, so a huge bound cannot overflow float()
-        obj = json.loads(text, parse_int=float)
-    except ValueError as exc:
-        raise CohortError(f"range table is not valid JSON: {exc}") from None
+    # integers parse as floats, so a huge bound cannot overflow float()
+    obj = (json.loads(_data_text("ranges.json"), parse_int=float) if path is None
+           else read_json(path, "range table", parse_int=float))
     if not isinstance(obj, dict):
         raise CohortError("range table must be a JSON object of [min, max] pairs")
     for name, pair in obj.items():
@@ -515,13 +520,7 @@ class SynthConfig:
 
     @classmethod
     def load(cls, path):
-        try:
-            with open(path, encoding="utf-8") as f:
-                obj = json.load(f)
-        except ValueError as exc:
-            raise CohortError(f"generator config {path} is not valid JSON: "
-                              f"{exc}") from None
-        return cls.from_obj(obj)
+        return cls.from_obj(read_json(path, "generator config"))
 
     def to_obj(self):
         return asdict(self)

@@ -94,6 +94,19 @@ def undersample(labels, seed=0):
 # ---------------------------------------------------------------------------
 # metrics
 
+def _tie_counts(s, y):
+    """Sort s once; for each sorted positive, the negatives below its tie
+    group (lo) and up to the group's end (hi).  Over the positives, marked
+    by pos, lo + hi sums to 2U (2 per win, 1 per tie): an exact count, so
+    U / (n_pos * n_neg) is the average-rank AUC bit for bit.
+    """
+    order = np.argsort(s, kind="stable")
+    v, pos = s[order], y[order] == 1
+    below = np.r_[0, np.cumsum(~pos, dtype=np.int64)]
+    return (order, pos, below[np.searchsorted(v, v[pos], side="left")],
+            below[np.searchsorted(v, v[pos], side="right")])
+
+
 def auc(scores, labels):
     """Rank AUC: P(score_pos > score_neg) with ties credited one half."""
     s = np.asarray(scores, dtype=np.float64)
@@ -106,31 +119,8 @@ def auc(scores, labels):
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise EvalError("AUC needs both classes present")
-    return _rank_auc(s, y)
-
-
-def _rank_auc(s, y):
-    """AUC of each score vector along the last axis of s, by average ranks.
-
-    y holds validated 0/1 labels with both classes present.  Average ranks
-    are multiples of one half, so the rank sums are exact in any order.
-    """
-    n = s.shape[-1]
-    n_pos = int(y.sum())
-    n_neg = n - n_pos
-    order = np.argsort(s, axis=-1, kind="stable")
-    sorted_s = np.take_along_axis(s, order, axis=-1)
-    pos = np.arange(n)
-    starts = np.ones(s.shape, dtype=bool)  # first position of a tie group
-    starts[..., 1:] = sorted_s[..., 1:] != sorted_s[..., :-1]
-    ends = np.ones(s.shape, dtype=bool)  # last position of a tie group
-    ends[..., :-1] = starts[..., 1:]
-    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
-    last = np.minimum.accumulate(
-        np.where(ends, pos, n - 1)[..., ::-1], axis=-1)[..., ::-1]
-    ranks = 0.5 * (first + last) + 1.0  # average rank, 1-based, sorted order
-    rank_sum = (ranks * y[order]).sum(axis=-1)
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    _, _, lo, hi = _tie_counts(s, y)
+    return int(lo.sum() + hi.sum()) / (2 * n_pos * n_neg)
 
 
 @dataclass(frozen=True)
@@ -196,16 +186,18 @@ class PermTestResult:
     p_value: float
 
 
-# Permutations ranked per batch: two (block, n) float arrays of about 0.3 MB
-# each at n = 600, so the batch stays small whatever n_perm is.
+# Permutations counted per batch: at n = 600 one batch's draws and int64
+# counts peak at about 1.3 MB, whatever n_perm is.
 _PERM_BLOCK = 64
 
 
 def perm_test_auc(scores_a, scores_b, labels, n_perm=1000, seed=0):
     """Paired test of |AUC(a) - AUC(b)| by per-instance score swapping.
 
-    Permutations are drawn and ranked in blocks of _PERM_BLOCK; the swap
-    draws, counts and p-value equal those of one permutation at a time.
+    One sort of the 2n pooled scores serves every permutation: a permuted
+    scorer holds one of each row's two entries, and its 2U is auc's count
+    over the pooled tie groups restricted to them.  Swaps are drawn in
+    blocks of _PERM_BLOCK, with the counts and p-value of one at a time.
     """
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
@@ -215,15 +207,26 @@ def perm_test_auc(scores_a, scores_b, labels, n_perm=1000, seed=0):
     if n_perm < 1:
         raise EvalError("n_perm must be at least 1")
     observed = abs(auc(a, y) - auc(b, y))
+    n, denom = y.size, 2 * int(y.sum()) * int((y == 0).sum())
+    # pooled entry j is a's score of row j % n (j < n) or b's; lo and hi
+    # count both scorers' negative entries, so they index counts over those
+    order, pos, lo, hi = _tie_counts(np.concatenate([a, b]), np.tile(y, 2))
+    neg_j, pos_j = order[~pos], order[pos]
     rng = np.random.default_rng(seed)
     count = 0
     for start in range(0, n_perm, _PERM_BLOCK):
         # row i of one (block, n) draw equals the i-th of `block` successive
         # random(n) calls, so the swaps do not depend on the block size
-        swap = rng.random((min(_PERM_BLOCK, n_perm - start), y.size)) < 0.5
-        pa = np.where(swap, b, a)
-        pb = np.where(swap, a, b)
-        stat = np.abs(_rank_auc(pa, y) - _rank_auc(pb, y))
+        swap = rng.random((min(_PERM_BLOCK, n_perm - start), n)) < 0.5
+        # the permuted a holds b's entry of a row exactly where it is swapped
+        below_a = np.zeros((swap.shape[0], neg_j.size + 1), dtype=np.int64)
+        np.cumsum(swap[:, neg_j % n] == (neg_j >= n), axis=1,
+                  out=below_a[:, 1:])
+        u2_a = below_a[:, lo] + below_a[:, hi]
+        in_a = swap[:, pos_j % n] == (pos_j >= n)
+        auc_a = np.where(in_a, u2_a, 0).sum(axis=1) / denom
+        auc_b = np.where(in_a, 0, lo + hi - u2_a).sum(axis=1) / denom
+        stat = np.abs(auc_a - auc_b)
         count += int(np.count_nonzero(stat >= observed - 1e-12))
     p = (1 + count) / (n_perm + 1)
     return PermTestResult(observed, n_perm, count, p)

@@ -22,6 +22,7 @@ from .cohort import (
     is_number,
     load_cohort,
     load_ranges,
+    read_json,
     synth_cohort,
 )
 from .evaluation import (
@@ -256,11 +257,7 @@ def load_run(path):
     arguments of run_experiment that a manifest recorded, so a replay reads
     the files the recorded run read; a plain config records none.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            obj = json.load(f)
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    obj = read_json(path, "config", ConfigError)
     if isinstance(obj, dict) and "config" in obj and "cells" in obj:
         inputs = obj.get("inputs", {})
         return (ExperimentConfig.from_obj(obj["config"]),

@@ -89,6 +89,27 @@ def paired_scores(draw):
     return np.array(a), np.array(b), np.array(labels)
 
 
+@st.composite
+def paired_scores_sharing_rows(draw):
+    """Up to 300 rows, some with a_i == b_i: such a row's two scores fall in
+    one tie group of the 2n pooled scores."""
+    n = draw(st.integers(2, 300))
+    n_pos = draw(st.integers(1, n - 1))
+    levels = draw(st.sampled_from([0, 3, 20]))  # 0: continuous scores
+    share = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def scores():
+        if levels:
+            return rng.integers(0, levels, size=n) / levels
+        return rng.standard_normal(n)
+
+    a, b = scores(), scores()
+    shared = rng.random(n) < share
+    b[shared] = a[shared]
+    return a, b, rng.permutation(np.r_[[1] * n_pos, [0] * (n - n_pos)])
+
+
 class TestSplit:
     def test_cohort_scale_sizes(self):
         y = np.zeros(5396, dtype=int)
@@ -287,7 +308,7 @@ class TestPermTest:
             perm_test_auc([0.5, 0.2], [0.5], [1, 0])
 
     @settings(max_examples=150, deadline=None)
-    @given(paired_scores(),
+    @given(st.one_of(paired_scores(), paired_scores_sharing_rows()),
            st.sampled_from([1, _PERM_BLOCK - 1, _PERM_BLOCK, _PERM_BLOCK + 1,
                             2 * _PERM_BLOCK + 5]),
            st.integers(0, 2**32 - 1))
@@ -297,6 +318,24 @@ class TestPermTest:
         assert auc(b, y) == loop_auc(b, y)
         assert perm_test_auc(a, b, y, n_perm=n_perm, seed=seed) == \
             loop_perm_test_auc(a, b, y, n_perm, seed)
+
+    def test_exact_when_pair_counts_pass_int32(self):
+        # 2 * n_pos * n_neg, and a's 2U, exceed 2**31: a count or divisor
+        # kept in 32 bits would wrap
+        rng = np.random.default_rng(12)
+        n = 70_000
+        y = (rng.random(n) < 0.5).astype(int)
+        n_pos = int(y.sum())
+        a = np.round(rng.random(n) + 1.5 * y, 3)  # ties on a 0.001 grid
+        b = np.round(rng.random(n) + 0.7 * y, 3)
+        shared = rng.random(n) < 0.2
+        b[shared] = a[shared]
+        assert 2 * n_pos * (n - n_pos) > 2**31
+        assert 2 * loop_auc(a, y) * n_pos * (n - n_pos) > 2**31
+        assert auc(a, y) == loop_auc(a, y)
+        assert auc(b, y) == loop_auc(b, y)
+        assert perm_test_auc(a, b, y, n_perm=3, seed=1) == \
+            loop_perm_test_auc(a, b, y, 3, 1)
 
 
 class TestFolds:

@@ -310,6 +310,8 @@ class TestConfig:
                        "--out", str(tmp_path / "res"), "--ranges", str(path)])
         err = capsys.readouterr().err
         assert rc == 1
+        if message == "range table is not valid JSON":
+            message = f"range table {path} is not valid JSON: "
         assert err.startswith(f"error: {message}")
         assert not (tmp_path / "res").exists()
 
@@ -386,7 +388,7 @@ class TestConfig:
                            "--out", str(tmp_path / "res")])
             assert rc == 1
             assert capsys.readouterr().err.startswith(
-                "error: config is not valid JSON: ")
+                f"error: config {path} is not valid JSON: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_cli_refuses_non_positive_counts(self, tmp_path, capsys):
