@@ -220,7 +220,7 @@ def load_cohort(path, schema=None):
             line = line.strip()
             if not line:
                 continue
-            where = f" at line {lineno}"
+            where = f" at line {lineno} of cohort {path}"
             try:
                 obj = json.loads(line)
             except ValueError as exc:

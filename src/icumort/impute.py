@@ -46,42 +46,6 @@ class ImputationModel:
             raise ImputeError("stored regressions must match the visit order")
 
 
-def _cholesky_solve(G, keep, j):
-    """Coefficients of column j on the columns `keep` from the Gram matrix G,
-    by a Cholesky factor of G[keep, keep] scaled to unit diagonal; None when
-    a scaled pivot is at most PIVOT_TOL or the factorization fails."""
-    A = G[np.ix_(keep, keep)]
-    scale = np.sqrt(np.diag(A))
-    if not scale.all():
-        return None
-    try:
-        L = np.linalg.cholesky(A / np.outer(scale, scale))
-    except np.linalg.LinAlgError:
-        return None
-    if np.diag(L).min() ** 2 <= PIVOT_TOL:
-        return None
-    return np.linalg.solve(L.T, np.linalg.solve(L, G[keep, j] / scale)) / scale
-
-
-def _fit_column(W, rows, j):
-    """Regress column j of W on every other column (the last is all ones)
-    over the rows where j is observed.
-
-    Returns (weights w over W's columns, w[j] = 0; residual sd; rank deficient).
-    """
-    Wr = W[rows]
-    keep = np.delete(np.arange(W.shape[1]), j)
-    beta = _cholesky_solve(Wr.T @ Wr, keep, j)
-    rank_deficient = False
-    if beta is None:  # SVD least squares: the minimum-norm solution if rank deficient
-        A = Wr[:, keep]
-        beta, _, rank, _ = np.linalg.lstsq(A, Wr[:, j], rcond=None)
-        rank_deficient = rank < A.shape[1]
-    w = np.insert(beta, j, 0.0)
-    sd = float((Wr[:, j] - Wr @ w).std())  # population sd
-    return w, sd, rank_deficient
-
-
 def _work_matrix(X, observed_mask, means):
     """X with its missing cells at the means, plus a trailing column of ones."""
     n, d = X.shape
@@ -100,27 +64,65 @@ def _run_chain(X, observed_mask, cycles, seed):
     visit_order = sorted((j for j in range(d) if frac[j] > 0),
                          key=lambda j: (frac[j], j))
 
-    coefficients, residual_sds = {}, {}
+    rows = {j: (np.flatnonzero(observed_mask[:, j]),
+                np.flatnonzero(~observed_mask[:, j])) for j in visit_order}
+
+    # G stays exactly W.T @ W: once column j is redrawn, its row and column
+    # are recomputed, so no rounding carries from one step to the next
+    G = W.T @ W
+    weights, residual_sds = {}, {}
     rank_deficient_columns = set()
     median_changes = []
     for _ in range(cycles):
         changes = []
         for j in visit_order:
-            w, sd, rank_deficient = _fit_column(W, observed_mask[:, j], j)
-            coefficients[j] = np.delete(w, j)
-            residual_sds[j] = sd
-            if rank_deficient:
-                rank_deficient_columns.add(j)
-            miss = ~observed_mask[:, j]
-            new = W[miss] @ w + sd * rng.standard_normal(miss.sum())
+            obs, miss = rows[j]
+            # the Gram matrix over j's observed rows: G less the missing
+            # rows when they are fewer, else formed from the observed rows
+            if miss.size < obs.size:
+                Wr = W[miss]
+                A = G - Wr.T @ Wr
+            else:
+                Wr = W[obs]
+                A = Wr.T @ Wr
+            # row and column j set to the identity: w[j] solves to 0 and the
+            # other weights to j's regression on every other column (the
+            # last is all ones), by a Cholesky factor scaled to unit diagonal
+            b = A[:, j].copy()
+            b[j] = A[j] = A[:, j] = 0.0
+            A[j, j] = 1.0
+            scale = np.sqrt(np.diag(A))
+            w = None
+            if scale.all():
+                try:
+                    L = np.linalg.cholesky(A / np.outer(scale, scale))
+                except np.linalg.LinAlgError:
+                    L = None
+                # j's own pivot is exactly 1, so only the others can trip
+                # the PIVOT_TOL check
+                if L is not None and np.diag(L).min() ** 2 > PIVOT_TOL:
+                    w = np.linalg.solve(L.T, np.linalg.solve(L, b / scale)) / scale
+            if w is None:  # SVD least squares: the minimum-norm solution if rank deficient
+                Wr = W[obs]
+                beta, _, rank, _ = np.linalg.lstsq(
+                    np.delete(Wr, j, axis=1), Wr[:, j], rcond=None)
+                if rank < d:
+                    rank_deficient_columns.add(j)
+                w = np.insert(beta, j, 0.0)
+            pred = W @ w
+            sd = float((W[obs, j] - pred[obs]).std())  # population sd
+            new = pred[miss] + sd * rng.standard_normal(miss.size)
             changes.append(np.abs(new - W[miss, j]))
             W[miss, j] = new
+            G[:, j] = G[j] = W.T @ W[:, j]
+            weights[j], residual_sds[j] = w, sd
         if changes:
             median_changes.append(float(np.median(np.concatenate(changes))))
 
     model = ImputationModel(
         n_columns=d, means=means, visit_order=visit_order,
-        coefficients=coefficients, residual_sds=residual_sds,
+        coefficients={j: np.delete(w, j) for j, w in weights.items()},
+        residual_sds=residual_sds,
         cycles=cycles, seed=seed, cycle_median_change=median_changes,
         rank_deficient_columns=rank_deficient_columns)
     return W[:, :-1], model

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 import warnings
 from fractions import Fraction
@@ -125,7 +126,8 @@ def _cell(cohort, i, name):
 class TestCohortValidation:
     def test_duplicate_ids_rejected(self, schema):
         r = _record("a", {})
-        with pytest.raises(CohortError, match="duplicate record id 'a' at line 2"):
+        with pytest.raises(CohortError, match="duplicate record id 'a' at line 2 "
+                           r"of cohort \S+cohort\.jsonl$"):
             _load(schema, [r, r])
 
     def test_bad_categorical_value(self, schema):
@@ -173,7 +175,7 @@ class TestIO:
         bad = {"id": "p2", "features": {"age": "old"}, "note": "",
                "label_hospital": 0, "label_30day": 0}
         p.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
-        with pytest.raises(CohortError, match="line 2"):
+        with pytest.raises(CohortError, match=re.escape(f"at line 2 of cohort {p}")):
             load_cohort(p, schema)
 
     @pytest.mark.parametrize("text", ["1" + "0" * 400, "1e400", "NaN",
@@ -185,14 +187,14 @@ class TestIO:
         p.write_text(_jsonl([_record("p1", {})]) + '{"id":"p2","features":'
                      '{"age":' + text + '},"label_30day":0,"label_hospital":0,'
                      '"note":""}\n')
-        with pytest.raises(CohortError,
-                           match="'age' needs a finite number.* at line 2"):
+        with pytest.raises(CohortError, match="'age' needs a finite number.* "
+                           + re.escape(f"at line 2 of cohort {p}")):
             load_cohort(p, schema)
 
     def test_malformed_json_line(self, schema, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text("{not json}\n")
-        with pytest.raises(CohortError, match="line 1"):
+        with pytest.raises(CohortError, match=re.escape(f"at line 1 of cohort {p}")):
             load_cohort(p, schema)
 
     @pytest.mark.parametrize("line, message", [
@@ -203,14 +205,15 @@ class TestIO:
     def test_non_object_line_rejected(self, schema, tmp_path, line, message):
         p = tmp_path / "bad.jsonl"
         p.write_text(_jsonl([_record("p1", {})]) + line + "\n")
-        with pytest.raises(CohortError, match=message):
+        with pytest.raises(CohortError, match=re.escape(f"{message} of cohort {p}")):
             load_cohort(p, schema)
 
     def test_missing_key(self, schema, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text(json.dumps({"id": "x", "features": {}, "note": "",
                                  "label_hospital": 0}) + "\n")
-        with pytest.raises(CohortError, match="label_30day"):
+        with pytest.raises(CohortError, match=re.escape(
+                f"missing key 'label_30day' at line 1 of cohort {p}")):
             load_cohort(p, schema)
 
 

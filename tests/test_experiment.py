@@ -156,7 +156,8 @@ class TestConfig:
             rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
                            "--out", str(tmp_path / "res")])
             assert rc == 1
-            assert capsys.readouterr().err == f"error: {message}\n"
+            assert capsys.readouterr().err == (
+                f"error: {message} of cohort {tmp_path / 'c.jsonl'}\n")
         (tmp_path / "synth.json").write_text('{"n": "50"}')
         rc = cli.main(["synth", "--config", str(tmp_path / "synth.json"),
                        "--out", str(tmp_path / "c.jsonl")])
@@ -1107,7 +1108,8 @@ class TestCli:
         proc = self._run("run", "--config", "exp.json", "--out", "res",
                          cwd=tmp_path)
         assert proc.returncode == 1
-        assert proc.stderr == "error: record must be a JSON object at line 1\n"
+        assert proc.stderr == ("error: record must be a JSON object at line 1 "
+                               "of cohort c.jsonl\n")
         assert not (tmp_path / "res").exists()
 
     def test_missing_config_exit_code(self, tmp_path):

@@ -232,27 +232,38 @@ class TestApply:
 
 
 @st.composite
-def incomplete_matrices(draw):
+def incomplete_matrices(draw, far_offsets=False):
     n = draw(st.integers(20, 300))
     d = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = draw(st.integers(1, d))
     # k shared factors: the columns are correlated, not collinear
     X = rng.normal(size=(n, k)) @ rng.normal(size=(k, d)) + rng.normal(size=(n, d))
-    X = (X + rng.normal(scale=3.0, size=d)) * 10.0 ** rng.uniform(-3, 3, size=d)
-    # at least d + 1 observed cells per column: with fewer, the regression is
+    if far_offsets:
+        # offsets of 1e2-1e5 column sds: subtracting the missing rows from
+        # the whole Gram matrix cancels most of its digits
+        X += (X.std(axis=0) * rng.choice([-1.0, 1.0], size=d)
+              * 10.0 ** rng.uniform(2, 5, size=d))
+    else:
+        X += rng.normal(scale=3.0, size=d)
+    X *= 10.0 ** rng.uniform(-3, 3, size=d)
+    # missing rates up to 0.9, so a column's observed Gram matrix is formed
+    # both ways: by downdating the whole one and from the observed rows; at
+    # least d + 1 observed cells per column, as with fewer the regression is
     # rank deficient (test_rank_deficient_columns_are_stable covers that case)
     for j in range(d):
-        rate = draw(st.floats(0.0, 0.5))
+        rate = draw(st.floats(0.0, 0.9))
         missing = np.flatnonzero(rng.random(n) < rate)
         X[missing[:n - d - 1], j] = np.nan
     return X
 
 
-@settings(max_examples=150, deadline=None)
-@given(X=incomplete_matrices(), seed=st.integers(0, 1000))
+@settings(max_examples=250, deadline=None)
+@given(X=st.one_of(incomplete_matrices(), incomplete_matrices(far_offsets=True)),
+       seed=st.integers(0, 1000))
 def test_chain_matches_least_squares_reference(X, seed):
-    """The Cholesky solve imputes what per-column SVD least squares imputes."""
+    """The Cholesky solve imputes what per-column SVD least squares imputes,
+    also when a downdated Gram matrix has lost most of its digits."""
     out, model = impute_fit_transform(X, seed=seed)
     want, visit_order, rank_deficient_columns = _ref_chain(X, seed=seed)
     assert model.visit_order == visit_order
