@@ -105,18 +105,22 @@ def cmd_permtest(args):
 def cmd_rank(args):
     if args.k < 1:
         raise ConfigError("-k must be an integer >= 1")
+    where = f"model file {args.model_path}"
     try:
         with open(args.model_path, encoding="utf-8") as f:
             payload = json.load(f)
     except (UnicodeDecodeError, json.JSONDecodeError):
-        raise ConfigError("rank works on linear models only") from None
-    if payload.get("kind") != "linear":
-        raise ConfigError("rank works on linear models only")
-    model = linmod.LinearModel.from_obj(payload["model"])
-    n_structured = payload["n_structured"]
+        payload = None
+    if not isinstance(payload, dict) or payload.get("kind") != "linear":
+        raise ConfigError(f"{where}: rank works on linear models only")
+    try:
+        model = linmod.LinearModel.from_obj(payload["model"])
+        n_structured = payload["n_structured"]
+        names = payload["feature_names"][:n_structured]
+    except KeyError as exc:
+        raise ConfigError(f"{where} has no key {exc}") from None
     if n_structured == 0:
-        raise ConfigError("model has no structured block to rank")
-    names = payload["feature_names"][:n_structured]
+        raise ConfigError(f"{where}: model has no structured block to rank")
     for name, coef in linmod.rank_coefficients(model.w[:n_structured], names,
                                                args.k):
         print(f"{name}\t{coef:+.6f}")

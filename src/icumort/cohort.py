@@ -207,10 +207,9 @@ def _set_value(row, slots, name, value, where):
         row[a] = float(value)
 
 
-def load_cohort(path, schema=None):
-    """Read a JSONL cohort file, checking every record against the schema."""
-    if schema is None:
-        schema = FeatureSchema.default()
+def load_cohort(path):
+    """Read a JSONL cohort file, checking every record against the default schema."""
+    schema = FeatureSchema.default()
     slots = {d.name: (d, a, b) for d, a, b in schema.columns}
     ids, notes, rows = [], [], []
     labels = {"label_hospital": [], "label_30day": []}

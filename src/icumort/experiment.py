@@ -331,71 +331,60 @@ def fold_plan(labels, config, seed):
 
 
 class _Fold:
-    """One fold's transformers, fitted once on its fit rows and shared by
-    every feature set.
+    """One fold's transformers, fitted on its fit rows, and its feature
+    table, shared by every feature set.
 
     The chained-equation imputer and standardizing encoder are fitted when
     `cohort` is given, the vocabulary and tf-idf when `tokens` (its
-    tokenized notes) are.  The structured, text and fused
-    blocks are memoized per requested row set; a feature set only picks
-    which block, or the fused pair, to return.
+    tokenized notes) are.  The table holds the fit rows, with the chain's
+    imputations, then `held_rows`, imputed by one `apply_imputation` call.
+    Every request gathers its rows from blocks built once over the table.
     """
 
-    def __init__(self, fit_rows, seed, cohort, tokens, min_df):
-        self.fit_rows = np.asarray(fit_rows)
+    def __init__(self, fit_rows, held_rows, seed, cohort, tokens, min_df):
+        fit_rows = np.asarray(fit_rows)
+        rows = np.concatenate([fit_rows, held_rows])
+        self._position = np.full(len(cohort if tokens is None else tokens), -1)
+        self._position[rows] = np.arange(rows.size)
         self.cohort = cohort
-        self.tokens = tokens
-        self._memo = {}
+        self._blocks = {}
         if cohort is not None:
-            self._fit_imputed, self.imp_model = impute_fit_transform(
-                cohort.continuous_matrix(self.fit_rows), seed=seed)
-            self.encoder = StructuredEncoder.fit(cohort.schema,
-                                                 self._fit_imputed)
+            fit_imputed, self.imp_model = impute_fit_transform(
+                cohort.continuous_matrix(fit_rows), seed=seed)
+            self.encoder = StructuredEncoder.fit(cohort.schema, fit_imputed)
+            imputed = np.vstack([fit_imputed, apply_imputation(
+                self.imp_model, cohort.continuous_matrix(held_rows))])
+            self._blocks["structured"] = cohort.encode(self.encoder, rows,
+                                                       imputed)
         if tokens is not None:
-            self.vocab = build_vocab([tokens[i] for i in self.fit_rows],
-                                     min_df=min_df)
+            self._docs = [tokens[i] for i in rows]
+            self.vocab = build_vocab(self._docs[:fit_rows.size], min_df=min_df)
             self.tfidf = tfidf_fit(self.vocab)
+            self._blocks["notes"] = transform_corpus(self.tfidf, self._docs)
 
-    def _memoized(self, kind, rows, make):
-        key = (kind, rows.tobytes())
-        if key not in self._memo:
-            self._memo[key] = make(rows)
-        return self._memo[key]
-
-    def _structured(self, rows):
-        if np.array_equal(rows, self.fit_rows):
-            imputed = self._fit_imputed
-        else:
-            imputed = apply_imputation(self.imp_model,
-                                       self.cohort.continuous_matrix(rows))
-        return self.cohort.encode(self.encoder, rows, imputed)
-
-    def structured(self, rows):
-        return self._memoized("structured", rows, self._structured)
-
-    def text(self, rows):
-        return self._memoized("text", rows, lambda r: transform_corpus(
-            self.tfidf, [self.tokens[i] for i in r]))
+    def _gather(self, kind, rows):
+        positions = self._position[rows]
+        if (positions < 0).any():
+            outside = np.extract(positions < 0, rows).tolist()
+            raise IndexError(f"rows {outside} are not in the fold")
+        return self._blocks[kind][positions]
 
     def matrix(self, feature_set, rows):
         """Design matrix for the linear/tree/MLP families."""
-        rows = np.asarray(rows)
-        if feature_set == "structured":
-            return self.structured(rows)
-        if feature_set == "notes":
-            return self.text(rows)
-        return self._memoized("combined", rows, lambda r: fuse_matrix(
-            self.structured(r), self.text(r)))
+        if feature_set == "combined" and "combined" not in self._blocks:
+            self._blocks["combined"] = fuse_matrix(self._blocks["structured"],
+                                                   self._blocks["notes"])
+        return self._gather(feature_set, rows)
 
     def cnn_inputs(self, feature_set, rows, max_len):
         """(padded token ids, structured block) for the fusion CNN."""
-        rows = np.asarray(rows)
-        padded = self._memoized(("ids", max_len), rows, lambda r: (
-            neural.pad_sequences(neural.tokens_to_ids(
-                [self.tokens[i] for i in r], self.vocab), max_len)))
+        kind = ("ids", max_len)
+        if kind not in self._blocks:
+            self._blocks[kind] = neural.pad_sequences(
+                neural.tokens_to_ids(self._docs, self.vocab), max_len)
         if feature_set == "combined":
-            return padded, self.structured(rows)
-        return padded, np.zeros((rows.size, 0))
+            return self._gather(kind, rows), self.matrix("structured", rows)
+        return self._gather(kind, rows), np.zeros((len(rows), 0))
 
     def feature_names(self, feature_set):
         """The feature set's column names, structured block first."""
@@ -487,7 +476,8 @@ def _save_model(algo, model, fold, feature_set, path_base):
 
 class _OutcomeContext:
     """One outcome's labels, fold plan, and one _Fold per entry of the
-    plan's `fit` (the folds, then the full training split).
+    plan's `fit` (the folds, then the full training split), holding out
+    the rows it scores: validation rows, or the test split at the refit.
 
     `tokens` are the cohort's tokenized notes (None when no feature set has
     notes); the folds get the cohort itself only when a feature set has a
@@ -501,7 +491,8 @@ class _OutcomeContext:
                               derive_seed(config.seed, outcome_index))
         structured = (cohort if set(config.feature_sets)
                       & {"structured", "combined"} else None)
-        self.folds = [_Fold(rows, derive_seed(self.plan.seed, 1, f),
+        held = self.plan.val + [self.plan.split.test_indices]
+        self.folds = [_Fold(rows, held[f], derive_seed(self.plan.seed, 1, f),
                             structured, tokens, config.min_df)
                       for f, rows in enumerate(self.plan.fit)]
 
@@ -688,14 +679,19 @@ def load_cell_scores(out_dir, cell):
     path = cell_dir(out_dir, *parts) / "scores.tsv"
     if not path.exists():
         raise ConfigError(f"no stored scores for cell {cell!r} at {path}")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if lines[:1] != ["row\tlabel\tscore"]:
+        raise ConfigError(f"no header at line 1 of scores file {path}")
     rows, labels, scores = [], [], []
-    with open(path, encoding="utf-8") as f:
-        next(f)
-        for line in f:
-            r, l, s = line.rstrip("\n").split("\t")
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            r, l, s = line.split("\t")
             rows.append(int(r))
             labels.append(int(l))
             scores.append(float(s))
+        except ValueError:
+            raise ConfigError(
+                f"malformed line {lineno} of scores file {path}") from None
     return np.asarray(rows), np.asarray(labels), np.asarray(scores)
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icumort.cohort import (
+    Cohort,
     CohortError,
     FeatureDescriptor,
     FeatureSchema,
@@ -101,12 +102,22 @@ def _jsonl(records):
                    for r in records)
 
 
-def _load(schema, records):
+def _load(records):
     """load_cohort of the records' JSONL file."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "cohort.jsonl"
         path.write_text(_jsonl(records), encoding="utf-8")
-        return load_cohort(path, schema)
+        return load_cohort(path)
+
+
+def _cohort(schema, records):
+    """The records as a cohort of another schema than the default, which
+    load_cohort reads: its values come from the record reference."""
+    return Cohort(schema, [r["id"] for r in records],
+                  [r["note"] for r in records],
+                  [r["label_hospital"] for r in records],
+                  [r["label_30day"] for r in records],
+                  _ref_values(schema, [r["features"] for r in records]))
 
 
 def _saved_records(cohort):
@@ -124,26 +135,26 @@ def _cell(cohort, i, name):
 
 
 class TestCohortValidation:
-    def test_duplicate_ids_rejected(self, schema):
+    def test_duplicate_ids_rejected(self):
         r = _record("a", {})
         with pytest.raises(CohortError, match="duplicate record id 'a' at line 2 "
                            r"of cohort \S+cohort\.jsonl$"):
-            _load(schema, [r, r])
+            _load([r, r])
 
-    def test_bad_categorical_value(self, schema):
+    def test_bad_categorical_value(self):
         with pytest.raises(CohortError, match="Martian"):
-            _load(schema, [_record("a", {"race": "Martian"})])
+            _load([_record("a", {"race": "Martian"})])
 
-    def test_binary_must_be_01(self, schema):
+    def test_binary_must_be_01(self):
         with pytest.raises(CohortError, match="0 or 1"):
-            _load(schema, [_record("a", {"diabetes": 2})])
+            _load([_record("a", {"diabetes": 2})])
 
-    def test_unknown_feature_rejected(self, schema):
+    def test_unknown_feature_rejected(self):
         with pytest.raises(CohortError, match="unknown feature"):
-            _load(schema, [_record("a", {"shoe_size": 11})])
+            _load([_record("a", {"shoe_size": 11})])
 
-    def test_labels_vector(self, schema):
-        c = _load(schema, [_record("a", {}, 1, 1), _record("b", {}, 0, 1)])
+    def test_labels_vector(self):
+        c = _load([_record("a", {}, 1, 1), _record("b", {}, 0, 1)])
         assert c.labels("hospital").tolist() == [1, 0]
         assert c.labels("30day").tolist() == [1, 1]
         with pytest.raises(CohortError):
@@ -151,9 +162,9 @@ class TestCohortValidation:
 
 
 class TestIO:
-    def test_round_trip_bytes(self, schema, tmp_path):
+    def test_round_trip_bytes(self, tmp_path):
         """save -> load -> save reproduces the file byte for byte."""
-        c = _load(schema, [
+        c = _load([
             _record("p1", {"age": 71, "race": "White", "diabetes": 1}, 0, 1,
                     "stable overnight"),
             _record("p2", {"age": 54.5, "sofa": 9, "diabetes": 1.0}, 1, 1)])
@@ -165,10 +176,10 @@ class TestIO:
         save_cohort(c, p)
         assert '"age":71.0' in p.read_text()
         assert '"diabetes":1,' in p.read_text().splitlines()[1]
-        save_cohort(load_cohort(p, schema), q)
+        save_cohort(load_cohort(p), q)
         assert q.read_bytes() == p.read_bytes()
 
-    def test_error_carries_line_number(self, schema, tmp_path):
+    def test_error_carries_line_number(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         good = {"id": "p1", "features": {}, "note": "", "label_hospital": 0,
                 "label_30day": 0}
@@ -176,11 +187,11 @@ class TestIO:
                "label_hospital": 0, "label_30day": 0}
         p.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(CohortError, match=re.escape(f"at line 2 of cohort {p}")):
-            load_cohort(p, schema)
+            load_cohort(p)
 
     @pytest.mark.parametrize("text", ["1" + "0" * 400, "1e400", "NaN",
                                       "-Infinity"])
-    def test_non_finite_value_rejected(self, schema, tmp_path, text):
+    def test_non_finite_value_rejected(self, tmp_path, text):
         """A continuous value that is no finite float, such as an integer
         beyond the float range, is a cohort error with its line."""
         p = tmp_path / "bad.jsonl"
@@ -189,61 +200,61 @@ class TestIO:
                      '"note":""}\n')
         with pytest.raises(CohortError, match="'age' needs a finite number.* "
                            + re.escape(f"at line 2 of cohort {p}")):
-            load_cohort(p, schema)
+            load_cohort(p)
 
-    def test_malformed_json_line(self, schema, tmp_path):
+    def test_malformed_json_line(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text("{not json}\n")
         with pytest.raises(CohortError, match=re.escape(f"at line 1 of cohort {p}")):
-            load_cohort(p, schema)
+            load_cohort(p)
 
     @pytest.mark.parametrize("line, message", [
         ("5", "record must be a JSON object at line 2"),
         ('["p2"]', "record must be a JSON object at line 2"),
         ('{"id":"p2","features":[1],"label_30day":0,"label_hospital":0,'
          '"note":""}', "features must be an object at line 2")])
-    def test_non_object_line_rejected(self, schema, tmp_path, line, message):
+    def test_non_object_line_rejected(self, tmp_path, line, message):
         p = tmp_path / "bad.jsonl"
         p.write_text(_jsonl([_record("p1", {})]) + line + "\n")
         with pytest.raises(CohortError, match=re.escape(f"{message} of cohort {p}")):
-            load_cohort(p, schema)
+            load_cohort(p)
 
-    def test_missing_key(self, schema, tmp_path):
+    def test_missing_key(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text(json.dumps({"id": "x", "features": {}, "note": "",
                                  "label_hospital": 0}) + "\n")
         with pytest.raises(CohortError, match=re.escape(
                 f"missing key 'label_30day' at line 1 of cohort {p}")):
-            load_cohort(p, schema)
+            load_cohort(p)
 
 
 class TestOutlierFilter:
-    def test_out_of_range_becomes_missing(self, schema):
-        c = _load(schema, [_record("a", {"heart_rate": 400.0, "age": 60})])
+    def test_out_of_range_becomes_missing(self):
+        c = _load([_record("a", {"heart_rate": 400.0, "age": 60})])
         filtered, report = filter_outliers(c)
         assert math.isnan(_cell(filtered, 0, "heart_rate"))
         assert _cell(filtered, 0, "age") == 60
         assert report == {"heart_rate": 1}
 
-    def test_boundary_values_kept(self, schema):
+    def test_boundary_values_kept(self):
         table = {"heart_rate": (0, 350)}
-        c = _load(schema, [_record("a", {"heart_rate": 350})])
+        c = _load([_record("a", {"heart_rate": 350})])
         filtered, report = filter_outliers(c, table)
         assert _cell(filtered, 0, "heart_rate") == 350
         assert report == {}
 
-    def test_idempotent(self, schema):
-        c = _load(schema, [_record("a", {"heart_rate": 400.0, "ph": 5.0}),
-                           _record("b", {"heart_rate": 82.0}, 1, 0)])
+    def test_idempotent(self):
+        c = _load([_record("a", {"heart_rate": 400.0, "ph": 5.0}),
+                   _record("b", {"heart_rate": 82.0}, 1, 0)])
         c1, rep1 = filter_outliers(c)
         c2, rep2 = filter_outliers(c1)
         assert rep1 == {"heart_rate": 1, "ph": 1}
         assert rep2 == {}
         assert c2.values.tobytes() == c1.values.tobytes()
 
-    def test_unknown_entry_warns_and_is_ignored(self, schema):
+    def test_unknown_entry_warns_and_is_ignored(self):
         table = {"banana": (0, 1), "race": (0, 1)}
-        c = _load(schema, [_record("a", {"age": 50})])
+        c = _load([_record("a", {"age": 50})])
         with pytest.warns(UserWarning):
             filtered, report = filter_outliers(c, table)
         assert report == {}
@@ -300,14 +311,14 @@ class TestEncoder:
                 else:
                     values[d.name] = d.categories[int(rng.integers(len(d.categories)))]
             records.append(_record(f"p{i}", values))
-        cohort = _load(schema, records)
+        cohort = _load(records)
         assert encode(fit_encoder(cohort), cohort).shape == (5, 58)
 
     def test_standardization_stats(self):
         """Values {2, 4}: mean 3, population sd 1."""
         sch = _tiny_schema()
-        c = _load(sch, [_record("a", {"x": 2.0, "flag": 0, "color": "red"}),
-                        _record("b", {"x": 4.0, "flag": 1, "color": "blue"})])
+        c = _cohort(sch, [_record("a", {"x": 2.0, "flag": 0, "color": "red"}),
+                          _record("b", {"x": 4.0, "flag": 1, "color": "blue"})])
         enc = fit_encoder(c)
         assert enc.means[0] == pytest.approx(3.0)
         assert enc.sds[0] == pytest.approx(1.0)
@@ -333,8 +344,8 @@ class TestEncoder:
 
     def test_constant_column_warns_and_uses_unit_sd(self):
         sch = _tiny_schema()
-        c = _load(sch, [_record(f"p{i}", {"x": 7.0, "flag": 0, "color": "red"})
-                        for i in range(3)])
+        c = _cohort(sch, [_record(f"p{i}", {"x": 7.0, "flag": 0, "color": "red"})
+                          for i in range(3)])
         with pytest.warns(UserWarning, match="constant"):
             enc = fit_encoder(c)
         assert enc.sds[0] == 1.0
@@ -350,8 +361,8 @@ class TestEncoder:
         with pytest.warns(UserWarning, match="constant"):
             enc = StructuredEncoder.fit(schema, block)
         assert enc.sds[0] == 1.0
-        encoded = _load(schema, [_record(f"p{i}", {"x": v}) for i in range(7)]
-                        ).encode(enc, list(range(7)), block)
+        encoded = _cohort(schema, [_record(f"p{i}", {"x": v}) for i in range(7)]
+                          ).encode(enc, list(range(7)), block)
         assert np.abs(encoded).max() < 1e-9  # was -1.0 for every row
 
     def test_tiny_varying_column_keeps_its_scale(self):
@@ -364,14 +375,14 @@ class TestEncoder:
             enc = StructuredEncoder.fit(schema, block)
         assert enc.constant_columns == ()
         assert enc.sds[0] == pytest.approx(2.515e-226, rel=1e-12)
-        encoded = _load(schema, [_record(f"p{i}", {"x": float(v)})
-                                 for i, v in enumerate(block[:, 0])]
-                        ).encode(enc, [0, 1], block)
+        encoded = _cohort(schema, [_record(f"p{i}", {"x": float(v)})
+                                   for i, v in enumerate(block[:, 0])]
+                          ).encode(enc, [0, 1], block)
         np.testing.assert_allclose(encoded[:, 0], [-1.0, 1.0], rtol=1e-12)
 
     def test_missing_values_rejected_with_pointer(self):
         sch = _tiny_schema()
-        c = _load(sch, [_record("a", {"flag": 0, "color": "red"})])
+        c = _cohort(sch, [_record("a", {"flag": 0, "color": "red"})])
         with pytest.raises(CohortError, match="impute"):
             fit_encoder(c)
 
@@ -406,27 +417,27 @@ class TestEncoder:
         sch = _tiny_schema()
         rs = [_record("a", {"x": 1.0, "flag": 0, "color": "red"}),
               _record("b", {"x": 2.0, "color": "blue"})]
-        c = _load(sch, rs)
+        c = _cohort(sch, rs)
         enc = fit_encoder(c)
         with pytest.raises(CohortError, match="missing value for 'flag' in record 'b'"):
             encode(enc, c)
         # rows without the gap still encode
         np.testing.assert_array_equal(
-            c.encode(enc, [0], [[1.0]]), encode(enc, _load(sch, rs[:1])))
+            c.encode(enc, [0], [[1.0]]), encode(enc, _cohort(sch, rs[:1])))
 
     def test_missing_continuous_value_raises(self):
         sch = _tiny_schema()
         rs = [_record("a", {"x": 1.0, "flag": 0, "color": "red"}),
               _record("c", {"x": 3.0, "flag": 0, "color": "red"}),
               _record("b", {"flag": 1, "color": "blue"})]
-        enc = fit_encoder(_load(sch, rs[:2]))
+        enc = fit_encoder(_cohort(sch, rs[:2]))
         with pytest.raises(CohortError, match="missing value for 'x' in record 'b'"):
-            encode(enc, _load(sch, rs))
+            encode(enc, _cohort(sch, rs))
 
     def test_block_shape_mismatch_raises(self):
         sch = _tiny_schema()
-        c = _load(sch, [_record(f"p{i}", {"x": float(i), "flag": 0, "color": "red"})
-                        for i in range(3)])
+        c = _cohort(sch, [_record(f"p{i}", {"x": float(i), "flag": 0, "color": "red"})
+                          for i in range(3)])
         enc = fit_encoder(c)
         with pytest.raises(CohortError, match="shape"):
             c.encode(enc, [0, 1], np.zeros((3, 1)))
@@ -546,24 +557,30 @@ _SMALL_SCHEMA = FeatureSchema([
     FeatureDescriptor("z", "continuous"),
 ])
 _FLOATS = st.floats(-1e3, 1e3, allow_nan=False, width=64)
-_SMALL_RANGES = {"x": (-10.0, 10.0), "z": (0.0, 5.5)}
+# default-schema features that the load property draws, and ranges for two
+_LOAD_FEATURES = [FeatureSchema.default().by_name[name] for name in (
+    "age", "diabetes", "sofa", "admission_type", "albumin")]
+_LOAD_RANGES = {"age": (-10.0, 10.0), "albumin": (0.0, 5.5)}
 
 
 @st.composite
 def record_features(draw):
-    """Feature dicts for _SMALL_SCHEMA: any value may be missing, either
+    """Feature dicts over _LOAD_FEATURES: any value may be missing, either
     left out or null; continuous values are integers or floats, binary
     values integers or floats."""
     features = []
     for _ in range(draw(st.integers(0, 10))):
         values = {}
-        for name in _SMALL_SCHEMA.continuous:
-            # the range bounds themselves, which the filter keeps
-            values[name] = draw(st.one_of(
-                st.none(), st.integers(-50, 50), _FLOATS,
-                st.sampled_from([-10.0, 10.0, 0.0, 5.5, -0.0])))
-        values["flag"] = draw(st.sampled_from([None, 0, 1, 0.0, 1.0]))
-        values["color"] = draw(st.sampled_from([None, "red", "green", "blue"]))
+        for d in _LOAD_FEATURES:
+            if d.kind == "continuous":
+                # the range bounds themselves, which the filter keeps
+                values[d.name] = draw(st.one_of(
+                    st.none(), st.integers(-50, 50), _FLOATS,
+                    st.sampled_from([-10.0, 10.0, 0.0, 5.5, -0.0])))
+            elif d.kind == "binary":
+                values[d.name] = draw(st.sampled_from([None, 0, 1, 0.0, 1.0]))
+            else:
+                values[d.name] = draw(st.sampled_from([None, *d.categories]))
         features.append({name: v for name, v in values.items()
                          if v is not None or draw(st.booleans())})
     return features
@@ -577,8 +594,9 @@ def test_columns_match_record_reference(features):
     the reference's counts."""
     records = [_record(f"r{i}", values, i % 2, 1, f"note {i}")
                for i, values in enumerate(features)]
-    cohort = _load(_SMALL_SCHEMA, records)
-    assert cohort.values.tobytes() == _ref_values(_SMALL_SCHEMA, features).tobytes()
+    schema = FeatureSchema.default()
+    cohort = _load(records)
+    assert cohort.values.tobytes() == _ref_values(schema, features).tobytes()
     assert cohort.ids == [r["id"] for r in records]
     assert cohort.notes == [r["note"] for r in records]
     assert cohort.labels("hospital").tolist() == [i % 2 for i in range(len(records))]
@@ -586,17 +604,17 @@ def test_columns_match_record_reference(features):
     with tempfile.TemporaryDirectory() as d:
         first, second = Path(d) / "first.jsonl", Path(d) / "second.jsonl"
         save_cohort(cohort, first)
-        save_cohort(load_cohort(first, _SMALL_SCHEMA), second)
+        save_cohort(load_cohort(first), second)
         assert first.read_bytes() == second.read_bytes()
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        filtered, report = filter_outliers(cohort, _SMALL_RANGES)
-    want, want_report = _ref_filter(features, _SMALL_RANGES)
-    assert filtered.values.tobytes() == _ref_values(_SMALL_SCHEMA, want).tobytes()
+        filtered, report = filter_outliers(cohort, _LOAD_RANGES)
+    want, want_report = _ref_filter(features, _LOAD_RANGES)
+    assert filtered.values.tobytes() == _ref_values(schema, want).tobytes()
     assert report == want_report
     # the input cohort is left as it was
-    assert cohort.values.tobytes() == _ref_values(_SMALL_SCHEMA, features).tobytes()
+    assert cohort.values.tobytes() == _ref_values(schema, features).tobytes()
 
 
 @st.composite
@@ -631,8 +649,8 @@ def encoder_cases(draw):
 @given(case=encoder_cases())
 def test_arrays_match_record_reference(case):
     features, fit_rows, fit_block, rows, block, constant = case
-    cohort = _load(_SMALL_SCHEMA, [_record(f"r{i}", values)
-                                   for i, values in enumerate(features)])
+    cohort = _cohort(_SMALL_SCHEMA, [_record(f"r{i}", values)
+                                     for i, values in enumerate(features)])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         enc = StructuredEncoder.fit(cohort.schema, fit_block)

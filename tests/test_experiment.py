@@ -22,6 +22,7 @@ from icumort.cohort import (
     save_cohort,
     synth_cohort,
 )
+from icumort.evaluation import derive_seed
 from icumort.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -875,11 +876,13 @@ def fold_plans(draw):
     return cohort, fit_rows, draw(st.integers(0, 2**16))
 
 
-def _fold(cohort, fit_rows, seed):
+def _fold(cohort, fit_rows, seed, held_rows=None):
     """A fold with structured and note transformers, as the runner builds
-    it."""
-    return _Fold(fit_rows, seed, cohort, tokenize_corpus(cohort.notes),
-                 _FOLD_MIN_DF)
+    it; it holds out every other row unless `held_rows` names them."""
+    if held_rows is None:
+        held_rows = np.setdiff1d(np.arange(len(cohort)), fit_rows)
+    return _Fold(fit_rows, held_rows, seed, cohort,
+                 tokenize_corpus(cohort.notes), _FOLD_MIN_DF)
 
 
 def _imputer_state(model):
@@ -890,14 +893,18 @@ def _imputer_state(model):
             model.rank_deficient_columns, model.cycle_median_change)
 
 
-def _ref_fold(cohort, fit_rows, seed):
+def _ref_fold(cohort, fit_rows, held_rows, seed):
     """The same fold through the record-based reference path, on the
     records of the cohort's saved file: a function from requested rows to
-    (structured, notes, combined matrix)."""
+    (structured, notes, combined matrix).  Fit rows keep the chain's
+    imputations; the held-out rows are imputed by one call."""
     records = _saved_records(cohort)
     features = [r["features"] for r in records]
     continuous = _ref_continuous(cohort.schema, features)
     fit_block, imputer = impute_fit_transform(continuous[fit_rows], seed=seed)
+    imputed = dict(zip(fit_rows.tolist(), fit_block))
+    imputed.update(zip(held_rows.tolist(), apply_imputation(
+        imputer, continuous[held_rows])))
     encoder = StructuredEncoder(cohort.schema,
                                 *_ref_fold_stats(cohort.schema, fit_block))
     tokens = tokenize_corpus([r["note"] for r in records])
@@ -905,8 +912,8 @@ def _ref_fold(cohort, fit_rows, seed):
                                   min_df=_FOLD_MIN_DF))
 
     def matrices(rows):
-        block = (fit_block if np.array_equal(rows, fit_rows)
-                 else apply_imputation(imputer, continuous[rows]))
+        block = np.array([imputed[r] for r in rows.tolist()]).reshape(
+            rows.size, fit_block.shape[1])
         S = _ref_fold_matrix(encoder, features, rows, block)
         T = _ref_corpus(tfidf, [tokens[i] for i in rows])
         return S, T, fuse_matrix(S, T)
@@ -922,9 +929,9 @@ class TestFoldFeatures:
         cohort, fit_rows, seed = plan
         n = len(cohort)
         for rows in fit_rows[:2]:
-            fold = _fold(cohort, rows, seed)
-            reference = _ref_fold(cohort, rows, seed)
             held_out = np.setdiff1d(np.arange(n), rows)
+            fold = _fold(cohort, rows, seed, held_out)
+            reference = _ref_fold(cohort, rows, held_out, seed)
             subset = np.array(data.draw(st.permutations(range(n))))
             subset = subset[:data.draw(st.integers(1, n))]
             for request in (rows, held_out, subset, np.zeros(0, dtype=np.int64)):
@@ -969,6 +976,57 @@ class TestFoldFeatures:
             others = np.setdiff1d(np.arange(len(cohort)), rows)
             assert (a.matrix("structured", others).tobytes()
                     != b.matrix("structured", others).tobytes())
+
+    @settings(max_examples=20, deadline=None)
+    @given(plan=fold_plans())
+    def test_undersampled_fit_rows_keep_their_features(self, plan):
+        """A fit row's structured and combined rows are bit-identical among
+        the "none" model rows and the "1:4" ones, and are the chain's own
+        imputations; validation and test rows are imputed by one call over
+        exactly those rows, whichever sampling asks."""
+        cohort, _, _ = plan
+        # one positive in eight: "1:4" drops negatives from every fit set,
+        # and 30 rows still give each of two folds a positive
+        labels = (np.arange(len(cohort)) % 8 == 0).astype(np.int64)
+        cohort = Cohort(cohort.schema, cohort.ids, cohort.notes, labels,
+                        labels, cohort.values)
+        config = ExperimentConfig.from_obj(_base_obj(
+            feature_sets=["structured", "combined"], sampling=["none", "1:4"],
+            folds=2, min_df=_FOLD_MIN_DF))
+        ctx = experiment._OutcomeContext(
+            cohort, tokenize_corpus(cohort.notes), config, "hospital", 0)
+        model_rows, seed = ctx.plan.model, ctx.plan.seed
+        held = ctx.plan.val + [ctx.plan.split.test_indices]
+        for f, fold in enumerate(ctx.folds):
+            full, part = model_rows["none"][f], model_rows["1:4"][f]
+            assert part.size < full.size
+            at = np.searchsorted(full, part)  # fit rows ascend
+            assert np.array_equal(full[at], part)
+            chain, _ = impute_fit_transform(cohort.continuous_matrix(full),
+                                            seed=derive_seed(seed, 1, f))
+            whole = fold.matrix("structured", full)
+            assert (whole.tobytes()
+                    == cohort.encode(fold.encoder, full, chain).tobytes())
+            assert (fold.matrix("structured", part).tobytes()
+                    == whole[at].tobytes())
+            assert_csr_identical(fold.matrix("combined", part),
+                                 fold.matrix("combined", full)[at])
+            rows = held[f]
+            once = apply_imputation(fold.imp_model,
+                                    cohort.continuous_matrix(rows))
+            assert (fold.matrix("structured", rows).tobytes()
+                    == cohort.encode(fold.encoder, rows, once).tobytes())
+
+    def test_rows_outside_the_fold_are_refused(self):
+        cohort = synth_cohort(SynthConfig(n=120), seed=3)
+        fold = _fold(cohort, np.arange(0, 120, 2), 5, np.arange(1, 60, 2))
+        for request in ([0, 61], [119]):
+            outside = str(request[-1])
+            with pytest.raises(IndexError, match=rf"rows \[{outside}\] are "
+                               "not in the fold"):
+                fold.matrix("structured", request)
+            with pytest.raises(IndexError, match=rf"rows \[{outside}\]"):
+                fold.cnn_inputs("combined", request, 8)
 
 
 class TestFailureIsolation:
@@ -1124,3 +1182,30 @@ class TestCli:
         proc = self._run("rank", "m.json", cwd=tmp_path)
         assert proc.returncode == 1
         assert "linear models only" in proc.stderr
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"kind": "linear"}, " has no key 'model'"),
+        ([{"kind": "linear"}], ": rank works on linear models only")])
+    def test_rank_bad_model_file_names_it(self, tmp_path, capsys, payload,
+                                          message):
+        from icumort import cli
+
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["rank", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: model file {path}{message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "no header at line 1"),
+        ("row\tlabel\tscore\n5\t1\t0.5\n6\t0\n", "malformed line 3")])
+    def test_permtest_bad_scores_file_names_it(self, tmp_path, capsys, text,
+                                               message):
+        from icumort import cli
+
+        cell = "structured/hospital/none/l2-lr"
+        path = cell_dir(tmp_path, *cell.split("/")) / "scores.tsv"
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+        assert cli.main(["permtest", str(tmp_path), cell, cell]) == 1
+        assert (capsys.readouterr().err
+                == f"error: {message} of scores file {path}\n")
