@@ -9,9 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 # A scaled Cholesky pivot is 1 - R^2 of its column on the columns before it;
-# at or below this the normal equations lose too many digits, so the column
-# is solved by SVD least squares instead.
-PIVOT_TOL = 1e-6
+# the normal equations lose about log10(1/pivot) digits, twice as many as SVD
+# least squares, so at or below this the column is solved by SVD instead.
+PIVOT_TOL = 1e-4
 
 
 class ImputeError(ValueError):
@@ -58,7 +58,10 @@ def _run_chain(X, observed_mask, cycles, seed):
     rng = np.random.default_rng(seed)
     d = X.shape[1]
     means = np.array([X[observed_mask[:, j], j].mean() for j in range(d)])
-    W = _work_matrix(X, observed_mask, means)
+    # the chain works on C, the work matrix with each column's mean taken off
+    # (the ones column stays): a column far from 0 then costs the normal
+    # equations no digits, and each regression is solved in these units
+    C = _work_matrix(X - means, observed_mask, 0.0)
 
     frac = (~observed_mask).mean(axis=0)
     visit_order = sorted((j for j in range(d) if frac[j] > 0),
@@ -67,9 +70,9 @@ def _run_chain(X, observed_mask, cycles, seed):
     rows = {j: (np.flatnonzero(observed_mask[:, j]),
                 np.flatnonzero(~observed_mask[:, j])) for j in visit_order}
 
-    # G stays exactly W.T @ W: once column j is redrawn, its row and column
+    # G stays exactly C.T @ C: once column j is redrawn, its row and column
     # are recomputed, so no rounding carries from one step to the next
-    G = W.T @ W
+    G = C.T @ C
     weights, residual_sds = {}, {}
     rank_deficient_columns = set()
     median_changes = []
@@ -80,11 +83,11 @@ def _run_chain(X, observed_mask, cycles, seed):
             # the Gram matrix over j's observed rows: G less the missing
             # rows when they are fewer, else formed from the observed rows
             if miss.size < obs.size:
-                Wr = W[miss]
-                A = G - Wr.T @ Wr
+                Cr = C[miss]
+                A = G - Cr.T @ Cr
             else:
-                Wr = W[obs]
-                A = Wr.T @ Wr
+                Cr = C[obs]
+                A = Cr.T @ Cr
             # row and column j set to the identity: w[j] solves to 0 and the
             # other weights to j's regression on every other column (the
             # last is all ones), by a Cholesky factor scaled to unit diagonal
@@ -102,30 +105,37 @@ def _run_chain(X, observed_mask, cycles, seed):
                 # the PIVOT_TOL check
                 if L is not None and np.diag(L).min() ** 2 > PIVOT_TOL:
                     w = np.linalg.solve(L.T, np.linalg.solve(L, b / scale)) / scale
-            if w is None:  # SVD least squares: the minimum-norm solution if rank deficient
-                Wr = W[obs]
-                beta, _, rank, _ = np.linalg.lstsq(
-                    np.delete(Wr, j, axis=1), Wr[:, j], rcond=None)
+            if w is None:
+                # SVD least squares on the observed rows, each regressor
+                # scaled to unit norm: the minimum-norm solution in those
+                # units if rank deficient
+                Z = np.delete(C[obs], j, axis=1)
+                norms = np.sqrt((Z * Z).sum(axis=0))
+                norms[norms == 0] = 1.0
+                beta, _, rank, _ = np.linalg.lstsq(Z / norms, C[obs, j], rcond=None)
                 if rank < d:
                     rank_deficient_columns.add(j)
-                w = np.insert(beta, j, 0.0)
-            pred = W @ w
-            sd = float((W[obs, j] - pred[obs]).std())  # population sd
+                w = np.insert(beta / norms, j, 0.0)
+            pred = C @ w
+            sd = float((C[obs, j] - pred[obs]).std())  # population sd
             new = pred[miss] + sd * rng.standard_normal(miss.size)
-            changes.append(np.abs(new - W[miss, j]))
-            W[miss, j] = new
-            G[:, j] = G[j] = W.T @ W[:, j]
+            changes.append(np.abs(new - C[miss, j]))
+            C[miss, j] = new
+            G[:, j] = G[j] = C.T @ C[:, j]
             weights[j], residual_sds[j] = w, sd
         if changes:
             median_changes.append(float(np.median(np.concatenate(changes))))
 
+    # back from centred columns: only the intercept moves
+    for j, w in weights.items():
+        w[-1] += means[j] - w[:-1] @ means
     model = ImputationModel(
         n_columns=d, means=means, visit_order=visit_order,
         coefficients={j: np.delete(w, j) for j, w in weights.items()},
         residual_sds=residual_sds,
         cycles=cycles, seed=seed, cycle_median_change=median_changes,
         rank_deficient_columns=rank_deficient_columns)
-    return W[:, :-1], model
+    return np.where(observed_mask, X, C[:, :-1] + means), model
 
 
 def impute_fit_transform(matrix, cycles=10, seed=0):

@@ -11,16 +11,21 @@ from icumort.impute import (
 )
 
 
-# Reference: the chain as it was solved before the Cholesky path, one SVD
-# least-squares fit per column (the minimum-norm solution when rank
-# deficient) and the prediction built from the other columns plus the
+# Reference: the chain solved by SVD least squares alone, on the work matrix
+# with each column's observed mean taken off. One fit per column on its
+# observed rows, each regressor (the other columns and the intercept) scaled
+# to unit norm, so the solution is the minimum-norm one in those units when
+# rank deficient; the prediction is built from the other columns plus the
 # intercept.
 def _ref_fit_column(work, observed_mask, j):
     rows = observed_mask[:, j]
     others = [k for k in range(work.shape[1]) if k != j]
     A = np.column_stack([work[rows][:, others], np.ones(rows.sum())])
+    norms = np.linalg.norm(A, axis=0)
+    norms[norms == 0] = 1.0
     y = work[rows, j]
-    beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    beta, _, rank, _ = np.linalg.lstsq(A / norms, y, rcond=None)
+    beta = beta / norms
     resid = y - A @ beta
     return beta, float(resid.std()), rank < A.shape[1]
 
@@ -35,9 +40,7 @@ def _ref_chain(X, cycles=10, seed=0):
     rng = np.random.default_rng(seed)
     d = X.shape[1]
     means = np.array([X[observed_mask[:, j], j].mean() for j in range(d)])
-    work = X.copy()
-    for j in range(d):
-        work[~observed_mask[:, j], j] = means[j]
+    work = np.where(observed_mask, X - means, 0.0)
     frac = (~observed_mask).mean(axis=0)
     visit_order = sorted((j for j in range(d) if frac[j] > 0),
                          key=lambda j: (frac[j], j))
@@ -50,7 +53,8 @@ def _ref_chain(X, cycles=10, seed=0):
             miss = ~observed_mask[:, j]
             pred = _ref_predict_column(work, j, beta)[miss]
             work[miss, j] = pred + sd * rng.standard_normal(miss.sum())
-    return work, tuple(visit_order), tuple(sorted(rank_deficient_columns))
+    return (np.where(observed_mask, X, work + means), tuple(visit_order),
+            tuple(sorted(rank_deficient_columns)))
 
 
 def _linear_dataset(rng, n=400, noise=0.05):
