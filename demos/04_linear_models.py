@@ -45,6 +45,8 @@ for name, coef in rank_coefficients(m2.w, cohort.schema.column_names, 5):
     print(f"  {name:<28} {coef:+.3f}")
 
 svm = train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=w)
+if not svm.diagnostics["converged"]:
+    raise RuntimeError(f"SVM fit stopped unconverged: {svm.diagnostics}")
 agree = ((predict_proba(m2, X) >= 0.5) == ((X @ svm.w + svm.b) >= 0.0)).mean()
 print(f"\nSVM / logistic decision agreement: {agree:.2%}")
 print(f"SVM relative duality gap: {svm.diagnostics['duality_gap']:.1e} "

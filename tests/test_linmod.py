@@ -1,6 +1,10 @@
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import icumort
+from icumort import linmod, trees
 from icumort.linmod import (
     L1,
     L2,
@@ -236,8 +242,6 @@ class TestSvm:
     def test_hinge_duality_gap_certifies_optimum(self):
         # two columns are sums of two others; dual coordinate descent ran
         # out of its 1000 epochs on this set at C=1
-        from scipy.optimize import minimize
-
         rng = np.random.default_rng(11)
         X = rng.normal(size=(60, 6))
         X = np.column_stack([X, X[:, :2] + X[:, 2:4]])
@@ -248,19 +252,65 @@ class TestSvm:
         assert m.diagnostics["converged"]
         assert 0.0 <= gap <= 1e-6
 
-        Z = (2.0 * y - 1.0)[:, None] * np.column_stack([X, np.ones(60)])
-
-        def dual(a):
-            v = Z.T @ a
-            return 0.5 * (v @ v) - a.sum(), Z @ v - 1.0
-
-        res = minimize(dual, np.zeros(60), jac=True, method="L-BFGS-B",
-                       bounds=[(0.0, C)] * 60,
-                       options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10**4})
-        reference = -res.fun / C  # a dual value: never above the optimum
+        reference, _ = _hinge_reference(X, y, np.ones(60), C)
         primal = m.diagnostics["final_objective"]
         assert reference <= primal
         assert primal - reference <= gap * primal
+
+    @pytest.mark.parametrize("solver", ["interior point", "dual"])
+    def test_zero_weight_rows_equal_deleted_rows(self, monkeypatch, solver):
+        if solver == "dual":
+            monkeypatch.setattr(trees, "_PRESORT_VALUES", 0)
+        rng = np.random.default_rng(29)
+        X = rng.normal(size=(70, 5))
+        y = (X[:, 0] + rng.normal(size=70) > 0).astype(int)
+        s = rng.uniform(0.5, 2.0, size=70)
+        s[::4] = 0.0
+        keep = s > 0
+        C = 1.0
+        for Xin in (X, sp.csr_matrix(X)):
+            a = train_linear_svm(Xin, y, reg=L2, C=C, instance_weights=s)
+            b = train_linear_svm(Xin[keep], y[keep], reg=L2, C=C,
+                                 instance_weights=s[keep])
+            assert a.diagnostics["converged"] and b.diagnostics["converged"]
+            Fa, Fb = (m.diagnostics["final_objective"] for m in (a, b))
+            assert abs(Fa - Fb) <= 1e-6 * max(Fa, Fb)
+            # the objective is 1/C-strongly convex in (w, b), so each fit
+            # lies within sqrt(2 C gap F) of the optimum
+            radius = sum(np.sqrt(2.0 * C * m.diagnostics["duality_gap"]
+                                 * m.diagnostics["final_objective"])
+                         for m in (a, b))
+            assert np.linalg.norm(np.append(a.w - b.w, a.b - b.b)) <= radius
+        with pytest.raises(LinModError, match="not all 0"):
+            train_linear_svm(X, y, reg=L2, instance_weights=np.zeros(70))
+
+    def test_over_budget_sparse_fit_takes_dual_and_is_never_densified(
+            self, monkeypatch):
+        calls = []
+        dual = linmod._hinge_dual
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return dual(*args)
+
+        def no_ipm(*args):
+            raise AssertionError("the interior point densifies its input")
+
+        monkeypatch.setattr(linmod, "_hinge_dual", spy)
+        monkeypatch.setattr(linmod, "_hinge_ipm", no_ipm)
+        rng = np.random.default_rng(31)
+        n, d = 600, 5000
+        assert n * (d + 1) > trees._PRESORT_VALUES
+        X = sp.random(n, d, density=0.02, format="csr", random_state=rng)
+        y = (np.asarray(X[:, :10].sum(axis=1)).ravel() > 0.1).astype(int)
+        tracemalloc.start()
+        try:
+            train_linear_svm(X, y, reg=L2, C=1.0, max_epochs=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == [(n, d)]
+        assert peak < n * d * 8
 
     def test_l1_cdn_improves_on_zero(self):
         rng = np.random.default_rng(13)
@@ -351,6 +401,114 @@ def test_json_round_trip():
     again = LinearModel.from_obj(json.loads(json.dumps(svm.to_obj())))
     assert again.diagnostics == svm.diagnostics
     assert "duality_gap" in again.diagnostics
+
+
+def _hinge_reference(X, y, s, C):
+    """(dual, primal) objective values, in the model's units, of an L-BFGS-B
+    solution of the hinge dual: the dual value is never above the optimum
+    and the primal value never below it."""
+    from scipy.optimize import minimize
+
+    X = X.toarray() if sp.issparse(X) else X
+    n = X.shape[0]
+    Z = (2.0 * y - 1.0)[:, None] * np.column_stack([X, np.ones(n)])
+
+    def dual(a):
+        v = Z.T @ a
+        return 0.5 * (v @ v) - a.sum(), Z @ v - 1.0
+
+    upper = C * s
+    res = minimize(dual, np.zeros(n), jac=True, method="L-BFGS-B",
+                   bounds=list(zip(np.zeros(n), upper)),
+                   options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10**4})
+    v = Z.T @ res.x
+    primal = upper @ np.maximum(1.0 - Z @ v, 0.0) + 0.5 * (v @ v)
+    return -res.fun / C, primal / C
+
+
+@st.composite
+def hinge_fits(draw):
+    """(X, y, weights, C): dense or CSR X with both classes, positive
+    weights, C across four decades; n <= d + 1 in some draws."""
+    n = draw(st.integers(4, 40))
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * draw(st.sampled_from([0.1, 1.0, 5.0]))
+    if draw(st.booleans()):
+        X[rng.random((n, d)) < 0.7] = 0.0
+        X = sp.csr_matrix(X)
+    y = np.zeros(n, dtype=int)
+    y[rng.permutation(n)[:draw(st.integers(1, n - 1))]] = 1
+    return (X, y, rng.uniform(0.2, 3.0, size=n),
+            draw(st.sampled_from([0.01, 0.1, 1.0, 10.0])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=hinge_fits())
+def test_hinge_gap_bounds_suboptimality(case):
+    """The reported gap bounds the fit's relative suboptimality: the
+    L-BFGS-B reference's primal point never beats the fit's objective by
+    more than the gap, and its dual value never exceeds that objective,
+    beyond the reference's own rounding."""
+    X, y, s, C = case
+    m = train_linear_svm(X, y, reg=L2, C=C, instance_weights=s)
+    assert m.diagnostics["converged"]
+    gap = m.diagnostics["duality_gap"]
+    assert 0.0 < gap <= 1e-6
+    primal = m.diagnostics["final_objective"]
+    dual_ref, primal_ref = _hinge_reference(X, y, s, C)
+    # the reference rounds its own sums of about n + d + 1 terms
+    rounding = (sum(X.shape) + 1) * np.finfo(float).eps * primal
+    assert dual_ref <= primal + rounding
+    assert primal - primal_ref <= gap * primal + rounding
+
+
+def test_hinge_factor_spans_several_tiles():
+    """The blocked Cholesky factor and solve of a matrix three tiles wide
+    agree with numpy's."""
+    rng = np.random.default_rng(37)
+    A = rng.normal(size=(300, 130))
+    G = A.T @ A + np.eye(130)
+    L, _ = factor = linmod._cholesky(linmod._gram(A, A) + np.eye(130))
+    np.testing.assert_allclose(np.tril(L), np.linalg.cholesky(G), rtol=1e-10,
+                               atol=1e-12)
+    b = rng.normal(size=130)
+    np.testing.assert_allclose(linmod._cholesky_solve(factor, b),
+                               np.linalg.solve(G, b), rtol=1e-9)
+
+
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from icumort.linmod import L2, balanced_weights, train_linear_svm
+rng = np.random.default_rng(41)
+for n in (280, 1400):
+    X = rng.normal(size=(n, 178)) * (rng.random((n, 178)) < 0.5)
+    y = (X[:, :3].sum(axis=1) + rng.normal(size=n) > 0).astype(int)
+    m = train_linear_svm(X, y, reg=L2, C=1.0,
+                         instance_weights=balanced_weights(y))
+    print(n, m.diagnostics["converged"], m.diagnostics["iterations"],
+          hashlib.sha256(m.w.tobytes() + np.float64(m.b).tobytes()).hexdigest())
+"""
+
+
+def test_hinge_fit_is_independent_of_blas_threads():
+    """280 x 179 and 1,400 x 179 augmented blocks give the same w and b
+    bytes at one and at two OpenBLAS threads."""
+    pkg_root = str(Path(icumort.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [pkg_root, inherited] if inherited else [pkg_root]))
+        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert [line.split()[:2] for line in outputs[0].splitlines()] == [
+        ["280", "True"], ["1400", "True"]]
+    assert outputs[0] == outputs[1]
 
 
 def _ref_proximal_gradient(smooth, gradient, d, reg, lam, tol, max_iter):
