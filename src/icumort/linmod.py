@@ -225,13 +225,15 @@ def train_logreg(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
 
 
 # Every product and factor of the interior-point solver is a fixed-order sum
-# of BLAS calls on at most _TILE x _TILE blocks with at most _SPAN terms
-# each: OpenBLAS runs calls that small on one thread, so a fit is the same bit
-# for bit at any thread count. One call on a whole block is not: its split
-# across threads changes the order of its sums. Products with a vector use
-# einsum, which calls no BLAS at all.
+# of BLAS and LAPACK calls on at most _TILE x _TILE blocks, each product
+# summing at most _SPAN terms (48 * 48 * 112 multiply-adds, under the 2**18
+# at which OpenBLAS starts a second thread), so a fit is the same bit for bit
+# at any thread count. One call on a whole block is not: its split across
+# threads changes the order of its sums. Products with a vector use einsum,
+# which calls no BLAS at all.
 _TILE = 48
 _SPAN = 112
+_EPS = np.finfo(float).eps
 
 
 def _dot(x, y):
@@ -297,7 +299,7 @@ def _hinge_gap(u, a, margins, v):
     slack = np.maximum(1.0 - margins, 0.0)
     primal = 0.5 * _dot(v, v) + _dot(u, slack)
     gap = _dot(u - a, slack) + _dot(a, np.maximum(margins - 1.0, 0.0))
-    return max(gap, (a.size + v.size) * np.finfo(float).eps * primal), primal
+    return max(gap, (a.size + v.size) * _EPS * primal), primal
 
 
 def _hinge_ipm(Z, u, tol, max_iter):
@@ -310,7 +312,10 @@ def _hinge_ipm(Z, u, tol, max_iter):
     is solved in the smaller of two spaces: directly when n <= d + 1, else
     through the (d + 1)-square matrix I + Z.T D^-1 Z (Sherman-Morrison-
     Woodbury, as in Ferris & Munson, SIAM J. Optim. 2002). Stops on the
-    relative duality gap of _hinge_dual.
+    relative duality gap of _hinge_dual, or earlier, unconverged, once
+    rounding rather than the iterate limits that gap; then returns the
+    polished point (_polish) of the last iterate instead when its gap is no
+    larger.
     """
     n, m = Z.shape
     kernel = _gram(Z.T, Z.T) if n <= m else None
@@ -325,33 +330,36 @@ def _hinge_ipm(Z, u, tol, max_iter):
     iterations = 0
     while True:
         gap, primal = _hinge_gap(u, a, margins, v)
-        if gap <= tol * primal or iterations == max_iter:
+        if gap <= tol * primal or iterations >= max_iter:
             break
-        iterations += 1
         h = u - a
+        mu = (_dot(a, z) + _dot(h, t)) / (2 * n)
+        if 2 * n * mu <= _EPS * gap:
+            break  # rounding, not complementarity, now bounds the gap
+        iterations += 1
         D = z / a + t / h
-        if kernel is not None:
-            K = kernel.copy()
-            K[np.diag_indices(n)] += D
-            factor = _cholesky(K)
+        try:
+            if kernel is None:
+                factor = _cholesky(_gram(Z, Z / D[:, None]) + np.eye(m))
+            else:
+                K = kernel.copy()
+                K[np.diag_indices(n)] += D
+                factor = _cholesky(K)
+        except np.linalg.LinAlgError:
+            break  # past the accuracy that double precision allows
 
-            def solve(r):
-                return _cholesky_solve(factor, r)
-        else:
-            factor = _cholesky(_gram(Z, Z / D[:, None]) + np.eye(m))
+        def solve(r):
+            if kernel is None:
+                return _woodbury_solve(Z, D, factor, r)
+            return _cholesky_solve(factor, r)
 
-            def solve(r):
-                q = r / D
-                dv = _cholesky_solve(factor, np.einsum("ij,i->j", Z, q))
-                return q - np.einsum("ij,j->i", Z, dv) / D
-
-        # predictor: the Newton step towards complementarity 0
+        # predictor: the Newton step towards complementarity 0, whose right
+        # side -residual - z + t is 1 - margins
         residual = margins - 1.0 - z + t
         da = solve(1.0 - margins)
         dz = -z - z * da / a
         dt = -t + t * da / h
         alpha = min(1.0, _max_step(a, h, z, t, da, dz, dt))
-        mu = (_dot(a, z) + _dot(h, t)) / (2 * n)
         mu_aff = (_dot(a + alpha * da, z + alpha * dz)
                   + _dot(h - alpha * da, t + alpha * dt)) / (2 * n)
         sigma_mu = (mu_aff / mu) ** 3 * mu
@@ -363,9 +371,12 @@ def _hinge_ipm(Z, u, tol, max_iter):
         dz = -(rc_lo + z * da) / a
         dt = (t * da - rc_up) / h
         alpha = min(1.0, _BOUNDARY * _max_step(a, h, z, t, da, dz, dt))
-        a = a + alpha * da
-        z = z + alpha * dz
-        t = t + alpha * dt
+        a_new, z_new, t_new = a + alpha * da, z + alpha * dz, t + alpha * dt
+        # past the accuracy that rounding allows, a step lands on a bound
+        if not min(a_new.min(), (u - a_new).min(), z_new.min(),
+                   t_new.min()) > 0.0:
+            break
+        a, z, t = a_new, z_new, t_new
         v = np.einsum("ij,i->j", Z, a)
         margins = np.einsum("ij,j->i", Z, v)
     polished = _polish(Z, u, a, z, t)
@@ -378,6 +389,26 @@ def _hinge_ipm(Z, u, tol, max_iter):
     return v[:-1], float(v[-1]), {
         "iterations": iterations, "converged": gap <= tol * primal,
         "duality_gap": gap / primal if primal > 0.0 else 0.0}
+
+
+def _woodbury_solve(Z, D, factor, r):
+    """da with (D + Z Z.T) da = r, from the factor of I + Z.T D^-1 Z.
+
+    Where D is tiny the Woodbury form cancels digits, so da is refined on the
+    exact operator until its residual is at most sqrt(eps) of r.
+    """
+    def woodbury(r):
+        q = r / D
+        dv = _cholesky_solve(factor, np.einsum("ij,i->j", Z, q))
+        return q - np.einsum("ij,j->i", Z, dv) / D
+
+    da = woodbury(r)
+    for _ in range(_REFINEMENTS):
+        res = r - D * da - np.einsum("ij,j->i", Z, np.einsum("ij,i->j", Z, da))
+        if _dot(res, res) <= _EPS * _dot(r, r):
+            break
+        da = da + woodbury(res)
+    return da
 
 
 def _polish(Z, u, a, z, t):
@@ -407,6 +438,8 @@ def _polish(Z, u, a, z, t):
 
 # the fraction of the way to the nearest bound that a step may go
 _BOUNDARY = 0.995
+# the most refinements of one Woodbury solve
+_REFINEMENTS = 3
 
 
 def _max_step(a, h, z, t, da, dz, dt):

@@ -257,6 +257,34 @@ class TestSvm:
         assert reference <= primal
         assert primal - reference <= gap * primal
 
+    def test_hinge_large_c_converges(self):
+        # 25 x 11 with 70% zeros and random labels: at C=1e4 the rows on
+        # the margin make D tiny, and without refinement the Woodbury solve
+        # stopped this fit at gap 4.1e-2
+        rng = np.random.default_rng(141)
+        n, d = int(rng.integers(4, 60)), int(rng.integers(1, 15))
+        X = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 5.0])
+        X[rng.random((n, d)) < 0.7] = 0.0
+        y = np.zeros(n, dtype=int)
+        y[rng.permutation(n)[:rng.integers(1, n)]] = 1
+        s = rng.uniform(0.2, 3.0, size=n)
+        assert (n, d) == (25, 11)
+        for C in (1e2, 1e4):
+            m = train_linear_svm(X, y, reg=L2, C=C, instance_weights=s)
+            assert m.diagnostics["converged"], (C, m.diagnostics)
+
+    def test_unattainable_tol_stops_at_rounding(self):
+        rng = np.random.default_rng(19)
+        X = rng.normal(size=(60, 8))
+        y = (X[:, 0] + rng.normal(size=60) > 0).astype(int)
+        for C in (1.0, 1e4):
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                m = train_linear_svm(X, y, reg=L2, C=C, tol=0.0)
+            assert not m.diagnostics["converged"]
+            assert m.diagnostics["iterations"] < 1000
+            assert m.diagnostics["duality_gap"] <= 1e-9
+
     @pytest.mark.parametrize("solver", ["interior point", "dual"])
     def test_zero_weight_rows_equal_deleted_rows(self, monkeypatch, solver):
         if solver == "dual":
