@@ -115,9 +115,8 @@ def _check_training_inputs(X, y, C, instance_weights):
         s = np.asarray(instance_weights, dtype=float)
         if s.shape != (X.shape[0],):
             raise LinModError("instance weights must align with rows")
-        if not np.isfinite(s).all() or (s < 0).any() or not s.any():
-            raise LinModError(
-                "instance weights must be finite, non-negative and not all 0")
+        if not np.isfinite(s).all() or (s < 0).any():
+            raise LinModError("instance weights must be finite and non-negative")
     return X, y.astype(float), s
 
 
@@ -233,10 +232,15 @@ def train_logreg(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
 # which calls no BLAS at all.
 _TILE = 48
 _SPAN = 112
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+# the fraction of the way to the nearest bound that a step may go
+_BOUNDARY = 0.995
+# the most refinements of one Woodbury solve
+_REFINEMENTS = 3
 
 
 def _dot(x, y):
+    """x @ y by einsum, whose sum order no BLAS thread count changes."""
     return float(np.einsum("i,i->", x, y))
 
 
@@ -248,7 +252,8 @@ def _gram(A, B):
         for j in range(0, i + 1, _TILE):
             block = G[i:i + _TILE, j:j + _TILE]
             for k in range(0, n, _SPAN):
-                block += A[k:k + _SPAN, i:i + _TILE].T @ B[k:k + _SPAN, j:j + _TILE]
+                rows = slice(k, k + _SPAN)
+                block += A[rows, i:i + _TILE].T @ B[rows, j:j + _TILE]
     return G
 
 
@@ -436,12 +441,6 @@ def _polish(Z, u, a, z, t):
     return p if ((p >= 0.0) & (p <= u)).all() else None
 
 
-# the fraction of the way to the nearest bound that a step may go
-_BOUNDARY = 0.995
-# the most refinements of one Woodbury solve
-_REFINEMENTS = 3
-
-
 def _max_step(a, h, z, t, da, dz, dt):
     """The largest step along (da, -da, dz, dt) from (a, h, z, t) that keeps
     every entry >= 0; inf if none decreases."""
@@ -533,7 +532,10 @@ def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
         keep = s > 0.0
         Xk = X if keep.all() else X[keep]
         n, d = Xk.shape
-        if n * (d + 1) <= trees._PRESORT_VALUES:
+        if n == 0:  # every weight is 0: the penalty alone, minimal at 0
+            w, b, diag = np.zeros(d), 0.0, {
+                "iterations": 0, "converged": True, "duality_gap": 0.0}
+        elif n * (d + 1) <= trees._PRESORT_VALUES:
             Z = np.ones((n, d + 1))
             Z[:, :d] = Xk.toarray() if sp.issparse(Xk) else Xk
             Z *= y_pm[keep][:, None]
