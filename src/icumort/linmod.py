@@ -6,10 +6,11 @@ squared-hinge SVM share one accelerated proximal-gradient loop; only the
 loss and its gradient differ. The L2 hinge SVM solves its box-constrained
 dual, and its `converged` flag certifies the optimum: the relative
 primal-dual gap, recorded as diagnostics["duality_gap"], is <= tol. Which
-solver runs depends on input size only. When the dense augmented matrix
-[X, 1] fits the presort budget of `trees` (n * (d + 1) <= 2**21 values), a
-primal-dual interior-point method takes about 10-20 Newton steps; above it
-(wide tf-idf blocks) projected accelerated gradient runs on X as given,
+solver runs depends on input size only. When X has more rows than columns
+and the dense augmented matrix [X, 1] fits the presort budget of `trees`
+(d + 1 < n and n * (d + 1) <= 2**21 values), a primal-dual interior-point
+method takes about 10-20 Newton steps; otherwise (wide tf-idf blocks, or
+fewer rows than columns) projected accelerated gradient runs on X as given,
 without densifying it. max_epochs caps the steps of either.
 """
 
@@ -311,19 +312,17 @@ def _hinge_ipm(Z, u, tol, max_iter):
     """Primal-dual interior point on the augmented hinge dual.
 
     Minimizes 0.5 * ||Z.T a||^2 - sum(a) over 0 <= a <= u for dense
-    Z = y * [X, 1] and u > 0, by Mehrotra's predictor-corrector (SIAM J.
-    Optim. 1992) with one step length for a and for z and t, the multipliers
-    of a >= 0 and a <= u. Each Newton system (D + Z Z.T) da = r, D diagonal,
-    is solved in the smaller of two spaces: directly when n <= d + 1, else
-    through the (d + 1)-square matrix I + Z.T D^-1 Z (Sherman-Morrison-
-    Woodbury, as in Ferris & Munson, SIAM J. Optim. 2002). Stops on the
-    relative duality gap of _hinge_dual, or earlier, unconverged, once
-    rounding rather than the iterate limits that gap; then returns the
-    polished point (_polish) of the last iterate instead when its gap is no
-    larger.
+    Z = y * [X, 1] with more rows than columns and u > 0, by Mehrotra's
+    predictor-corrector (SIAM J. Optim. 1992) with one step length for a and
+    for z and t, the multipliers of a >= 0 and a <= u. Each Newton system
+    (D + Z Z.T) da = r, D diagonal, is solved through the (d + 1)-square
+    matrix I + Z.T D^-1 Z (Sherman-Morrison-Woodbury, as in Ferris & Munson,
+    SIAM J. Optim. 2002). Stops on the relative duality gap of _hinge_dual,
+    or earlier, unconverged, once rounding rather than the iterate limits
+    that gap; then returns the polished point (_polish) of the last iterate
+    instead when its gap is no larger.
     """
     n, m = Z.shape
-    kernel = _gram(Z.T, Z.T) if n <= m else None
     a = 0.2 * u
     v = np.einsum("ij,i->j", Z, a)
     margins = np.einsum("ij,j->i", Z, v)
@@ -344,24 +343,13 @@ def _hinge_ipm(Z, u, tol, max_iter):
         iterations += 1
         D = z / a + t / h
         try:
-            if kernel is None:
-                factor = _cholesky(_gram(Z, Z / D[:, None]) + np.eye(m))
-            else:
-                K = kernel.copy()
-                K[np.diag_indices(n)] += D
-                factor = _cholesky(K)
+            factor = _cholesky(_gram(Z, Z / D[:, None]) + np.eye(m))
         except np.linalg.LinAlgError:
             break  # past the accuracy that double precision allows
-
-        def solve(r):
-            if kernel is None:
-                return _woodbury_solve(Z, D, factor, r)
-            return _cholesky_solve(factor, r)
-
         # predictor: the Newton step towards complementarity 0, whose right
         # side -residual - z + t is 1 - margins
         residual = margins - 1.0 - z + t
-        da = solve(1.0 - margins)
+        da = _woodbury_solve(Z, D, factor, 1.0 - margins)
         dz = -z - z * da / a
         dt = -t + t * da / h
         alpha = min(1.0, _max_step(a, h, z, t, da, dz, dt))
@@ -372,7 +360,7 @@ def _hinge_ipm(Z, u, tol, max_iter):
         # terms
         rc_lo = a * z + da * dz - sigma_mu
         rc_up = h * t - da * dt - sigma_mu
-        da = solve(rc_up / h - rc_lo / a - residual)
+        da = _woodbury_solve(Z, D, factor, rc_up / h - rc_lo / a - residual)
         dz = -(rc_lo + z * da) / a
         dt = (t * da - rc_up) / h
         alpha = min(1.0, _BOUNDARY * _max_step(a, h, z, t, da, dz, dt))
@@ -461,8 +449,8 @@ def _hinge_dual(X, y_pm, upper, tol, max_iter):
     the step opposes the previous move (O'Donoghue & Candes 2015). Stops
     when the duality gap is <= tol times the primal objective; C and the
     instance weights enter only through upper = C * s. Its iterations grow
-    with n, so it runs only where _hinge_ipm's dense copy of Z would not fit
-    the presort budget.
+    with n, so it runs only where _hinge_ipm does not: where Z has no more
+    rows than columns or its dense copy would not fit the presort budget.
     """
     def zt(a):  # Z.T @ a, the primal (w, b) of a dual point
         ya = y_pm * a
@@ -517,11 +505,11 @@ def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
     """Linear SVM; L2 pairs with hinge loss, L1 with squared hinge.
 
     The hinge fit solves the dual and reports its relative duality gap: by
-    the interior point when n * (d + 1) is within trees._PRESORT_VALUES,
-    else by projected accelerated gradient; max_epochs caps the iterations
-    of either; the interior point gives the same bits at any BLAS thread
-    count. The L1 squared-hinge fit runs the logistic loop on its own loss.
-    Both are deterministic.
+    the interior point when d + 1 < n and n * (d + 1) is within
+    trees._PRESORT_VALUES, else by projected accelerated gradient;
+    max_epochs caps the iterations of either; the interior point gives the
+    same bits at any BLAS thread count. The L1 squared-hinge fit runs the
+    logistic loop on its own loss. Both are deterministic.
     """
     if reg not in (L1, L2):
         raise LinModError(f"unknown regularizer {reg!r}")
@@ -535,7 +523,7 @@ def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
         if n == 0:  # every weight is 0: the penalty alone, minimal at 0
             w, b, diag = np.zeros(d), 0.0, {
                 "iterations": 0, "converged": True, "duality_gap": 0.0}
-        elif n * (d + 1) <= trees._PRESORT_VALUES:
+        elif d + 1 < n and n * (d + 1) <= trees._PRESORT_VALUES:
             Z = np.ones((n, d + 1))
             Z[:, :d] = Xk.toarray() if sp.issparse(Xk) else Xk
             Z *= y_pm[keep][:, None]

@@ -312,8 +312,10 @@ class TestSvm:
         m = train_linear_svm(X, y, reg=L2, instance_weights=np.zeros(70))
         assert not m.w.any() and m.b == 0.0 and m.diagnostics["converged"]
 
-    def test_over_budget_sparse_fit_takes_dual_and_is_never_densified(
-            self, monkeypatch):
+    @pytest.mark.parametrize("n, d", [(600, 5000), (300, 2000)],
+                             ids=["over the budget", "fewer rows than columns"])
+    def test_sparse_fit_on_the_dual_is_never_densified(self, monkeypatch, n,
+                                                       d):
         calls = []
         dual = linmod._hinge_dual
 
@@ -327,8 +329,7 @@ class TestSvm:
         monkeypatch.setattr(linmod, "_hinge_dual", spy)
         monkeypatch.setattr(linmod, "_hinge_ipm", no_ipm)
         rng = np.random.default_rng(31)
-        n, d = 600, 5000
-        assert n * (d + 1) > trees._PRESORT_VALUES
+        assert n * (d + 1) > trees._PRESORT_VALUES or n <= d + 1
         X = sp.random(n, d, density=0.02, format="csr", random_state=rng)
         y = (np.asarray(X[:, :10].sum(axis=1)).ravel() > 0.1).astype(int)
         tracemalloc.start()
