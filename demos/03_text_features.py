@@ -7,7 +7,7 @@ with dense structured rows for the combined feature set.
 
 import numpy as np
 
-from icumort.cohort import SynthConfig, synth_cohort
+from icumort.cohort import synth_cohort
 from icumort.textfeat import (
     build_vocab,
     default_stopwords,
@@ -20,7 +20,7 @@ from icumort.textfeat import (
 stop = default_stopwords()
 print(f"stopword list size: {len(stop)}")
 
-cohort = synth_cohort(SynthConfig(n=600), seed=3)
+cohort = synth_cohort(n=600, seed=3)
 notes = cohort.notes
 print("raw note:", notes[0][:100], "...")
 

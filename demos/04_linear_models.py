@@ -7,7 +7,7 @@ name the risk drivers the model found.
 
 import numpy as np
 
-from icumort.cohort import SynthConfig, fit_encoder, encode, synth_cohort
+from icumort.cohort import fit_encoder, encode, synth_cohort
 from icumort.impute import impute_fit_transform
 from icumort.linmod import (
     L1,
@@ -20,7 +20,7 @@ from icumort.linmod import (
 )
 from icumort.evaluation import auc
 
-cohort = synth_cohort(SynthConfig(n=1200), seed=11)
+cohort = synth_cohort(n=1200, seed=11)
 y = cohort.labels("hospital")
 
 # impute, standardize, one-hot

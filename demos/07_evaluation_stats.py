@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from icumort.cohort import SynthConfig, synth_cohort_with_truth
+from icumort.cohort import synth_cohort_with_truth
 from icumort.evaluation import (
     auc,
     classification_report,
@@ -38,7 +38,7 @@ print(f"report: precision {rep.precision:.3f} recall {rep.recall:.3f} "
 
 # permutation test: real signal versus noise is significant,
 # a model against itself never is
-cohort, risk = synth_cohort_with_truth(SynthConfig(n=1000), seed=5)
+cohort, risk = synth_cohort_with_truth(n=1000, seed=5)
 labels = cohort.labels("hospital")
 noise = np.random.default_rng(6).random(1000)
 res = perm_test_auc(risk, noise, labels, n_perm=1000, seed=0)

@@ -5,7 +5,13 @@ import json
 import sys
 
 from . import linmod
-from .cohort import CohortError, SynthConfig, save_cohort, synth_cohort
+from .cohort import (
+    CohortError,
+    read_json,
+    save_cohort,
+    synth_cohort,
+    synth_size,
+)
 from .evaluation import EvalError
 from .experiment import (
     ConfigError,
@@ -54,8 +60,8 @@ def _build_parser():
 
 
 def cmd_synth(args):
-    config = SynthConfig.load(args.config) if args.config else SynthConfig()
-    cohort = synth_cohort(config, seed=args.seed)
+    obj = read_json(args.config, "generator config") if args.config else {}
+    cohort = synth_cohort(synth_size(obj), seed=args.seed)
     save_cohort(cohort, args.out)
     print(f"wrote {len(cohort)} records to {args.out}")
     return 0

@@ -1,5 +1,6 @@
 """Patient data model: schema, cohort IO, outlier filtering, structured encoding,
-and a seeded synthetic cohort generator calibrated to published ICU statistics.
+and a seeded synthetic cohort generator calibrated to published ICU statistics,
+whose one setting is the cohort size n.
 """
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -496,35 +497,6 @@ _NOTE_LEXICON = (
 )
 
 
-@dataclass
-class SynthConfig:
-    """Generator settings: only the cohort size varies. The base rates,
-    missingness, risk weights and note shape are fixed constants that
-    follow the published cohort statistics."""
-
-    n: int = 5396
-
-    @classmethod
-    def from_obj(cls, obj):
-        if not isinstance(obj, dict):
-            raise CohortError("generator config must be a JSON object")
-        cfg = cls()
-        names = {f.name for f in fields(cls)}
-        for key, value in obj.items():
-            if key not in names:
-                raise CohortError(f"unknown generator config key {key!r}")
-            setattr(cfg, key, value)
-        _validate_synth_config(cfg)
-        return cfg
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_obj(read_json(path, "generator config"))
-
-    def to_obj(self):
-        return asdict(self)
-
-
 def is_number(value, integral=False):
     """A real (or, with integral, an integer) number that is not a bool."""
     kind = numbers.Integral if integral else numbers.Real
@@ -551,10 +523,11 @@ def _default_missing_rates():
     return rates
 
 
-# The generator's fixed statistics: outcome base rates and per-feature
-# missingness of the published cohort, the weights of the structured and
-# note parts of the true risk, and the note shape (length range, mean count
-# of risk tokens per note).
+# The generator's fixed statistics: the size, outcome base rates and
+# per-feature missingness of the published cohort, the weights of the
+# structured and note parts of the true risk, and the note shape (length
+# range, mean count of risk tokens per note). Only the size can be set.
+_PUBLISHED_N = 5396
 _MISSING_RATES = _default_missing_rates()
 _RATE_HOSPITAL = 0.1294
 _RATE_30DAY = 0.1651
@@ -564,9 +537,21 @@ _NOTE_LENGTH = (40, 120)
 _RISK_TOKEN_MEAN = 0.9
 
 
-def _validate_synth_config(config):
-    if not (is_number(config.n, integral=True) and config.n >= 10):
-        raise CohortError(f"generator needs an integer n >= 10, not {config.n!r}")
+def _check_n(n):
+    if not (is_number(n, integral=True) and n >= 10):
+        raise CohortError(f"generator needs an integer n >= 10, not {n!r}")
+    return n
+
+
+def synth_size(obj):
+    """The cohort size a generator config object {"n": N} sets, checked;
+    the published cohort's 5,396 when n is absent."""
+    if not isinstance(obj, dict):
+        raise CohortError("generator config must be a JSON object")
+    for key in obj:
+        if key != "n":
+            raise CohortError(f"unknown generator config key {key!r}")
+    return _check_n(obj.get("n", _PUBLISHED_N))
 
 
 def _standardize(x):
@@ -576,23 +561,13 @@ def _standardize(x):
     return (x - x.mean()) / sd
 
 
-def _calibrate_intercept(thresholds, target, iters=100):
-    """Bisect the label-model intercept until the empirical rate hits target.
-
-    A record is positive iff its threshold is below the intercept, so the
-    empirical rate is a monotone step function of the intercept; bisection
-    lands within one step (1/n) of the target.
-    """
-    lo, hi = float(thresholds.min()) - 1.0, float(thresholds.max()) + 1.0
+def _labels_at_rate(thresholds, rate):
+    """Positive labels at the least intercept whose positive rate reaches
+    rate: a record is positive iff its threshold is at most the k-th
+    smallest, k the least count with k / n >= rate."""
     n = thresholds.size
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        rate = float(np.mean(thresholds < mid))
-        if rate >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    k = int(np.searchsorted(np.arange(1, n + 1) / n, rate)) + 1
+    return thresholds <= np.partition(thresholds, k - 1)[k - 1]
 
 
 def _make_note(rng, n_risk):
@@ -625,26 +600,26 @@ def _make_note(rng, n_risk):
     return " ".join(text)
 
 
-def synth_cohort(config=None, seed=0):
-    """Deterministic synthetic cohort with a known logistic ground truth."""
-    cohort, _ = synth_cohort_with_truth(config, seed)
+def synth_cohort(n=_PUBLISHED_N, seed=0):
+    """Deterministic synthetic cohort of n >= 10 admissions with a known
+    logistic ground truth."""
+    cohort, _ = synth_cohort_with_truth(n, seed)
     return cohort
 
 
-def synth_cohort_with_truth(config=None, seed=0):
-    """Generate a cohort and return it with the true per-record risk scores.
+def synth_cohort_with_truth(n=_PUBLISHED_N, seed=0):
+    """Generate a cohort of n >= 10 admissions and return it with the true
+    per-record risk scores.
 
     The risk score combines a linear function of standardized structured
     features with the count of risk tokens placed in each note; both outcome
     labels are thresholded draws against a sigmoid of intercept + risk, with
-    the intercept calibrated by bisection to the configured base rates.
+    the intercept the least one whose positive rate reaches the published
+    base rate.
     """
-    if config is None:
-        config = SynthConfig()
+    _check_n(n)
     schema = FeatureSchema.default()
-    _validate_synth_config(config)
     rng = np.random.default_rng(seed)
-    n = config.n
     ranges = load_ranges()
 
     cont_values = {}
@@ -683,10 +658,8 @@ def synth_cohort_with_truth(config=None, seed=0):
     u = rng.random(n)
     # positive iff logit(u) - risk < intercept
     thresholds = np.log(u / (1.0 - u)) - risk
-    a_hosp = _calibrate_intercept(thresholds, _RATE_HOSPITAL)
-    a_30d = _calibrate_intercept(thresholds, _RATE_30DAY)
-    label_hosp = thresholds < a_hosp
-    label_30d = thresholds < a_30d
+    label_hosp = _labels_at_rate(thresholds, _RATE_HOSPITAL)
+    label_30d = _labels_at_rate(thresholds, _RATE_30DAY)
 
     notes = [_make_note(rng, int(k)) for k in n_risk]
 

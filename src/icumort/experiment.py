@@ -1,5 +1,6 @@
 """Config-driven experiment runner: featurize per fold, grid-search, evaluate.
 
+A config names its cohort by one block, {"path": p} or {"synth": {"n": N}}.
 A run covers the cross product of outcomes, feature sets, sampling modes,
 and algorithms.  Every cell of one outcome shares one fold plan -- its
 train/test split, folds and model-fit rows -- so score files stay paired for
@@ -17,13 +18,13 @@ import scipy
 from . import __version__, linmod, neural, trees
 from .cohort import (
     StructuredEncoder,
-    SynthConfig,
     filter_outliers,
     is_number,
     load_cohort,
     load_ranges,
     read_json,
     synth_cohort,
+    synth_size,
 )
 from .evaluation import (
     SplitSpec,
@@ -109,8 +110,8 @@ def _check_cell(algo, params, config):
     elif algo in ("mlp", "cnn"):
         _neural_params(neural.MlpParams if algo == "mlp"
                        else neural.CnnParams, config, params).validate()
-    elif not params["C"] > 0:
-        raise linmod.LinModError("C must be positive")
+    else:
+        linmod.check_settings(**params)
 
 
 def _as_tuple(value, kind):
@@ -125,10 +126,26 @@ def _as_tuple(value, kind):
     return tuple(items)
 
 
+def _cohort_block(block):
+    """The cohort block resolved to {"path": p} or {"synth": {"n": N}}, a
+    new dict: the caller's is left as it is."""
+    block = {} if block is None else block
+    if not isinstance(block, dict) or set(block) - {"path", "synth"}:
+        raise ConfigError(
+            'cohort block must be {"path": ...} or {"synth": {...}}')
+    if len(block) != 1:
+        raise ConfigError(
+            "exactly one cohort source required: a path or a synth block")
+    if "synth" in block:
+        return {"synth": {"n": synth_size(block["synth"])}}
+    if not (isinstance(block["path"], str) and block["path"]):
+        raise ConfigError("cohort path must be a non-empty string")
+    return {"path": block["path"]}
+
+
 @dataclass
 class ExperimentConfig:
-    cohort_path: str = None
-    synth: SynthConfig = None
+    cohort: dict = None
     outcomes: tuple = ("hospital",)
     feature_sets: tuple = ("structured",)
     sampling: tuple = ("none",)
@@ -140,12 +157,7 @@ class ExperimentConfig:
     neural: dict = field(default_factory=dict)
 
     def validate(self):
-        if (self.cohort_path is None) == (self.synth is None):
-            raise ConfigError(
-                "exactly one cohort source required: a path or a synth block")
-        if self.cohort_path is not None and not (
-                isinstance(self.cohort_path, str) and self.cohort_path):
-            raise ConfigError("cohort path must be a non-empty string")
+        self.cohort = _cohort_block(self.cohort)
         if not (isinstance(self.grids, dict)
                 and all(isinstance(g, dict) for g in self.grids.values())):
             raise ConfigError("grids must map algorithms to objects")
@@ -198,33 +210,19 @@ class ExperimentConfig:
     def from_obj(cls, obj):
         if not isinstance(obj, dict):
             raise ConfigError("experiment config must be a JSON object")
-        obj = dict(obj)
-        known = ({f.name for f in fields(cls)} - {"cohort_path", "synth"}
-                 | {"cohort"})
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        source = obj.pop("cohort", None)
-        if source is not None:
-            if not isinstance(source, dict) or set(source) - {"path", "synth"}:
-                raise ConfigError(
-                    'cohort block must be {"path": ...} or {"synth": {...}}')
-            if "path" in source:
-                kwargs["cohort_path"] = source["path"]
-            if "synth" in source:
-                kwargs["synth"] = SynthConfig.from_obj(source["synth"])
+        kwargs = dict(obj)
         for key in ("outcomes", "feature_sets", "sampling", "algorithms"):
-            if key in obj:
-                kwargs[key] = _as_tuple(obj.pop(key), key)
-        kwargs.update(obj)
+            if key in kwargs:
+                kwargs[key] = _as_tuple(kwargs[key], key)
         return cls(**kwargs).validate()
 
     def to_obj(self):
         """Fully materialized form: every default echoed, grids resolved."""
         return {
-            "cohort": ({"path": self.cohort_path} if self.cohort_path
-                       else {"synth": self.synth.to_obj()}),
+            "cohort": self.cohort,
             "outcomes": list(self.outcomes),
             "feature_sets": list(self.feature_sets),
             "sampling": list(self.sampling),
@@ -260,6 +258,10 @@ def load_run(path):
     obj = read_json(path, "config", ConfigError)
     if isinstance(obj, dict) and "config" in obj and "cells" in obj:
         inputs = obj.get("inputs", {})
+        if not (isinstance(inputs, dict) and all(
+                v is None or isinstance(v, str) for v in inputs.values())):
+            raise ConfigError(f"manifest {path}: inputs must be an object "
+                              "of file paths or nulls")
         return (ExperimentConfig.from_obj(obj["config"]),
                 {f"{name}_path": inputs.get(name)
                  for name in ("stopwords", "ranges", "embeddings")})
@@ -602,10 +604,10 @@ def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
     that pins seeds and resolved settings so a rerun is byte-identical.
     """
     config.validate()
-    if config.cohort_path is not None:
-        cohort = load_cohort(config.cohort_path)
+    if "path" in config.cohort:
+        cohort = load_cohort(config.cohort["path"])
     else:
-        cohort = synth_cohort(config.synth, seed=config.seed)
+        cohort = synth_cohort(config.cohort["synth"]["n"], seed=config.seed)
     cohort, outlier_report = filter_outliers(cohort, load_ranges(ranges_path))
     stopwords = (load_stopwords(stopwords_path) if stopwords_path
                  else default_stopwords())

@@ -101,15 +101,25 @@ def _check_matrix(X):
     return X
 
 
-def _check_training_inputs(X, y, C, instance_weights):
+def check_settings(C, tol=0.0, **cap):
+    """Refuse fit settings out of range: C > 0, tol >= 0, and an iteration
+    cap (max_iter or max_epochs) of at least 1."""
+    if not C > 0:
+        raise LinModError("C must be positive")
+    if not tol >= 0:
+        raise LinModError("tol must be >= 0")
+    for name, value in cap.items():
+        if not value >= 1:
+            raise LinModError(f"{name} must be >= 1")
+
+
+def _check_training_inputs(X, y, instance_weights):
     X = _check_matrix(X)
     y = np.asarray(y)
     if y.shape != (X.shape[0],):
         raise LinModError("labels must align with rows")
     if not np.isin(y, (0, 1)).all():
         raise LinModError("labels must be 0/1")
-    if C <= 0:
-        raise LinModError("C must be positive")
     if instance_weights is None:
         s = np.ones(X.shape[0])
     else:
@@ -211,7 +221,8 @@ def train_logreg(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
     fit is deterministic."""
     if reg not in (L1, L2):
         raise LinModError(f"unknown regularizer {reg!r}")
-    X, y, s = _check_training_inputs(X, y, C, instance_weights)
+    check_settings(C, tol, max_iter=max_iter)
+    X, y, s = _check_training_inputs(X, y, instance_weights)
 
     def smooth(m):
         return _log_loss_sum(m, y, s)
@@ -513,7 +524,8 @@ def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
     """
     if reg not in (L1, L2):
         raise LinModError(f"unknown regularizer {reg!r}")
-    X, y, s = _check_training_inputs(X, y, C, instance_weights)
+    check_settings(C, tol, max_epochs=max_epochs)
+    X, y, s = _check_training_inputs(X, y, instance_weights)
     y_pm = 2.0 * y - 1.0
     if reg == L2:
         # a row of weight 0 has a_i = 0 at every dual point: it is left out

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from icumort.cohort import SynthConfig, synth_cohort, synth_cohort_with_truth
+from icumort.cohort import synth_cohort, synth_cohort_with_truth
 from icumort.evaluation import (
     auc,
     f1_score,
@@ -290,8 +290,7 @@ def test_c08_permutation_test_behavior():
 
     sig = 0
     for trial in range(20):
-        cohort, risk = synth_cohort_with_truth(SynthConfig(n=1000),
-                                               seed=100 + trial)
+        cohort, risk = synth_cohort_with_truth(1000, seed=100 + trial)
         labels = cohort.labels("hospital")
         noise = np.random.default_rng([200, trial]).random(1000)
         r = perm_test_auc(risk, noise, labels, n_perm=1000, seed=trial)
@@ -311,7 +310,7 @@ def test_c09_feature_fusion_ordering_end_to_end(tmp_path):
         "grids": {"l2-lr": {"C": [1.0]}},
         "folds": 5,
     })
-    labels = synth_cohort(SynthConfig(n=5396), seed=cfg.seed).labels("hospital")
+    labels = synth_cohort(5396, seed=cfg.seed).labels("hospital")
     assert abs(labels.mean() - 0.1294) <= 0.01
 
     out = tmp_path / "fusion"
@@ -351,7 +350,7 @@ def test_c10_manifest_replay_and_cnn_toy(tmp_path):
 
     # text CNN at realistic length budget
     t0 = time.monotonic()
-    cohort = synth_cohort(SynthConfig(n=500), seed=0)
+    cohort = synth_cohort(500, seed=0)
     docs = tokenize_corpus(cohort.notes)
     vocab = build_vocab(docs, min_df=5)
     ids = tokens_to_ids(docs, vocab)

@@ -17,17 +17,20 @@ from icumort.cohort import (
     CohortError,
     FeatureDescriptor,
     FeatureSchema,
-    SynthConfig,
     StructuredEncoder,
+    _labels_at_rate,
     encode,
     filter_outliers,
     fit_encoder,
     load_cohort,
     load_ranges,
+    read_json,
     save_cohort,
     synth_cohort,
     synth_cohort_with_truth,
+    synth_size,
 )
+from icumort.experiment import ExperimentConfig
 
 
 def _rank_auc(scores, labels):
@@ -283,7 +286,7 @@ class TestRanges:
 def _complete_synth(n, seed):
     """A synthetic cohort with every missing continuous cell filled by its
     column's observed mean, so the encoder can read it directly."""
-    c = synth_cohort(SynthConfig(n=n), seed=seed)
+    c = synth_cohort(n, seed=seed)
     M = c.continuous_matrix()
     return c.with_continuous(np.where(np.isnan(M), np.nanmean(M, axis=0), M))
 
@@ -684,12 +687,11 @@ _UNKNOWN = "unknown generator config key"
 
 class TestSynth:
     def test_seed_determinism_byte_identical(self, tmp_path):
-        cfg = SynthConfig(n=150)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        save_cohort(synth_cohort(cfg, seed=42), a)
-        save_cohort(synth_cohort(cfg, seed=42), b)
+        save_cohort(synth_cohort(150, seed=42), a)
+        save_cohort(synth_cohort(150, seed=42), b)
         assert a.read_bytes() == b.read_bytes()
-        save_cohort(synth_cohort(cfg, seed=43), b)
+        save_cohort(synth_cohort(150, seed=43), b)
         assert a.read_bytes() != b.read_bytes()
 
     def test_base_rates_hit_targets(self):
@@ -701,7 +703,7 @@ class TestSynth:
         assert abs(rate_30 - 0.1651) <= 0.01
 
     def test_hospital_deaths_nest_in_30day(self):
-        c = synth_cohort(SynthConfig(n=1500), seed=9)
+        c = synth_cohort(1500, seed=9)
         h = c.labels("hospital")
         d30 = c.labels("30day")
         assert np.all(d30[h == 1] == 1)
@@ -720,36 +722,57 @@ class TestSynth:
         assert miss_age == 0.0
 
     def test_notes_contain_mask_spans(self):
-        c = synth_cohort(SynthConfig(n=50), seed=2)
+        c = synth_cohort(50, seed=2)
         assert any("[**" in note for note in c.notes)
         assert all(c.notes)
 
     def test_true_risk_separates_labels(self):
         """The generator's own risk score must be a strong ranker."""
-        c, risk = synth_cohort_with_truth(SynthConfig(n=4000), seed=13)
+        c, risk = synth_cohort_with_truth(4000, seed=13)
         auc = _rank_auc(risk, c.labels("30day"))
         assert auc > 0.85
 
     def test_config_validation(self):
-        with pytest.raises(CohortError):
-            synth_cohort(SynthConfig(n=5))
+        for n in (5, 9, 10.0, True, None):
+            with pytest.raises(CohortError, match="integer n >= 10"):
+                synth_cohort(n)
+        assert len(synth_cohort(10)) == 10
         # the generator's statistics are constants, not settings
         for key in ("rate_hospital", "missing_rates"):
             with pytest.raises(TypeError, match=key):
-                SynthConfig(**{key: 0.5})
+                synth_cohort(**{key: 0.5})
 
-    def test_config_json_round_trip(self, tmp_path):
+    @staticmethod
+    def _assert_refused(obj, message, tmp_path, capsys):
+        """The reader, a run config's synth block and `icumort synth
+        --config` refuse one generator config alike, writing nothing."""
+        from icumort import cli
+
+        with pytest.raises(CohortError, match=message):
+            synth_size(obj)
+        with pytest.raises(CohortError, match=message):
+            ExperimentConfig.from_obj({"cohort": {"synth": obj}})
+        (tmp_path / "synth.json").write_text(json.dumps(obj))
+        rc = cli.main(["synth", "--config", str(tmp_path / "synth.json"),
+                       "--out", str(tmp_path / "c.jsonl")])
+        assert rc == 1
+        assert re.match(f"error: .*{message}", capsys.readouterr().err)
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_config_json_round_trip(self, tmp_path, capsys):
         (tmp_path / "synth.json").write_text('{"n": 64}')
-        cfg = SynthConfig.load(tmp_path / "synth.json")
-        assert cfg.n == 64
-        assert cfg.to_obj() == {"n": 64}
-        # methods and dunders are attributes, not settings
+        assert synth_size(read_json(tmp_path / "synth.json", "config")) == 64
+        assert synth_size({}) == 5396
+        for block in ({"n": 64}, {}):
+            config = ExperimentConfig.from_obj({"cohort": {"synth": block}})
+            assert config.to_obj()["cohort"] == {
+                "synth": {"n": block.get("n", 5396)}}
+        # names of the former config class's methods and dunders are
+        # not settings either
         for key in ("banana", "to_obj", "from_json", "load", "__class__"):
-            with pytest.raises(CohortError,
-                               match="unknown generator config key"):
-                SynthConfig.from_obj({key: 1})
-        with pytest.raises(CohortError, match="JSON object"):
-            SynthConfig.from_obj([1, 2])
+            self._assert_refused({key: 1}, "unknown generator config key",
+                                 tmp_path, capsys)
+        self._assert_refused([1, 2], "JSON object", tmp_path, capsys)
 
     # Every key but n names a former setting, now a constant: it is refused
     # as unknown whatever its value. Those cases keep the ids they had as
@@ -777,13 +800,44 @@ class TestSynth:
                      id="note_length-value11-note_length"),
         pytest.param("note_length", [40, "120"], _UNKNOWN,
                      id="note_length-value12-note_length")])
-    def test_wrongly_typed_value_rejected(self, key, value, message):
-        with pytest.raises(CohortError, match=message):
-            SynthConfig.from_obj({key: value})
+    def test_wrongly_typed_value_rejected(self, key, value, message,
+                                          tmp_path, capsys):
+        self._assert_refused({key: value}, message, tmp_path, capsys)
 
     def test_values_respect_plausible_ranges(self):
-        c = synth_cohort(SynthConfig(n=800), seed=21)
+        c = synth_cohort(800, seed=21)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, report = filter_outliers(c)
         assert report == {}
+
+
+def _ref_bisect_intercept(thresholds, target, iters=100):
+    """The generator's former intercept search, kept as a reference: bisect
+    until the empirical positive rate (threshold below the intercept)
+    reaches target, landing within one 1/n step of it."""
+    lo, hi = float(thresholds.min()) - 1.0, float(thresholds.max()) + 1.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if float(np.mean(thresholds < mid)) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(10, 3000), seed=st.integers(0, 2**32 - 1),
+       rate=st.floats(0.001, 1.0), decimals=st.sampled_from([None, 0, 1, 2]))
+def test_labels_at_rate_match_bisection(n, seed, rate, decimals):
+    """The order statistic labels exactly the records the bisected
+    intercept does, ties included (rounded thresholds)."""
+    rng = np.random.default_rng(seed)
+    u = rng.random(n)
+    thresholds = np.log(u / (1.0 - u)) - 2.0 * rng.standard_normal(n)
+    if decimals is not None:
+        thresholds = np.round(thresholds, decimals)
+    labels = _labels_at_rate(thresholds, rate)
+    assert np.array_equal(
+        labels, thresholds < _ref_bisect_intercept(thresholds, rate))
+    assert labels.mean() >= rate

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icumort.cohort import SynthConfig, synth_cohort_with_truth
+from icumort.cohort import synth_cohort_with_truth
 from icumort.evaluation import (
     _PERM_BLOCK,
     EvalError,
@@ -271,8 +271,7 @@ class TestPermTest:
         assert r1.p_value == r2.p_value
 
     def test_signal_vs_noise_significant(self):
-        cfg = SynthConfig(n=1000)
-        cohort, risk = synth_cohort_with_truth(cfg, seed=5)
+        cohort, risk = synth_cohort_with_truth(1000, seed=5)
         y = cohort.labels("hospital")
         noise = np.random.default_rng(6).random(1000)
         res = perm_test_auc(risk, noise, y, n_perm=1000, seed=0)

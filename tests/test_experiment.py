@@ -17,7 +17,6 @@ from icumort.cohort import (
     CohortError,
     FeatureSchema,
     StructuredEncoder,
-    SynthConfig,
     load_cohort,
     save_cohort,
     synth_cohort,
@@ -193,7 +192,17 @@ class TestConfig:
           "neural": {"batch_size": 0}}, [], "batch_size must be >= 1"),
         ({"algorithms": ["cnn"], "feature_sets": ["notes"],
           "grids": {"cnn": {"learning_rate": [0]}}}, [],
-         "learning_rate must be positive")])
+         "learning_rate must be positive"),
+        ({"algorithms": ["l2-svm"], "grids": {"l2-svm": {"max_epochs": [-5]}}},
+         [], "max_epochs must be >= 1"),
+        ({"algorithms": ["l2-svm"], "grids": {"l2-svm": {"tol": [-1.0]}}}, [],
+         "tol must be >= 0"),
+        ({"algorithms": ["l1-svm"], "grids": {"l1-svm": {"max_epochs": 0}}},
+         [], "max_epochs must be >= 1"),
+        ({"grids": {"l2-lr": {"C": [1.0], "max_iter": [0]}}}, [],
+         "max_iter must be >= 1"),
+        ({"algorithms": ["l1-lr"], "grids": {"l1-lr": {"tol": [1e-6, -1e-9]}}},
+         [], "tol must be >= 0")])
     def test_cli_refuses_out_of_range_value(self, tmp_path, capsys,
                                             overrides, args, message):
         """Refused before any work: exit 1, an error line, no output."""
@@ -463,6 +472,15 @@ class TestConfig:
         obj = cfg.to_obj()
         assert obj["grids"]["l2-lr"]["C"] == [0.01, 0.1, 1.0]
         assert obj["cohort"]["synth"]["n"] == 260
+        # an empty synth block takes the published cohort's size, and the
+        # caller's block is left as it was
+        given_obj = _base_obj(cohort={"synth": {}})
+        assert ExperimentConfig.from_obj(given_obj).to_obj()["cohort"] == {
+            "synth": {"n": 5396}}
+        assert given_obj["cohort"] == {"synth": {}}
+        path = _base_obj(cohort={"path": "c.jsonl"})
+        assert ExperimentConfig.from_obj(path).to_obj()["cohort"] == {
+            "path": "c.jsonl"}
         assert set(obj) == {"cohort", "outcomes", "feature_sets", "sampling",
                             "algorithms", "grids", "seed", "folds", "min_df",
                             "neural"}
@@ -610,6 +628,25 @@ class TestDeterminism:
                      "cells/notes/hospital/none/l2-lr/scores.tsv"):
             assert Path("a", name).read_bytes() == Path("b", name).read_bytes()
 
+    @pytest.mark.parametrize("inputs", [[], {"ranges": 7},
+                                        {"stopwords": ["a"]}])
+    def test_cli_refuses_malformed_manifest_inputs(self, tmp_path, capsys,
+                                                   inputs):
+        """A manifest whose inputs block is no object of paths or nulls is
+        an error line naming it, and nothing is written."""
+        from icumort import cli
+
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"config": _base_obj(), "cells": {},
+                                    "inputs": inputs}))
+        rc = cli.main(["run", "--config", str(path),
+                       "--out", str(tmp_path / "res")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: manifest {path}: inputs must be an object of file "
+            "paths or nulls\n")
+        assert not (tmp_path / "res").exists()
+
 
 def _run_bytes(out):
     """Every file a run wrote, by its path under the output directory."""
@@ -636,7 +673,7 @@ class TestFoldPlan:
     @given(case=labelled_plans())
     def test_plan_separates_caps_and_repeats(self, case):
         labels, k, sampling, seed = case
-        config = ExperimentConfig(synth=SynthConfig(), folds=k,
+        config = ExperimentConfig(cohort={"synth": {}}, folds=k,
                                   sampling=sampling)
         plan = fold_plan(labels, config, seed)
         train, test = plan.split.train_indices, plan.split.test_indices
@@ -804,9 +841,7 @@ class TestSharedStructuredFit:
 class TestLeakage:
     def test_test_rows_do_not_touch_fitted_models(self, tmp_path):
         """Corrupting test-split rows must not change any fitted artifact."""
-        from icumort.cohort import SynthConfig, synth_cohort
-
-        cohort = synth_cohort(SynthConfig(n=240), seed=4)
+        cohort = synth_cohort(240, seed=4)
         path_a = tmp_path / "a.jsonl"
         save_cohort(cohort, path_a)
         obj = _base_obj(feature_sets=["structured", "notes"])
@@ -856,7 +891,7 @@ def fold_plans(draw):
     """(cohort, fit rows per fold, fold seed): n from 30 to 120, any plan
     of 2-4 folds, each fold's rows in the plan's (unsorted) order."""
     n = draw(st.integers(30, 120))
-    cohort = synth_cohort(SynthConfig(n=n), seed=draw(st.integers(0, 2**16)))
+    cohort = synth_cohort(n, seed=draw(st.integers(0, 2**16)))
     # replace the generator's missingness of lactate and albumin by a drawn
     # rate: fill every cell from the column's observed values, then mask
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -1018,7 +1053,7 @@ class TestFoldFeatures:
                     == cohort.encode(fold.encoder, rows, once).tobytes())
 
     def test_rows_outside_the_fold_are_refused(self):
-        cohort = synth_cohort(SynthConfig(n=120), seed=3)
+        cohort = synth_cohort(120, seed=3)
         fold = _fold(cohort, np.arange(0, 120, 2), 5, np.arange(1, 60, 2))
         for request in ([0, 61], [119]):
             outside = str(request[-1])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icumort.cohort import SynthConfig, synth_cohort
+from icumort.cohort import synth_cohort
 from icumort.impute import (
     ImputeError,
     apply_imputation,
@@ -329,7 +329,7 @@ def _count_lstsq(monkeypatch):
 
 
 def test_cohort_block_needs_no_least_squares_fallback(monkeypatch):
-    continuous = synth_cohort(SynthConfig(n=2000), seed=1).continuous_matrix()
+    continuous = synth_cohort(2000, seed=1).continuous_matrix()
     calls = _count_lstsq(monkeypatch)
     _, model = impute_fit_transform(continuous, seed=1)
     assert model.visit_order and not calls

@@ -153,6 +153,18 @@ class TestLogReg:
                          instance_weights=[-1.0, 1.0])
         with pytest.raises(LinModError):
             train_logreg(np.zeros((2, 1)), [0, 1], reg="l3")
+        # fit settings out of range, in both trainers; tol 0 stays legal
+        for train, cap in ((train_logreg, "max_iter"),
+                           (train_linear_svm, "max_epochs")):
+            for bad, message in (({"C": np.nan}, "C must be positive"),
+                                 ({"tol": -1.0}, "tol must be >= 0"),
+                                 ({"tol": np.nan}, "tol must be >= 0"),
+                                 ({cap: 0}, f"{cap} must be >= 1"),
+                                 ({cap: -5}, f"{cap} must be >= 1")):
+                for reg in (L1, L2):
+                    with pytest.raises(LinModError, match=message):
+                        train(np.zeros((2, 1)), [0, 1], reg=reg, **bad)
+            assert train(np.zeros((2, 1)), [0, 1], tol=0.0, **{cap: 1})
 
     def test_unconverged_flag(self):
         X, y = _logreg_dataset()
