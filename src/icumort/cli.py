@@ -38,8 +38,6 @@ def _build_parser():
     p.add_argument("--config", required=True,
                    help="experiment config or manifest JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the config seed")
     p.add_argument("--stopwords", help="stop word list, one token per line")
     p.add_argument("--ranges", help="plausible-range table JSON")
     p.add_argument("--embeddings", help="pretrained embedding text file")
@@ -70,11 +68,11 @@ def cmd_synth(args):
 def cmd_run(args):
     # a manifest's recorded input files apply unless a flag names others
     config, inputs = load_run(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
     for name in ("stopwords", "ranges", "embeddings"):
         flag = getattr(args, name)
-        if flag:
+        if flag == "":
+            raise ConfigError(f"--{name} is an empty path")
+        if flag is not None:
             inputs[f"{name}_path"] = flag
     rows = run_experiment(config, args.out, **inputs)
     failed = 0

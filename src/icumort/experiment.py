@@ -70,10 +70,10 @@ DEFAULT_GRIDS = {
 }
 
 _GRID_KEYS = {
-    "l1-lr": {"C", "tol", "max_iter"},
-    "l2-lr": {"C", "tol", "max_iter"},
-    "l1-svm": {"C", "tol", "max_epochs"},
-    "l2-svm": {"C", "tol", "max_epochs"},
+    "l1-lr": {"C"},
+    "l2-lr": {"C"},
+    "l1-svm": {"C"},
+    "l2-svm": {"C"},
     "rf": {f.name for f in fields(trees.ForestParams)},
     "gbt": {f.name for f in fields(trees.GbtParams)},
     "mlp": {f.name for f in fields(neural.MlpParams)},
@@ -81,8 +81,7 @@ _GRID_KEYS = {
 }
 _NEURAL_KEYS = _GRID_KEYS["mlp"] | _GRID_KEYS["cnn"]
 _INTEGER_PARAMS = {"n_trees", "max_depth", "rounds", "hidden", "filters",
-                   "embed_dim", "max_len", "batch_size", "max_epochs",
-                   "max_iter"}
+                   "embed_dim", "max_len", "batch_size", "max_epochs"}
 
 
 def _check_param(key, value, where):
@@ -262,6 +261,10 @@ def load_run(path):
                 v is None or isinstance(v, str) for v in inputs.values())):
             raise ConfigError(f"manifest {path}: inputs must be an object "
                               "of file paths or nulls")
+        for name, value in inputs.items():
+            if value == "":
+                raise ConfigError(
+                    f"manifest {path}: inputs {name} is an empty path")
         return (ExperimentConfig.from_obj(obj["config"]),
                 {f"{name}_path": inputs.get(name)
                  for name in ("stopwords", "ranges", "embeddings")})
@@ -609,13 +612,13 @@ def run_experiment(config, out_dir, stopwords_path=None, ranges_path=None,
     else:
         cohort = synth_cohort(config.cohort["synth"]["n"], seed=config.seed)
     cohort, outlier_report = filter_outliers(cohort, load_ranges(ranges_path))
-    stopwords = (load_stopwords(stopwords_path) if stopwords_path
-                 else default_stopwords())
+    stopwords = (default_stopwords() if stopwords_path is None
+                 else load_stopwords(stopwords_path))
     needs_text = bool(set(config.feature_sets) & {"notes", "combined"})
     tokens = (tokenize_corpus(cohort.notes, stopwords) if needs_text
               else None)
-    pretrained = (_load_pretrained(embeddings_path, config)
-                  if embeddings_path else None)
+    pretrained = (None if embeddings_path is None
+                  else _load_pretrained(embeddings_path, config))
 
     contexts = {outcome: _OutcomeContext(cohort, tokens, config, outcome, oi)
                 for oi, outcome in enumerate(config.outcomes)}

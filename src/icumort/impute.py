@@ -12,6 +12,8 @@ import numpy as np
 # the normal equations lose about log10(1/pivot) digits, twice as many as SVD
 # least squares, so at or below this the column is solved by SVD instead.
 PIVOT_TOL = 1e-4
+# chained-equations cycles of a fit, each visiting every incomplete column
+_CYCLES = 10
 
 
 class ImputeError(ValueError):
@@ -28,14 +30,13 @@ class ImputationModel:
     """
 
     def __init__(self, n_columns, means, visit_order, coefficients, residual_sds,
-                 cycles, seed, rank_deficient_columns=(), cycle_median_change=()):
+                 seed, rank_deficient_columns=(), cycle_median_change=()):
         self.n_columns = int(n_columns)
         self.means = np.asarray(means, dtype=float)
         self.visit_order = tuple(int(j) for j in visit_order)
         self.coefficients = {int(j): np.asarray(c, dtype=float)
                              for j, c in coefficients.items()}
         self.residual_sds = {int(j): float(s) for j, s in residual_sds.items()}
-        self.cycles = int(cycles)
         self.seed = int(seed)
         self.rank_deficient_columns = tuple(
             sorted(int(j) for j in rank_deficient_columns))
@@ -54,7 +55,7 @@ def _work_matrix(X, observed_mask, means):
     return W
 
 
-def _run_chain(X, observed_mask, cycles, seed):
+def _run_chain(X, observed_mask, seed):
     rng = np.random.default_rng(seed)
     d = X.shape[1]
     means = np.array([X[observed_mask[:, j], j].mean() for j in range(d)])
@@ -76,7 +77,7 @@ def _run_chain(X, observed_mask, cycles, seed):
     weights, residual_sds = {}, {}
     rank_deficient_columns = set()
     median_changes = []
-    for _ in range(cycles):
+    for _ in range(_CYCLES):
         changes = []
         for j in visit_order:
             obs, miss = rows[j]
@@ -133,24 +134,22 @@ def _run_chain(X, observed_mask, cycles, seed):
         n_columns=d, means=means, visit_order=visit_order,
         coefficients={j: np.delete(w, j) for j, w in weights.items()},
         residual_sds=residual_sds,
-        cycles=cycles, seed=seed, cycle_median_change=median_changes,
+        seed=seed, cycle_median_change=median_changes,
         rank_deficient_columns=rank_deficient_columns)
     return np.where(observed_mask, X, C[:, :-1] + means), model
 
 
-def impute_fit_transform(matrix, cycles=10, seed=0):
+def impute_fit_transform(matrix, seed=0):
     """Complete a matrix with NaN missing flags; returns (matrix, model).
 
-    Missing cells start at column means; each cycle revisits every
-    incomplete column in ascending-missingness order, refits its regression
-    on the observed cells, and redraws the missing cells as prediction plus
-    Gaussian residual noise.
+    Missing cells start at column means; each of _CYCLES cycles revisits
+    every incomplete column in ascending-missingness order, refits its
+    regression on the observed cells, and redraws the missing cells as
+    prediction plus Gaussian residual noise.
     """
     X = np.asarray(matrix, dtype=float)
     if X.ndim != 2:
         raise ImputeError("expected a 2-d matrix")
-    if cycles < 1:
-        raise ImputeError("cycles must be >= 1")
     observed_mask = ~np.isnan(X)
     counts = observed_mask.sum(axis=0)
     if np.any(counts == 0):
@@ -162,7 +161,7 @@ def impute_fit_transform(matrix, cycles=10, seed=0):
     if not np.isfinite(X[observed_mask]).all():
         raise ImputeError("observed cells must be finite")
 
-    return _run_chain(X, observed_mask, cycles, seed)
+    return _run_chain(X, observed_mask, seed)
 
 
 def apply_imputation(model, matrix):

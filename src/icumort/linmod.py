@@ -5,13 +5,13 @@ numpy matrix-vector work. Logistic regression (L1 or L2) and the L1
 squared-hinge SVM share one accelerated proximal-gradient loop; only the
 loss and its gradient differ. The L2 hinge SVM solves its box-constrained
 dual, and its `converged` flag certifies the optimum: the relative
-primal-dual gap, recorded as diagnostics["duality_gap"], is <= tol. Which
+primal-dual gap, recorded as diagnostics["duality_gap"], is <= _TOL. Which
 solver runs depends on input size only. When X has more rows than columns
-and the dense augmented matrix [X, 1] fits the presort budget of `trees`
-(d + 1 < n and n * (d + 1) <= 2**21 values), a primal-dual interior-point
-method takes about 10-20 Newton steps; otherwise (wide tf-idf blocks, or
-fewer rows than columns) projected accelerated gradient runs on X as given,
-without densifying it. max_epochs caps the steps of either.
+and the dense augmented matrix [X, 1] fits _DENSE_VALUES (d + 1 < n and
+n * (d + 1) <= 2**21 values), a primal-dual interior-point method takes
+about 10-20 Newton steps; otherwise (wide tf-idf blocks, or fewer rows than
+columns) projected accelerated gradient runs on X as given, without
+densifying it. The tolerance and each solver's step cap are constants.
 """
 
 from __future__ import annotations
@@ -21,13 +21,21 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from icumort import trees
-
 LOGISTIC = "logistic"
 HINGE = "hinge"
 SQUARED_HINGE = "squared-hinge"
 L1 = "l1"
 L2 = "l2"
+
+# A fit converges at a relative objective change (proximal gradient) or
+# duality gap (hinge solvers) <= _TOL, else stops at its solver's step cap.
+_TOL = 1e-6
+_LOGREG_STEPS = 10_000
+_SQUARED_HINGE_STEPS = 1_000
+_NEWTON_STEPS = 1_000
+_DUAL_STEPS = 1_000
+# the most values of the interior point's dense [X, 1] copy (16 MB)
+_DENSE_VALUES = 2 ** 21
 
 
 class LinModError(ValueError):
@@ -101,16 +109,10 @@ def _check_matrix(X):
     return X
 
 
-def check_settings(C, tol=0.0, **cap):
-    """Refuse fit settings out of range: C > 0, tol >= 0, and an iteration
-    cap (max_iter or max_epochs) of at least 1."""
+def check_settings(C):
+    """Refuse a regularization strength C that is not positive (NaN too)."""
     if not C > 0:
         raise LinModError("C must be positive")
-    if not tol >= 0:
-        raise LinModError("tol must be >= 0")
-    for name, value in cap.items():
-        if not value >= 1:
-            raise LinModError(f"{name} must be >= 1")
 
 
 def _check_training_inputs(X, y, instance_weights):
@@ -148,7 +150,7 @@ def _prox(v, step_lam, reg):
     return v / (1.0 + step_lam)
 
 
-def _proximal_gradient(X, smooth, gradient, reg, lam, tol, max_iter):
+def _proximal_gradient(X, smooth, gradient, reg, lam, max_iter):
     """Minimizes smooth(m) + lam * penalty(w) by proximal gradient, where
     m = X @ w + b are the margins; gradient(m) is d smooth / d m.
 
@@ -156,7 +158,7 @@ def _proximal_gradient(X, smooth, gradient, reg, lam, tol, max_iter):
     search and a restart from the current iterate whenever momentum
     overshoots, so the objective never increases; the intercept is excluded
     from the penalty. Each point's margins are computed once. Stops on
-    relative objective change < tol.
+    relative objective change <= _TOL, or unconverged after max_iter steps.
     """
     def prox_step(w0, b0, m0, g0, step):
         r = gradient(m0)
@@ -205,7 +207,7 @@ def _proximal_gradient(X, smooth, gradient, reg, lam, tol, max_iter):
         w_prev, b_prev = w, b
         w, b, m, g = w_new, b_new, m_new, g_new
         theta = theta_next
-        if abs(F - F_new) <= tol * max(1.0, abs(F)):
+        if abs(F - F_new) <= _TOL * max(1.0, abs(F)):
             F = F_new
             converged = True
             break
@@ -215,13 +217,12 @@ def _proximal_gradient(X, smooth, gradient, reg, lam, tol, max_iter):
                   "converged": converged}
 
 
-def train_logreg(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
-                 max_iter=10000):
-    """Weighted logistic regression by accelerated proximal gradient; the
-    fit is deterministic."""
+def train_logreg(X, y, reg=L2, C=1.0, instance_weights=None):
+    """Weighted logistic regression by accelerated proximal gradient, for at
+    most _LOGREG_STEPS steps; the fit is deterministic."""
     if reg not in (L1, L2):
         raise LinModError(f"unknown regularizer {reg!r}")
-    check_settings(C, tol, max_iter=max_iter)
+    check_settings(C)
     X, y, s = _check_training_inputs(X, y, instance_weights)
 
     def smooth(m):
@@ -230,8 +231,8 @@ def train_logreg(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
     def gradient(m):
         return s * (1.0 / (1.0 + np.exp(-m)) - y)
 
-    w, b, diag = _proximal_gradient(X, smooth, gradient, reg, 1.0 / C, tol,
-                                    max_iter)
+    w, b, diag = _proximal_gradient(X, smooth, gradient, reg, 1.0 / C,
+                                    _LOGREG_STEPS)
     return LinearModel(w=w, b=b, loss=LOGISTIC, reg=reg, C=C, diagnostics=diag)
 
 
@@ -319,7 +320,7 @@ def _hinge_gap(u, a, margins, v):
     return max(gap, (a.size + v.size) * _EPS * primal), primal
 
 
-def _hinge_ipm(Z, u, tol, max_iter):
+def _hinge_ipm(Z, u):
     """Primal-dual interior point on the augmented hinge dual.
 
     Minimizes 0.5 * ||Z.T a||^2 - sum(a) over 0 <= a <= u for dense
@@ -329,8 +330,8 @@ def _hinge_ipm(Z, u, tol, max_iter):
     (D + Z Z.T) da = r, D diagonal, is solved through the (d + 1)-square
     matrix I + Z.T D^-1 Z (Sherman-Morrison-Woodbury, as in Ferris & Munson,
     SIAM J. Optim. 2002). Stops on the relative duality gap of _hinge_dual,
-    or earlier, unconverged, once rounding rather than the iterate limits
-    that gap; then returns the polished point (_polish) of the last iterate
+    or unconverged after _NEWTON_STEPS steps or once rounding rather than
+    the iterate limits that gap; then returns the polished point (_polish) of the last iterate
     instead when its gap is no larger.
     """
     n, m = Z.shape
@@ -345,7 +346,7 @@ def _hinge_ipm(Z, u, tol, max_iter):
     iterations = 0
     while True:
         gap, primal = _hinge_gap(u, a, margins, v)
-        if gap <= tol * primal or iterations >= max_iter:
+        if gap <= _TOL * primal or iterations >= _NEWTON_STEPS:
             break
         h = u - a
         mu = (_dot(a, z) + _dot(h, t)) / (2 * n)
@@ -391,7 +392,7 @@ def _hinge_ipm(Z, u, tol, max_iter):
         if gap_p * primal <= gap * primal_p:
             v, gap, primal = v_p, gap_p, primal_p
     return v[:-1], float(v[-1]), {
-        "iterations": iterations, "converged": gap <= tol * primal,
+        "iterations": iterations, "converged": gap <= _TOL * primal,
         "duality_gap": gap / primal if primal > 0.0 else 0.0}
 
 
@@ -449,7 +450,7 @@ def _max_step(a, h, z, t, da, dz, dt):
     return float(np.min(x[down] / -dx[down], initial=np.inf))
 
 
-def _hinge_dual(X, y_pm, upper, tol, max_iter):
+def _hinge_dual(X, y_pm, upper):
     """Projected accelerated gradient on the augmented hinge dual.
 
     Minimizes 0.5 * ||Z.T a||^2 - sum(a) over 0 <= a <= upper, with
@@ -458,10 +459,11 @@ def _hinge_dual(X, y_pm, upper, tol, max_iter):
     memory stays O(nnz). Each step backtracks on the quadratic's exact
     curvature along the step and then grows by 1.2; momentum restarts when
     the step opposes the previous move (O'Donoghue & Candes 2015). Stops
-    when the duality gap is <= tol times the primal objective; C and the
-    instance weights enter only through upper = C * s. Its iterations grow
-    with n, so it runs only where _hinge_ipm does not: where Z has no more
-    rows than columns or its dense copy would not fit the presort budget.
+    when the duality gap is <= _TOL times the primal objective, or
+    unconverged after _DUAL_STEPS steps; C and the instance weights enter
+    only through upper = C * s. Its iterations grow with n, so it runs only
+    where _hinge_ipm does not: where Z has no more rows than columns or its
+    dense copy would not fit _DENSE_VALUES.
     """
     def zt(a):  # Z.T @ a, the primal (w, b) of a dual point
         ya = y_pm * a
@@ -480,7 +482,7 @@ def _hinge_dual(X, y_pm, upper, tol, max_iter):
     converged = False
     iterations = 0
     gap = primal = float(upper.sum())  # at a = 0 every slack is 1
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _DUAL_STEPS + 1):
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         mom = (theta - 1.0) / theta_next
         # Z.T and Z are linear, so the extrapolated point costs no product
@@ -503,7 +505,7 @@ def _hinge_dual(X, y_pm, upper, tol, max_iter):
         m = z(v)
         theta = theta_next
         gap, primal = _hinge_gap(upper, a, m, v)
-        if gap <= tol * primal:
+        if gap <= _TOL * primal:
             converged = True
             break
     return v[:-1], float(v[-1]), {
@@ -511,20 +513,19 @@ def _hinge_dual(X, y_pm, upper, tol, max_iter):
         "duality_gap": gap / primal if primal > 0.0 else 0.0}
 
 
-def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
-                     max_epochs=1000):
+def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None):
     """Linear SVM; L2 pairs with hinge loss, L1 with squared hinge.
 
     The hinge fit solves the dual and reports its relative duality gap: by
     the interior point when d + 1 < n and n * (d + 1) is within
-    trees._PRESORT_VALUES, else by projected accelerated gradient;
-    max_epochs caps the iterations of either; the interior point gives the
-    same bits at any BLAS thread count. The L1 squared-hinge fit runs the
-    logistic loop on its own loss. Both are deterministic.
+    _DENSE_VALUES, else by projected accelerated gradient; the interior
+    point gives the same bits at any BLAS thread count. The L1
+    squared-hinge fit runs the logistic loop on its own loss. Both are
+    deterministic.
     """
     if reg not in (L1, L2):
         raise LinModError(f"unknown regularizer {reg!r}")
-    check_settings(C, tol, max_epochs=max_epochs)
+    check_settings(C)
     X, y, s = _check_training_inputs(X, y, instance_weights)
     y_pm = 2.0 * y - 1.0
     if reg == L2:
@@ -535,14 +536,13 @@ def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
         if n == 0:  # every weight is 0: the penalty alone, minimal at 0
             w, b, diag = np.zeros(d), 0.0, {
                 "iterations": 0, "converged": True, "duality_gap": 0.0}
-        elif d + 1 < n and n * (d + 1) <= trees._PRESORT_VALUES:
+        elif d + 1 < n and n * (d + 1) <= _DENSE_VALUES:
             Z = np.ones((n, d + 1))
             Z[:, :d] = Xk.toarray() if sp.issparse(Xk) else Xk
             Z *= y_pm[keep][:, None]
-            w, b, diag = _hinge_ipm(Z, C * s[keep], tol, max_epochs)
+            w, b, diag = _hinge_ipm(Z, C * s[keep])
         else:
-            w, b, diag = _hinge_dual(Xk, y_pm[keep], C * s[keep], tol,
-                                     max_epochs)
+            w, b, diag = _hinge_dual(Xk, y_pm[keep], C * s[keep])
         hinge = np.maximum(1.0 - y_pm * (X @ w + b), 0.0)
         diag["final_objective"] = float(s @ hinge + 0.5 * (w @ w + b * b) / C)
         return LinearModel(w=w, b=b, loss=HINGE, reg=reg, C=C,
@@ -555,8 +555,8 @@ def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None, tol=1e-6,
     def gradient(m):
         return -2.0 * s * y_pm * np.maximum(1.0 - y_pm * m, 0.0)
 
-    w, b, diag = _proximal_gradient(X, smooth, gradient, L1, 1.0 / C, tol,
-                                    max_epochs)
+    w, b, diag = _proximal_gradient(X, smooth, gradient, L1, 1.0 / C,
+                                    _SQUARED_HINGE_STEPS)
     return LinearModel(w=w, b=b, loss=SQUARED_HINGE, reg=reg, C=C,
                        diagnostics=diag)
 

@@ -138,8 +138,6 @@ def _finite_matrix(X):
 # memory and no less time), so each node sorts its own candidate columns.
 # Where between those two shapes the crossover lies has not been measured;
 # 2**21 lies above every paper-scale fold at min_df 10 (about 672k values).
-# The same budget decides whether an L2 hinge SVM fit (linmod) may copy its
-# augmented input into a dense array for its interior-point solver.
 _PRESORT_VALUES = 2 ** 21
 
 # Values gathered per block of candidate columns; a block's width is this

@@ -20,7 +20,7 @@ from icumort.evaluation import (
     stratified_split,
     undersample,
 )
-from icumort import cli
+from icumort import cli, linmod
 from icumort.experiment import ExperimentConfig, run_experiment, run_permtest
 from icumort.impute import impute_fit_transform
 from icumort.linmod import L1, L2, train_linear_svm, train_logreg
@@ -41,7 +41,11 @@ from icumort.textfeat import build_vocab, tokenize_corpus
 from icumort.trees import GbtParams, train_gbt
 
 from test_experiment import _run_bytes
-from test_linmod import REFERENCE_L2_OBJECTIVE, _logreg_dataset
+from test_linmod import (
+    REFERENCE_L2_OBJECTIVE,
+    _logreg_dataset,
+    _logreg_to_rounding,
+)
 from test_neural import TOL as FD_TOL
 from test_neural import _fd_check
 
@@ -91,17 +95,18 @@ def test_c03_auc_brute_force_equivalence():
     assert time.monotonic() - t0 < 5.0
 
 
-def test_c04_convex_solver_optimality():
+def test_c04_convex_solver_optimality(monkeypatch):
     t0 = time.monotonic()
     X, y = _logreg_dataset()
 
-    m = train_logreg(X, y, reg=L2, C=1.0, tol=1e-12, max_iter=50000)
+    _logreg_to_rounding(monkeypatch)
+    m = train_logreg(X, y, reg=L2, C=1.0)
     F = m.diagnostics["final_objective"]
     assert abs(F - REFERENCE_L2_OBJECTIVE) <= 1e-6 * REFERENCE_L2_OBJECTIVE
 
     # L1 logistic: grad_j = -sign(w_j)/C on active coords, |grad_j| <= 1/C at zeros
     for C in (0.5, 0.05):
-        m1 = train_logreg(X, y, reg=L1, C=C, tol=1e-12, max_iter=50000)
+        m1 = train_logreg(X, y, reg=L1, C=C)
         p = 1.0 / (1.0 + np.exp(-(X @ m1.w + m1.b)))
         grad = X.T @ (p - y)
         nz = m1.w != 0
@@ -111,9 +116,10 @@ def test_c04_convex_solver_optimality():
             assert np.abs(grad[~nz]).max() <= 1.0 / C + 1e-4
 
     # L1 squared hinge, same conditions on its own gradient
+    monkeypatch.setattr(linmod, "_TOL", 1e-10)
     yt = 2.0 * y - 1.0
     for C in (0.5, 0.05):
-        ms = train_linear_svm(X, y, reg=L1, C=C, tol=1e-10)
+        ms = train_linear_svm(X, y, reg=L1, C=C)
         slack = np.maximum(0.0, 1.0 - yt * (X @ ms.w + ms.b))
         grad = X.T @ (-2.0 * slack * yt)
         nz = ms.w != 0
@@ -122,7 +128,9 @@ def test_c04_convex_solver_optimality():
         if (~nz).any():
             assert np.abs(grad[~nz]).max() <= 1.0 / C + 1e-4
 
-    # one informative + nine noise columns: strong L1 zeroes the noise exactly
+    # one informative + nine noise columns: strong L1 zeroes the noise
+    # exactly, at the runner's own tolerance and caps
+    monkeypatch.undo()
     rng = np.random.default_rng(3)
     n = 60
     yc = (np.arange(n) % 2).astype(np.int64)

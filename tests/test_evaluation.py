@@ -231,6 +231,14 @@ class TestReport:
         assert r.precision == 0.0
         assert r.f1 == 0.0
 
+    def test_half_of_predicted_positives_correct(self):
+        # tp == fp > 0: precision is tp / (tp + fp), not flagged as empty
+        r = classification_report([0.9, 0.8, 0.7, 0.1], [1, 0, 0, 1],
+                                  threshold=0.75)
+        assert (r.tp, r.fp) == (1, 1)
+        assert r.precision == 0.5
+        assert not r.no_predicted_positives
+
     def test_margin_threshold(self):
         r = classification_report([-2.0, 1.5, 0.5], [0, 1, 1], threshold=0.0)
         assert (r.tp, r.fp, r.tn, r.fn) == (2, 0, 1, 0)
@@ -238,6 +246,10 @@ class TestReport:
     def test_single_class_auc_is_none(self):
         r = classification_report([0.2, 0.8], [1, 1])
         assert r.auc is None
+
+    def test_one_positive_has_auc(self):
+        r = classification_report([0.2, 0.8, 0.5], [0, 1, 0])
+        assert r.auc == 1.0
 
     def test_json_round_trip(self):
         import json

@@ -167,7 +167,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("overrides, args, message", [
         ({"seed": -1}, [], "seed must be an integer >= 0"),
-        ({}, ["--seed", "-1"], "--seed must be an integer >= 0"),
+        ({"folds": 1}, [], "folds must be an integer of at least 2"),
         ({"algorithms": ["rf"], "grids": {"rf": {"n_trees": [0]}}}, [],
          "n_trees must be >= 1"),
         ({"algorithms": ["gbt"], "grids": {"gbt": {"learning_rate": [2.0]}}},
@@ -193,16 +193,7 @@ class TestConfig:
         ({"algorithms": ["cnn"], "feature_sets": ["notes"],
           "grids": {"cnn": {"learning_rate": [0]}}}, [],
          "learning_rate must be positive"),
-        ({"algorithms": ["l2-svm"], "grids": {"l2-svm": {"max_epochs": [-5]}}},
-         [], "max_epochs must be >= 1"),
-        ({"algorithms": ["l2-svm"], "grids": {"l2-svm": {"tol": [-1.0]}}}, [],
-         "tol must be >= 0"),
-        ({"algorithms": ["l1-svm"], "grids": {"l1-svm": {"max_epochs": 0}}},
-         [], "max_epochs must be >= 1"),
-        ({"grids": {"l2-lr": {"C": [1.0], "max_iter": [0]}}}, [],
-         "max_iter must be >= 1"),
-        ({"algorithms": ["l1-lr"], "grids": {"l1-lr": {"tol": [1e-6, -1e-9]}}},
-         [], "tol must be >= 0")])
+        ({"min_df": 0}, [], "min_df must be an integer >= 1")])
     def test_cli_refuses_out_of_range_value(self, tmp_path, capsys,
                                             overrides, args, message):
         """Refused before any work: exit 1, an error line, no output."""
@@ -229,12 +220,18 @@ class TestConfig:
               ("rate_hospital", 0.1294), ("rate_30day", 0.1651),
               ("missing_rates", {"bmi": 0.48}), ("structured_weight", 1.8),
               ("text_weight", 0.8), ("risk_tokens", ["arrest"]),
-              ("note_length", [40, 120]), ("risk_token_mean", 0.9)))])
+              ("note_length", [40, 120]), ("risk_token_mean", 0.9))),
+        *(({"algorithms": [algo], "grids": {algo: {"C": [1.0], key: [value]}}},
+           f"unknown grid parameters for {algo}: [{key!r}]")
+          for algo, key, value in (
+              ("l1-lr", "tol", 1e-6), ("l2-lr", "max_iter", 10000),
+              ("l1-svm", "max_epochs", 1000), ("l2-svm", "tol", 1e-6),
+              ("l2-svm", "max_epochs", 1000)))])
     def test_cli_refuses_removed_setting(self, tmp_path, capsys, overrides,
                                          message):
-        """The generator statistics, the forest's bootstrap and node weight
-        and boosting's lambda are constants: naming one is a config error,
-        even at its fixed value."""
+        """The generator statistics, the forest's bootstrap and node weight,
+        boosting's lambda and the linear solvers' tolerance and step caps are
+        constants: naming one is a config error, even at its fixed value."""
         from icumort import cli
 
         (tmp_path / "exp.json").write_text(json.dumps(_base_obj(**overrides)))
@@ -285,6 +282,8 @@ class TestConfig:
             assert not (tmp_path / "again").exists()
 
     def test_cli_refuses_negative_seed_flags(self, tmp_path, capsys):
+        """synth and permtest refuse a negative --seed; run has no --seed,
+        since the config's seed is its one seed."""
         from icumort import cli
 
         for argv in (["synth", "--seed", "-1", "--out",
@@ -294,7 +293,13 @@ class TestConfig:
             assert cli.main(argv) == 1
             assert (capsys.readouterr().err
                     == "error: --seed must be an integer >= 0\n")
-        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "exp.json").write_text(json.dumps(_base_obj()))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(tmp_path / "exp.json"),
+                      "--out", str(tmp_path / "res"), "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "exp.json"]
 
     @pytest.mark.parametrize("text, message", [
         ("{", "range table is not valid JSON"),
@@ -648,6 +653,28 @@ class TestDeterminism:
         assert not (tmp_path / "res").exists()
 
 
+    @pytest.mark.parametrize("name", ["stopwords", "ranges", "embeddings"])
+    def test_cli_refuses_empty_input_path(self, tmp_path, capsys, name):
+        """An empty path, as a flag or in a manifest's inputs, is an error
+        line naming the flag or the manifest and field, and nothing is
+        written."""
+        from icumort import cli
+
+        (tmp_path / "exp.json").write_text(json.dumps(_base_obj()))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"config": _base_obj(), "cells": {},
+                                        "inputs": {name: ""}}))
+        for argv, message in (
+                (["--config", str(tmp_path / "exp.json"), f"--{name}", ""],
+                 f"--{name} is an empty path"),
+                (["--config", str(manifest)],
+                 f"manifest {manifest}: inputs {name} is an empty path")):
+            rc = cli.main(["run", *argv, "--out", str(tmp_path / "res")])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "res").exists()
+
+
 def _run_bytes(out):
     """Every file a run wrote, by its path under the output directory."""
     return {p.relative_to(out).as_posix(): p.read_bytes()
@@ -790,11 +817,15 @@ class TestFoldPlan:
 
 
 class TestConvergence:
-    def test_unconverged_fits_counted_and_reported(self, tmp_path, capsys):
-        from icumort import cli
+    def test_unconverged_fits_counted_and_reported(self, tmp_path, capsys,
+                                                   monkeypatch):
+        from icumort import cli, linmod
 
+        # one step of either hinge solver leaves every fit unconverged
+        monkeypatch.setattr(linmod, "_NEWTON_STEPS", 1)
+        monkeypatch.setattr(linmod, "_DUAL_STEPS", 1)
         obj = _base_obj(algorithms=["l2-svm", "rf"], folds=3,
-                        grids={"l2-svm": {"C": [1.0], "max_epochs": [1]},
+                        grids={"l2-svm": {"C": [1.0]},
                                "rf": {"n_trees": [3], "max_depth": [2]}})
         (tmp_path / "exp.json").write_text(json.dumps(obj))
         rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
@@ -924,7 +955,7 @@ def _imputer_state(model):
     """Every fitted value of an imputation model, comparable with ==."""
     return (model.n_columns, model.means.tobytes(), model.visit_order,
             {j: c.tobytes() for j, c in model.coefficients.items()},
-            model.residual_sds, model.cycles, model.seed,
+            model.residual_sds, model.seed,
             model.rank_deficient_columns, model.cycle_median_change)
 
 

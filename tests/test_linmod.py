@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icumort
-from icumort import linmod, trees
+from icumort import linmod
 from icumort.linmod import (
     L1,
     L2,
@@ -62,6 +62,13 @@ def test_reference_objective_regenerates():
                                                    rel=1e-12)
 
 
+def _logreg_to_rounding(monkeypatch):
+    """Logistic fits stop at a relative change of 1e-12, within 50,000
+    steps: close enough to compare with the reference optimum."""
+    monkeypatch.setattr(linmod, "_TOL", 1e-12)
+    monkeypatch.setattr(linmod, "_LOGREG_STEPS", 50_000)
+
+
 class TestClassWeights:
     def test_balanced_case(self):
         np.testing.assert_allclose(balanced_weights([0, 1, 0, 1]), 1.0)
@@ -88,11 +95,12 @@ class TestClassWeights:
 
 
 class TestLogReg:
-    def test_tiny_c_gives_intercept_only_model(self):
+    def test_tiny_c_gives_intercept_only_model(self, monkeypatch):
         X = np.array([[1.0], [2.0], [-1.0], [0.5]])
         y = np.array([1, 0, 0, 0])
         # tol below default so the flat intercept direction is fully driven
-        m = train_logreg(X, y, reg=L2, C=1e-8, tol=1e-9)
+        monkeypatch.setattr(linmod, "_TOL", 1e-9)
+        m = train_logreg(X, y, reg=L2, C=1e-8)
         assert np.abs(m.w).max() < 1e-4
         assert m.b == pytest.approx(np.log(1.0 / 3.0), abs=1e-3)
 
@@ -103,25 +111,28 @@ class TestLogReg:
         m = train_logreg(X, y, reg=L2, C=1e-8, instance_weights=s)
         assert m.b == pytest.approx(0.0, abs=1e-3)
 
-    def test_reaches_reference_optimum(self):
+    def test_reaches_reference_optimum(self, monkeypatch):
         X, y = _logreg_dataset()
-        m = train_logreg(X, y, reg=L2, C=1.0, tol=1e-12, max_iter=50000)
+        _logreg_to_rounding(monkeypatch)
+        m = train_logreg(X, y, reg=L2, C=1.0)
         F = m.diagnostics["final_objective"]
         assert abs(F - REFERENCE_L2_OBJECTIVE) <= 1e-6 * REFERENCE_L2_OBJECTIVE
         assert m.diagnostics["converged"]
 
-    def test_weight_scaling_matches_halved_c(self):
+    def test_weight_scaling_matches_halved_c(self, monkeypatch):
         X, y = _logreg_dataset()
         s = np.ones(len(y))
-        a = train_logreg(X, y, reg=L2, C=1.0, instance_weights=s, tol=1e-12)
-        b = train_logreg(X, y, reg=L2, C=0.5, instance_weights=2 * s, tol=1e-12)
+        monkeypatch.setattr(linmod, "_TOL", 1e-12)
+        a = train_logreg(X, y, reg=L2, C=1.0, instance_weights=s)
+        b = train_logreg(X, y, reg=L2, C=0.5, instance_weights=2 * s)
         np.testing.assert_allclose(a.w, b.w, atol=1e-6)
         assert a.b == pytest.approx(b.b, abs=1e-6)
 
-    def test_l1_subgradient_optimality_at_zero_coords(self):
+    def test_l1_subgradient_optimality_at_zero_coords(self, monkeypatch):
         X, y = _logreg_dataset()
         C = 0.05
-        m = train_logreg(X, y, reg=L1, C=C, tol=1e-12, max_iter=50000)
+        _logreg_to_rounding(monkeypatch)
+        m = train_logreg(X, y, reg=L1, C=C)
         zero = np.abs(m.w) == 0.0
         assert zero.any()  # L1 at this strength must zero something
         p = 1.0 / (1.0 + np.exp(-(X @ m.w + m.b)))
@@ -134,11 +145,12 @@ class TestLogReg:
         m2 = train_logreg(X, y, reg=L2, C=0.05)
         assert (m1.w == 0).sum() > (m2.w == 0).sum()
 
-    def test_sparse_input_matches_dense(self):
+    def test_sparse_input_matches_dense(self, monkeypatch):
         X, y = _logreg_dataset()
         X[np.abs(X) < 0.5] = 0.0
-        a = train_logreg(X, y, reg=L2, C=1.0, tol=1e-10)
-        b = train_logreg(sp.csr_matrix(X), y, reg=L2, C=1.0, tol=1e-10)
+        monkeypatch.setattr(linmod, "_TOL", 1e-10)
+        a = train_logreg(X, y, reg=L2, C=1.0)
+        b = train_logreg(sp.csr_matrix(X), y, reg=L2, C=1.0)
         np.testing.assert_allclose(a.w, b.w, atol=1e-8)
 
     def test_rejects_bad_inputs(self):
@@ -153,22 +165,17 @@ class TestLogReg:
                          instance_weights=[-1.0, 1.0])
         with pytest.raises(LinModError):
             train_logreg(np.zeros((2, 1)), [0, 1], reg="l3")
-        # fit settings out of range, in both trainers; tol 0 stays legal
-        for train, cap in ((train_logreg, "max_iter"),
-                           (train_linear_svm, "max_epochs")):
-            for bad, message in (({"C": np.nan}, "C must be positive"),
-                                 ({"tol": -1.0}, "tol must be >= 0"),
-                                 ({"tol": np.nan}, "tol must be >= 0"),
-                                 ({cap: 0}, f"{cap} must be >= 1"),
-                                 ({cap: -5}, f"{cap} must be >= 1")):
+        # C out of range, in both trainers; C is their one fit setting
+        for train in (train_logreg, train_linear_svm):
+            for C in (0.0, -1.0, np.nan):
                 for reg in (L1, L2):
-                    with pytest.raises(LinModError, match=message):
-                        train(np.zeros((2, 1)), [0, 1], reg=reg, **bad)
-            assert train(np.zeros((2, 1)), [0, 1], tol=0.0, **{cap: 1})
+                    with pytest.raises(LinModError, match="C must be positive"):
+                        train(np.zeros((2, 1)), [0, 1], reg=reg, C=C)
 
-    def test_unconverged_flag(self):
+    def test_unconverged_flag(self, monkeypatch):
         X, y = _logreg_dataset()
-        m = train_logreg(X, y, reg=L2, C=1.0, max_iter=3)
+        monkeypatch.setattr(linmod, "_LOGREG_STEPS", 3)
+        m = train_logreg(X, y, reg=L2, C=1.0)
         assert m.diagnostics["converged"] is False
         assert m.diagnostics["iterations"] == 3
 
@@ -285,14 +292,15 @@ class TestSvm:
             m = train_linear_svm(X, y, reg=L2, C=C, instance_weights=s)
             assert m.diagnostics["converged"], (C, m.diagnostics)
 
-    def test_unattainable_tol_stops_at_rounding(self):
+    def test_unattainable_tol_stops_at_rounding(self, monkeypatch):
         rng = np.random.default_rng(19)
         X = rng.normal(size=(60, 8))
         y = (X[:, 0] + rng.normal(size=60) > 0).astype(int)
+        monkeypatch.setattr(linmod, "_TOL", 0.0)
         for C in (1.0, 1e4):
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
-                m = train_linear_svm(X, y, reg=L2, C=C, tol=0.0)
+                m = train_linear_svm(X, y, reg=L2, C=C)
             assert not m.diagnostics["converged"]
             assert m.diagnostics["iterations"] < 1000
             assert m.diagnostics["duality_gap"] <= 1e-9
@@ -300,7 +308,7 @@ class TestSvm:
     @pytest.mark.parametrize("solver", ["interior point", "dual"])
     def test_zero_weight_rows_equal_deleted_rows(self, monkeypatch, solver):
         if solver == "dual":
-            monkeypatch.setattr(trees, "_PRESORT_VALUES", 0)
+            monkeypatch.setattr(linmod, "_DENSE_VALUES", 0)
         rng = np.random.default_rng(29)
         X = rng.normal(size=(70, 5))
         y = (X[:, 0] + rng.normal(size=70) > 0).astype(int)
@@ -341,12 +349,13 @@ class TestSvm:
         monkeypatch.setattr(linmod, "_hinge_dual", spy)
         monkeypatch.setattr(linmod, "_hinge_ipm", no_ipm)
         rng = np.random.default_rng(31)
-        assert n * (d + 1) > trees._PRESORT_VALUES or n <= d + 1
+        assert n * (d + 1) > linmod._DENSE_VALUES or n <= d + 1
         X = sp.random(n, d, density=0.02, format="csr", random_state=rng)
         y = (np.asarray(X[:, :10].sum(axis=1)).ravel() > 0.1).astype(int)
+        monkeypatch.setattr(linmod, "_DUAL_STEPS", 20)
         tracemalloc.start()
         try:
-            train_linear_svm(X, y, reg=L2, C=1.0, max_epochs=20)
+            train_linear_svm(X, y, reg=L2, C=1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -664,12 +673,15 @@ def test_proximal_gradient_matches_two_closure_loop(case):
     """Margins computed once per point give the loop's result bit for bit."""
     family, X, y, s, C, tol, max_iter = case
     w, b, diag = _ref_fit(family, X, y.astype(float), s, C, tol, max_iter)
-    if family == "l1-svm":
-        m = train_linear_svm(X, y, reg=L1, C=C, instance_weights=s, tol=tol,
-                             max_epochs=max_iter)
-    else:
-        m = train_logreg(X, y, reg=L2 if family == "l2-lr" else L1, C=C,
-                         instance_weights=s, tol=tol, max_iter=max_iter)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linmod, "_TOL", tol)
+        if family == "l1-svm":
+            mp.setattr(linmod, "_SQUARED_HINGE_STEPS", max_iter)
+            m = train_linear_svm(X, y, reg=L1, C=C, instance_weights=s)
+        else:
+            mp.setattr(linmod, "_LOGREG_STEPS", max_iter)
+            m = train_logreg(X, y, reg=L2 if family == "l2-lr" else L1, C=C,
+                             instance_weights=s)
     assert m.w.tobytes() == w.tobytes()
     assert m.b == b
     assert m.diagnostics == diag
