@@ -331,8 +331,8 @@ def _hinge_ipm(Z, u):
     matrix I + Z.T D^-1 Z (Sherman-Morrison-Woodbury, as in Ferris & Munson,
     SIAM J. Optim. 2002). Stops on the relative duality gap of _hinge_dual,
     or unconverged after _NEWTON_STEPS steps or once rounding rather than
-    the iterate limits that gap; then returns the polished point (_polish) of the last iterate
-    instead when its gap is no larger.
+    the iterate limits that gap; then returns the polished point (_polish)
+    of the last iterate instead when its gap is no larger.
     """
     n, m = Z.shape
     a = 0.2 * u

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -167,10 +168,9 @@ class TestLogReg:
             train_logreg(np.zeros((2, 1)), [0, 1], reg="l3")
         # C out of range, in both trainers; C is their one fit setting
         for train in (train_logreg, train_linear_svm):
-            for C in (0.0, -1.0, np.nan):
-                for reg in (L1, L2):
-                    with pytest.raises(LinModError, match="C must be positive"):
-                        train(np.zeros((2, 1)), [0, 1], reg=reg, C=C)
+            for C, reg in itertools.product((0.0, -1.0, np.nan), (L1, L2)):
+                with pytest.raises(LinModError, match="C must be positive"):
+                    train(np.zeros((2, 1)), [0, 1], reg=reg, C=C)
 
     def test_unconverged_flag(self, monkeypatch):
         X, y = _logreg_dataset()
