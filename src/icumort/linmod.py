@@ -7,7 +7,7 @@ loss and its gradient differ. The L2 hinge SVM solves its box-constrained
 dual, and its `converged` flag certifies the optimum: the relative
 primal-dual gap, recorded as diagnostics["duality_gap"], is <= _TOL. Which
 solver runs depends on input size only. When X has more rows than columns
-and the dense augmented matrix [X, 1] fits _DENSE_VALUES (d + 1 < n and
+and the dense augmented matrix [X, 1] fits dense.DENSE_VALUES (d + 1 < n and
 n * (d + 1) <= 2**21 values), a primal-dual interior-point method takes
 about 10-20 Newton steps; otherwise (wide tf-idf blocks, or fewer rows than
 columns) projected accelerated gradient runs on X as given, without
@@ -20,6 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+from . import dense
+from .dense import _cholesky, _cholesky_solve, _dot, _gram
 
 LOGISTIC = "logistic"
 HINGE = "hinge"
@@ -34,8 +37,6 @@ _LOGREG_STEPS = 10_000
 _SQUARED_HINGE_STEPS = 1_000
 _NEWTON_STEPS = 1_000
 _DUAL_STEPS = 1_000
-# the most values of the interior point's dense [X, 1] copy (16 MB)
-_DENSE_VALUES = 2 ** 21
 
 
 class LinModError(ValueError):
@@ -236,74 +237,12 @@ def train_logreg(X, y, reg=L2, C=1.0, instance_weights=None):
     return LinearModel(w=w, b=b, loss=LOGISTIC, reg=reg, C=C, diagnostics=diag)
 
 
-# Every product and factor of the interior-point solver is a fixed-order sum
-# of BLAS and LAPACK calls on at most _TILE x _TILE blocks, each product
-# summing at most _SPAN terms (48 * 48 * 112 multiply-adds, under the 2**18
-# at which OpenBLAS starts a second thread), so a fit is the same bit for bit
-# at any thread count. One call on a whole block is not: its split across
-# threads changes the order of its sums. Products with a vector use einsum,
-# which calls no BLAS at all.
-_TILE = 48
-_SPAN = 112
+# the interior point's products and factors are dense's fixed-order ones
 _EPS = float(np.finfo(float).eps)
 # the fraction of the way to the nearest bound that a step may go
 _BOUNDARY = 0.995
 # the most refinements of one Woodbury solve
 _REFINEMENTS = 3
-
-
-def _dot(x, y):
-    """x @ y by einsum, whose sum order no BLAS thread count changes."""
-    return float(np.einsum("i,i->", x, y))
-
-
-def _gram(A, B):
-    """The lower block triangle of A.T @ B; blocks above it are 0."""
-    n, m = A.shape
-    G = np.zeros((m, m))
-    for i in range(0, m, _TILE):
-        for j in range(0, i + 1, _TILE):
-            block = G[i:i + _TILE, j:j + _TILE]
-            for k in range(0, n, _SPAN):
-                rows = slice(k, k + _SPAN)
-                block += A[rows, i:i + _TILE].T @ B[rows, j:j + _TILE]
-    return G
-
-
-def _cholesky(G):
-    """Cholesky factor of the positive definite matrix whose lower block
-    triangle is G, as (L, the inverses of L's diagonal blocks)."""
-    L = G.copy()
-    cuts = range(0, L.shape[0], _TILE)
-    inverses = []
-    for k in cuts:
-        kk = slice(k, k + _TILE)
-        L[kk, kk] = np.linalg.cholesky(L[kk, kk])
-        inverses.append(np.linalg.inv(L[kk, kk]))
-        below = [slice(i, i + _TILE) for i in cuts if i > k]
-        for ii in below:
-            L[ii, kk] = L[ii, kk] @ inverses[-1].T
-        for p, ii in enumerate(below):
-            for jj in below[:p + 1]:
-                L[ii, jj] -= L[ii, kk] @ L[jj, kk].T
-    return L, inverses
-
-
-def _cholesky_solve(factor, b):
-    """x with L L.T x = b, by block forward and back substitution."""
-    L, inverses = factor
-    x = b.copy()
-    blocks = [slice(k, k + _TILE) for k in range(0, b.size, _TILE)]
-    for p, kk in enumerate(blocks):
-        x[kk] = np.einsum("ij,j->i", inverses[p],
-                          x[kk] - np.einsum("ij,j->i", L[kk, :kk.start],
-                                            x[:kk.start]))
-    for p in range(len(blocks) - 1, -1, -1):
-        kk = blocks[p]
-        x[kk] = np.einsum("ji,j->i", inverses[p],
-                          x[kk] - np.einsum("ji,j->i", L[kk.stop:, kk],
-                                            x[kk.stop:]))
-    return x
 
 
 def _hinge_gap(u, a, margins, v):
@@ -463,7 +402,7 @@ def _hinge_dual(X, y_pm, upper):
     unconverged after _DUAL_STEPS steps; C and the instance weights enter
     only through upper = C * s. Its iterations grow with n, so it runs only
     where _hinge_ipm does not: where Z has no more rows than columns or its
-    dense copy would not fit _DENSE_VALUES.
+    dense copy would not fit dense.DENSE_VALUES.
     """
     def zt(a):  # Z.T @ a, the primal (w, b) of a dual point
         ya = y_pm * a
@@ -518,7 +457,7 @@ def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None):
 
     The hinge fit solves the dual and reports its relative duality gap: by
     the interior point when d + 1 < n and n * (d + 1) is within
-    _DENSE_VALUES, else by projected accelerated gradient; the interior
+    dense.DENSE_VALUES, else by projected accelerated gradient; the interior
     point gives the same bits at any BLAS thread count. The L1
     squared-hinge fit runs the logistic loop on its own loss. Both are
     deterministic.
@@ -536,7 +475,7 @@ def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None):
         if n == 0:  # every weight is 0: the penalty alone, minimal at 0
             w, b, diag = np.zeros(d), 0.0, {
                 "iterations": 0, "converged": True, "duality_gap": 0.0}
-        elif d + 1 < n and n * (d + 1) <= _DENSE_VALUES:
+        elif d + 1 < n and n * (d + 1) <= dense.DENSE_VALUES:
             Z = np.ones((n, d + 1))
             Z[:, :d] = Xk.toarray() if sp.issparse(Xk) else Xk
             Z *= y_pm[keep][:, None]

@@ -7,7 +7,7 @@ boundary of a block of candidate columns at once, with Gini gain for the
 forest and second-order gain for boosting.
 
 Each fit transposes X once so that a node reads its candidate columns as
-rows.  When X has at most _PRESORT_VALUES (2**21) values, the transposed
+rows.  When X has at most dense.DENSE_VALUES (2**21) values, the transposed
 copy is dense and the fit stable-sorts every column once, over all of its
 rows; boosting reuses that order in every round, and the forest in every
 tree.  A node's sorted rows are then the presorted order filtered to the
@@ -28,6 +28,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from . import dense
 
 
 class TreeError(ValueError):
@@ -132,14 +134,6 @@ def _finite_matrix(X):
     return X
 
 
-# Largest n x d of a fit that sorts each column once.  Above it a dense copy
-# and an n x d order cost more time and memory than the per-node sorts they
-# replace (on a 3,600 x 7,306 tf-idf block at 3.5% density, 1.8x the peak
-# memory and no less time), so each node sorts its own candidate columns.
-# Where between those two shapes the crossover lies has not been measured;
-# 2**21 lies above every paper-scale fold at min_df 10 (about 672k values).
-_PRESORT_VALUES = 2 ** 21
-
 # Values gathered per block of candidate columns; a block's width is this
 # divided by the values each column contributes, which bounds the search's
 # scratch memory.
@@ -159,7 +153,7 @@ def _fit_inputs(X, y):
         raise TreeError("labels must align with rows")
     if not ((y == 0) | (y == 1)).all():
         raise TreeError("labels must be 0 or 1")
-    if X.shape[0] * X.shape[1] <= _PRESORT_VALUES:
+    if X.shape[0] * X.shape[1] <= dense.DENSE_VALUES:
         XT = X.T.toarray() if sp.issparse(X) else np.ascontiguousarray(X.T)
         return X, XT, np.argsort(XT, axis=1, kind="stable"), y
     XT = X.T.tocsr() if sp.issparse(X) else np.ascontiguousarray(X.T)

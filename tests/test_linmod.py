@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icumort
-from icumort import linmod
+from icumort import dense, linmod
 from icumort.linmod import (
     L1,
     L2,
@@ -308,7 +308,7 @@ class TestSvm:
     @pytest.mark.parametrize("solver", ["interior point", "dual"])
     def test_zero_weight_rows_equal_deleted_rows(self, monkeypatch, solver):
         if solver == "dual":
-            monkeypatch.setattr(linmod, "_DENSE_VALUES", 0)
+            monkeypatch.setattr(dense, "DENSE_VALUES", 0)
         rng = np.random.default_rng(29)
         X = rng.normal(size=(70, 5))
         y = (X[:, 0] + rng.normal(size=70) > 0).astype(int)
@@ -349,7 +349,7 @@ class TestSvm:
         monkeypatch.setattr(linmod, "_hinge_dual", spy)
         monkeypatch.setattr(linmod, "_hinge_ipm", no_ipm)
         rng = np.random.default_rng(31)
-        assert n * (d + 1) > linmod._DENSE_VALUES or n <= d + 1
+        assert n * (d + 1) > dense.DENSE_VALUES or n <= d + 1
         X = sp.random(n, d, density=0.02, format="csr", random_state=rng)
         y = (np.asarray(X[:, :10].sum(axis=1)).ravel() > 0.1).astype(int)
         monkeypatch.setattr(linmod, "_DUAL_STEPS", 20)
@@ -519,11 +519,11 @@ def test_hinge_factor_spans_several_tiles():
     rng = np.random.default_rng(37)
     A = rng.normal(size=(300, 130))
     G = A.T @ A + np.eye(130)
-    L, _ = factor = linmod._cholesky(linmod._gram(A, A) + np.eye(130))
+    L, _ = factor = dense._cholesky(dense._gram(A, A) + np.eye(130))
     np.testing.assert_allclose(np.tril(L), np.linalg.cholesky(G), rtol=1e-10,
                                atol=1e-12)
     b = rng.normal(size=130)
-    np.testing.assert_allclose(linmod._cholesky_solve(factor, b),
+    np.testing.assert_allclose(dense._cholesky_solve(factor, b),
                                np.linalg.solve(G, b), rtol=1e-9)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icumort.trees as trees
+from icumort import dense
 from icumort.trees import (
     ForestParams,
     GbtParams,
@@ -421,7 +422,7 @@ def test_block_split_search_matches_reference(width, sparse, case):
     Xin = sp.csr_matrix(X) if sparse else X
     for budget in _presort_budgets(X):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(trees, "_PRESORT_VALUES", budget)
+            mp.setattr(dense, "DENSE_VALUES", budget)
             _, XT, order, _ = trees._fit_inputs(Xin, np.zeros(X.shape[0]))
             assert (order is None) == (budget == 0)
             # values each candidate column adds to a block
@@ -457,7 +458,7 @@ def test_fits_match_reference_split_search(monkeypatch, sparse):
     monkeypatch.setattr(trees, "_BLOCK_VALUES", 300)
     fits = []
     for budget in _presort_budgets(X):
-        monkeypatch.setattr(trees, "_PRESORT_VALUES", budget)
+        monkeypatch.setattr(dense, "DENSE_VALUES", budget)
         fits.append((
             _record(train_random_forest(Xin, y, ForestParams(n_trees=4),
                                         seed=2)),
@@ -479,7 +480,7 @@ def test_wide_sparse_fit_is_never_densified(monkeypatch):
     monkeypatch.setattr(trees, "_BLOCK_VALUES", 2 ** 14)
     rng = np.random.default_rng(23)
     n, d = 600, 5000
-    assert n * d > trees._PRESORT_VALUES
+    assert n * d > dense.DENSE_VALUES
     X = sp.random(n, d, density=0.02, format="csr", random_state=rng)
     y = (np.asarray(X[:, :10].sum(axis=1)).ravel() > 0.1).astype(int)
     tracemalloc.start()
