@@ -1,17 +1,21 @@
 """Fixed-order dense products, and the one budget for dense copies.
 
 Every product and factor here is a fixed-order sum of BLAS and LAPACK calls
-on at most _TILE x _TILE blocks, each product summing at most _SPAN terms
-(48 * 48 * 112 multiply-adds, under the 2**18 at which OpenBLAS starts a
-second thread), so a result is the same bit for bit at any thread count.
-One call on a whole block is not: its split across threads changes the
-order of its sums. Products with a vector use einsum, which calls no BLAS
-at all.
+on blocks small enough that OpenBLAS keeps each on one thread, so a result
+is the same bit for bit at any thread count. One call on a whole block is
+not: its split across threads changes the order of its sums. The interior
+point's Gram matrix and factor work on at most _TILE x _TILE blocks, each
+product summing at most _SPAN terms (48 * 48 * 112 multiply-adds, under the
+2**18 at which OpenBLAS starts a second thread); products of a factor with
+a vector use einsum, which calls no BLAS at all. matvec and rmatvec take a
+dense X in row tiles of at most _ROW_TILE_VALUES values; a CSR X is
+multiplied by scipy, whose sparse products use no threads.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 # The most values of a dense copy: the interior point's [X, 1] (16 MB) and
 # a tree fit's presorted transpose.  Above it a dense copy and an n x d
@@ -24,6 +28,7 @@ DENSE_VALUES = 2 ** 21
 
 _TILE = 48
 _SPAN = 112
+_ROW_TILE_VALUES = 2 ** 18
 
 
 def _dot(x, y):
@@ -78,3 +83,29 @@ def _cholesky_solve(factor, b):
                           x[kk] - np.einsum("ji,j->i", L[kk.stop:, kk],
                                             x[kk.stop:]))
     return x
+
+
+def _tile_rows(X):
+    """Rows of one tile of X: at most _ROW_TILE_VALUES values, at least 1."""
+    return max(1, _ROW_TILE_VALUES // max(1, X.shape[1]))
+
+
+def matvec(X, v):
+    """X @ v; a dense X is taken in row tiles, whose outputs are joined."""
+    if sp.issparse(X):
+        return X @ v
+    rows = _tile_rows(X)
+    return np.concatenate([X[i:i + rows] @ v
+                           for i in range(0, max(1, X.shape[0]), rows)])
+
+
+def rmatvec(X, r):
+    """X.T @ r; a dense X is taken in row tiles, whose partial sums are
+    added in tile order."""
+    if sp.issparse(X):
+        return X.T @ r
+    rows = _tile_rows(X)
+    out = X[:rows].T @ r[:rows]
+    for i in range(rows, X.shape[0], rows):
+        out += X[i:i + rows].T @ r[i:i + rows]
+    return out

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dense
-from .dense import _cholesky, _cholesky_solve, _dot, _gram
+from .dense import _cholesky, _cholesky_solve, _dot, _gram, matvec, rmatvec
 
 LOGISTIC = "logistic"
 HINGE = "hinge"
@@ -163,13 +163,13 @@ def _proximal_gradient(X, smooth, gradient, reg, lam, max_iter):
     """
     def prox_step(w0, b0, m0, g0, step):
         r = gradient(m0)
-        gw, gb = X.T @ r, float(r.sum())
+        gw, gb = rmatvec(X, r), float(r.sum())
         while True:
             w1 = _prox(w0 - step * gw, step * lam, reg)
             b1 = b0 - step * gb
             dw, db = w1 - w0, b1 - b0
             quad = g0 + gw @ dw + gb * db + (dw @ dw + db * db) / (2.0 * step)
-            m1 = X @ w1 + b1
+            m1 = matvec(X, w1) + b1
             g1 = smooth(m1)
             if g1 <= quad + 1e-12 * max(1.0, abs(quad)):
                 return w1, b1, m1, g1, step
@@ -179,7 +179,7 @@ def _proximal_gradient(X, smooth, gradient, reg, lam, max_iter):
 
     w = np.zeros(X.shape[1])
     b = 0.0
-    m = X @ w + b
+    m = matvec(X, w) + b
     g = smooth(m)
     w_prev, b_prev = w, b
     theta = 1.0
@@ -192,7 +192,7 @@ def _proximal_gradient(X, smooth, gradient, reg, lam, max_iter):
         mom = (theta - 1.0) / theta_next
         z_w = w + mom * (w - w_prev)
         z_b = b + mom * (b - b_prev)
-        z_m = X @ z_w + z_b
+        z_m = matvec(X, z_w) + z_b
         w_new, b_new, m_new, g_new, step = prox_step(z_w, z_b, z_m,
                                                      smooth(z_m), step * 2.0)
         F_new = g_new + lam * _penalty(w_new, reg)
@@ -406,10 +406,10 @@ def _hinge_dual(X, y_pm, upper):
     """
     def zt(a):  # Z.T @ a, the primal (w, b) of a dual point
         ya = y_pm * a
-        return np.append(X.T @ ya, ya.sum())
+        return np.append(rmatvec(X, ya), ya.sum())
 
     def z(v):  # Z @ v, the margins of a primal point
-        return y_pm * (X @ v[:-1] + v[-1])
+        return y_pm * (matvec(X, v[:-1]) + v[-1])
 
     n = X.shape[0]
     sq = X.multiply(X).sum() if sp.issparse(X) else np.einsum("ij,ij->", X, X)
@@ -482,7 +482,7 @@ def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None):
             w, b, diag = _hinge_ipm(Z, C * s[keep])
         else:
             w, b, diag = _hinge_dual(Xk, y_pm[keep], C * s[keep])
-        hinge = np.maximum(1.0 - y_pm * (X @ w + b), 0.0)
+        hinge = np.maximum(1.0 - y_pm * (matvec(X, w) + b), 0.0)
         diag["final_objective"] = float(s @ hinge + 0.5 * (w @ w + b * b) / C)
         return LinearModel(w=w, b=b, loss=HINGE, reg=reg, C=C,
                            diagnostics=diag)
@@ -506,7 +506,7 @@ def predict_scores(model, X):
         raise LinModError(
             f"feature dimension {X.shape[1]} does not match model "
             f"dimension {model.w.size}")
-    return np.asarray(X @ model.w).ravel() + model.b
+    return np.asarray(matvec(X, model.w)).ravel() + model.b
 
 
 def predict_proba(model, X):

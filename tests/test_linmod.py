@@ -562,6 +562,66 @@ def test_hinge_fit_is_independent_of_blas_threads():
     assert outputs[0] == outputs[1]
 
 
+_TILED_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from icumort.linmod import (L1, L2, balanced_weights, predict_scores,
+                            train_linear_svm, train_logreg)
+rng = np.random.default_rng(43)
+for n, d in ((3778, 178), (600, 1200)):
+    X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.5)
+    y = (X[:, :3].sum(axis=1) + rng.normal(size=n) > 0).astype(int)
+    for train in (train_logreg, train_linear_svm):
+        for reg in (L1, L2):
+            m = train(X, y, reg=reg, C=0.1, instance_weights=balanced_weights(y))
+            digest = hashlib.sha256(m.w.tobytes() + np.float64(m.b).tobytes()
+                                    + predict_scores(m, X).tobytes())
+            print(n, d, train.__name__, reg, m.diagnostics["converged"],
+                  digest.hexdigest())
+"""
+
+
+def test_dense_fits_are_independent_of_blas_threads():
+    """Dense blocks of several row tiles -- a paper-scale combined fold,
+    3,778 x 178, and a 600 x 1,200 block whose l2-svm takes the dual -- give
+    the same w, b and score bytes for every linear family at one and at two
+    OpenBLAS threads."""
+    pkg_root = str(Path(icumort.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [pkg_root, inherited] if inherited else [pkg_root]))
+        proc = subprocess.run([sys.executable, "-c", _TILED_THREADS_SCRIPT],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    lines = [line.split()[:5] for line in outputs[0].splitlines()]
+    assert len(lines) == 8
+    assert all(converged == "True" for *_, converged in lines)
+    assert outputs[0] == outputs[1]
+
+
+def test_tiled_products_match_whole_products():
+    """matvec and rmatvec over many row tiles agree with X @ v and X.T @ r;
+    a CSR input gives scipy's own product bytes."""
+    rng = np.random.default_rng(47)
+    X = rng.normal(size=(700, 1200)) * (rng.random((700, 1200)) < 0.5)
+    v, r = rng.normal(size=1200), rng.normal(size=700)
+    assert 700 > 3 * dense._tile_rows(X)
+    np.testing.assert_allclose(dense.matvec(X, v), X @ v, rtol=1e-12,
+                               atol=1e-12)
+    np.testing.assert_allclose(dense.rmatvec(X, r), X.T @ r, rtol=1e-12,
+                               atol=1e-12)
+    S = sp.csr_matrix(X)
+    assert dense.matvec(S, v).tobytes() == (S @ v).tobytes()
+    assert dense.rmatvec(S, r).tobytes() == (S.T @ r).tobytes()
+    empty = np.zeros((0, 5))
+    assert dense.matvec(empty, np.ones(5)).shape == (0,)
+    assert dense.rmatvec(empty, np.zeros(0)).tobytes() == np.zeros(5).tobytes()
+
+
 def _ref_proximal_gradient(smooth, gradient, d, reg, lam, tol, max_iter):
     """The proximal-gradient loop with smooth(w, b) and gradient(w, b) as
     closures that each compute the margins X @ w + b themselves."""
