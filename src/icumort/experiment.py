@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+import scipy.sparse
 
-from . import __version__, linmod, neural, trees
+from . import __version__, dense, linmod, neural, trees
 from .cohort import (
     StructuredEncoder,
     filter_outliers,
@@ -341,9 +342,12 @@ class _Fold:
 
     The chained-equation imputer and standardizing encoder are fitted when
     `cohort` is given, the vocabulary and tf-idf when `tokens` (its
-    tokenized notes) are.  The table holds the fit rows, with the chain's
-    imputations, then `held_rows`, imputed by one `apply_imputation` call.
-    Every request gathers its rows from blocks built once over the table.
+    tokenized notes) are.  The table's rows are the fit rows, with the
+    chain's imputations, then `held_rows`, imputed by one
+    `apply_imputation` call; its columns are the structured block, then the
+    notes block.  It is dense when it holds at most dense.DENSE_VALUES
+    values, and CSR otherwise if it has notes.  Every request gathers its
+    rows from the table and then takes its feature set's columns.
     """
 
     def __init__(self, fit_rows, held_rows, seed, cohort, tokens, min_df):
@@ -352,44 +356,55 @@ class _Fold:
         self._position = np.full(len(cohort if tokens is None else tokens), -1)
         self._position[rows] = np.arange(rows.size)
         self.cohort = cohort
-        self._blocks = {}
+        self._ids = {}  # the padded token ids, by max_len
+        blocks = []
         if cohort is not None:
             fit_imputed, self.imp_model = impute_fit_transform(
                 cohort.continuous_matrix(fit_rows), seed=seed)
             self.encoder = StructuredEncoder.fit(cohort.schema, fit_imputed)
             imputed = np.vstack([fit_imputed, apply_imputation(
                 self.imp_model, cohort.continuous_matrix(held_rows))])
-            self._blocks["structured"] = cohort.encode(self.encoder, rows,
-                                                       imputed)
+            blocks.append(cohort.encode(self.encoder, rows, imputed))
+        self._notes_start = blocks[0].shape[1] if blocks else 0
         if tokens is not None:
             self._docs = [tokens[i] for i in rows]
             self.vocab = build_vocab(self._docs[:fit_rows.size], min_df=min_df)
             self.tfidf = tfidf_fit(self.vocab)
-            self._blocks["notes"] = transform_corpus(self.tfidf, self._docs)
+            blocks.append(transform_corpus(self.tfidf, self._docs))
+        if rows.size * sum(b.shape[1] for b in blocks) <= dense.DENSE_VALUES:
+            blocks = [b.toarray() if scipy.sparse.issparse(b) else b
+                      for b in blocks]
+            self._table = np.hstack(blocks) if len(blocks) > 1 else blocks[0]
+        else:
+            self._table = fuse_matrix(*blocks) if len(blocks) > 1 else blocks[0]
 
-    def _gather(self, kind, rows):
+    def _positions(self, rows):
         positions = self._position[rows]
         if (positions < 0).any():
             outside = np.extract(positions < 0, rows).tolist()
             raise IndexError(f"rows {outside} are not in the fold")
-        return self._blocks[kind][positions]
+        return positions
 
     def matrix(self, feature_set, rows):
-        """Design matrix for the linear/tree/MLP families."""
-        if feature_set == "combined" and "combined" not in self._blocks:
-            self._blocks["combined"] = fuse_matrix(self._blocks["structured"],
-                                                   self._blocks["notes"])
-        return self._gather(feature_set, rows)
+        """Design matrix for the linear/tree/MLP families: the feature set's
+        columns of the table's `rows`; the structured ones always dense."""
+        start = self._notes_start
+        columns = {"structured": slice(0, start), "notes": slice(start, None),
+                   "combined": slice(None)}[feature_set]
+        X = self._table[self._positions(rows), columns]
+        if feature_set == "structured" and scipy.sparse.issparse(X):
+            return X.toarray()
+        return X
 
     def cnn_inputs(self, feature_set, rows, max_len):
         """(padded token ids, structured block) for the fusion CNN."""
-        kind = ("ids", max_len)
-        if kind not in self._blocks:
-            self._blocks[kind] = neural.pad_sequences(
+        if max_len not in self._ids:
+            self._ids[max_len] = neural.pad_sequences(
                 neural.tokens_to_ids(self._docs, self.vocab), max_len)
+        ids = self._ids[max_len][self._positions(rows)]
         if feature_set == "combined":
-            return self._gather(kind, rows), self.matrix("structured", rows)
-        return self._gather(kind, rows), np.zeros((len(rows), 0))
+            return ids, self.matrix("structured", rows)
+        return ids, np.zeros((len(rows), 0))
 
     def feature_names(self, feature_set):
         """The feature set's column names, structured block first."""

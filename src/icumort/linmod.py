@@ -1,14 +1,16 @@
 """Regularized linear classifiers with per-instance weighting.
 
 Every objective is sum_i s_i * loss_i + (1/C) * penalty(w), and every fit is
-numpy matrix-vector work. Logistic regression (L1 or L2) and the L1
+numpy matrix-vector work on a dense or a CSR X. Each product with a dense X
+is one of dense's fixed-order products, so fits and scores are the same bit
+for bit at any BLAS thread count. Logistic regression (L1 or L2) and the L1
 squared-hinge SVM share one accelerated proximal-gradient loop; only the
 loss and its gradient differ. The L2 hinge SVM solves its box-constrained
 dual, and its `converged` flag certifies the optimum: the relative
 primal-dual gap, recorded as diagnostics["duality_gap"], is <= _TOL. Which
 solver runs depends on input size only. When X has more rows than columns
-and the dense augmented matrix [X, 1] fits dense.DENSE_VALUES (d + 1 < n and
-n * (d + 1) <= 2**21 values), a primal-dual interior-point method takes
+and the dense augmented matrix [X, 1] fits dense.DENSE_VALUES (d + 1 < n
+and n * (d + 1) <= 2**21 values), a primal-dual interior-point method takes
 about 10-20 Newton steps; otherwise (wide tf-idf blocks, or fewer rows than
 columns) projected accelerated gradient runs on X as given, without
 densifying it. The tolerance and each solver's step cap are constants.

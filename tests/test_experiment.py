@@ -7,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icumort
-from icumort import experiment, linmod
+from icumort import dense, experiment, linmod
 from icumort.cohort import (
     Cohort,
     CohortError,
@@ -942,6 +943,30 @@ def fold_plans(draw):
     return cohort, fit_rows, draw(st.integers(0, 2**16))
 
 
+# a fold's table is dense within the budget, and CSR at budget 0
+_BUDGETS = (dense.DENSE_VALUES, 0)
+
+
+def _fold_at(budget, *args, **kwargs):
+    """_fold(*args, **kwargs) built with dense.DENSE_VALUES at `budget`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense, "DENSE_VALUES", budget)
+        return _fold(*args, **kwargs)
+
+
+def assert_block_identical(got, want, budget):
+    """A fold's notes or combined rows equal `want` (dense or CSR): as dense
+    bytes within the budget, as identical CSR arrays at budget 0."""
+    if budget:
+        want = want.toarray() if sp.issparse(want) else want
+        assert isinstance(got, np.ndarray)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert sp.issparse(got)
+        assert_csr_identical(got, want)
+
+
 def _fold(cohort, fit_rows, seed, held_rows=None):
     """A fold with structured and note transformers, as the runner builds
     it; it holds out every other row unless `held_rows` names them."""
@@ -991,22 +1016,28 @@ class TestFoldFeatures:
     @given(plan=fold_plans(), data=st.data())
     def test_fold_matrices_match_record_reference(self, plan, data):
         """Fit rows, held-out rows, an unsorted subset and no rows at all
-        encode bit for bit as the record-based path encodes them."""
+        encode bit for bit as the record-based path encodes them, from a
+        dense table and from a CSR one."""
         cohort, fit_rows, seed = plan
         n = len(cohort)
         for rows in fit_rows[:2]:
             held_out = np.setdiff1d(np.arange(n), rows)
-            fold = _fold(cohort, rows, seed, held_out)
             reference = _ref_fold(cohort, rows, held_out, seed)
             subset = np.array(data.draw(st.permutations(range(n))))
             subset = subset[:data.draw(st.integers(1, n))]
-            for request in (rows, held_out, subset, np.zeros(0, dtype=np.int64)):
-                want_s, want_t, want_c = reference(request)
-                got_s = fold.matrix("structured", request)
-                assert got_s.shape == want_s.shape
-                assert got_s.tobytes() == want_s.tobytes()
-                assert_csr_identical(fold.matrix("combined", request), want_c)
-                assert_csr_identical(fold.matrix("notes", request), want_t)
+            for budget in _BUDGETS:
+                fold = _fold_at(budget, cohort, rows, seed, held_out)
+                for request in (rows, held_out, subset,
+                                np.zeros(0, dtype=np.int64)):
+                    want_s, want_t, want_c = reference(request)
+                    got_s = fold.matrix("structured", request)
+                    assert isinstance(got_s, np.ndarray)
+                    assert got_s.shape == want_s.shape
+                    assert got_s.tobytes() == want_s.tobytes()
+                    assert_block_identical(fold.matrix("combined", request),
+                                           want_c, budget)
+                    assert_block_identical(fold.matrix("notes", request),
+                                           want_t, budget)
 
     @settings(max_examples=30, deadline=None)
     @given(plan=fold_plans())
@@ -1026,22 +1057,25 @@ class TestFoldFeatures:
                     notes[i] = f"leaked{i % 4} pressors w{i}"
             mutated = Cohort(cohort.schema, cohort.ids, notes,
                              cohort.label_hospital, cohort.label_30day, values)
-            a, b = _fold(cohort, rows, seed), _fold(mutated, rows, seed)
-            assert _imputer_state(a.imp_model) == _imputer_state(b.imp_model)
-            assert a.encoder.means.tobytes() == b.encoder.means.tobytes()
-            assert a.encoder.sds.tobytes() == b.encoder.sds.tobytes()
-            assert a.vocab.tokens == b.vocab.tokens
-            assert a.vocab.dfs == b.vocab.dfs
-            assert a.vocab.n_docs == b.vocab.n_docs
-            assert a.tfidf.idf.tobytes() == b.tfidf.idf.tobytes()
-            assert (a.matrix("structured", rows).tobytes()
-                    == b.matrix("structured", rows).tobytes())
-            assert_csr_identical(a.matrix("combined", rows),
-                                 b.matrix("combined", rows))
-            # the rewrite reached the other rows
-            others = np.setdiff1d(np.arange(len(cohort)), rows)
-            assert (a.matrix("structured", others).tobytes()
-                    != b.matrix("structured", others).tobytes())
+            for budget in _BUDGETS:
+                a = _fold_at(budget, cohort, rows, seed)
+                b = _fold_at(budget, mutated, rows, seed)
+                assert (_imputer_state(a.imp_model)
+                        == _imputer_state(b.imp_model))
+                assert a.encoder.means.tobytes() == b.encoder.means.tobytes()
+                assert a.encoder.sds.tobytes() == b.encoder.sds.tobytes()
+                assert a.vocab.tokens == b.vocab.tokens
+                assert a.vocab.dfs == b.vocab.dfs
+                assert a.vocab.n_docs == b.vocab.n_docs
+                assert a.tfidf.idf.tobytes() == b.tfidf.idf.tobytes()
+                assert (a.matrix("structured", rows).tobytes()
+                        == b.matrix("structured", rows).tobytes())
+                assert_block_identical(a.matrix("combined", rows),
+                                       b.matrix("combined", rows), budget)
+                # the rewrite reached the other rows
+                others = np.setdiff1d(np.arange(len(cohort)), rows)
+                assert (a.matrix("structured", others).tobytes()
+                        != b.matrix("structured", others).tobytes())
 
     @settings(max_examples=20, deadline=None)
     @given(plan=fold_plans())
@@ -1059,29 +1093,35 @@ class TestFoldFeatures:
         config = ExperimentConfig.from_obj(_base_obj(
             feature_sets=["structured", "combined"], sampling=["none", "1:4"],
             folds=2, min_df=_FOLD_MIN_DF))
-        ctx = experiment._OutcomeContext(
-            cohort, tokenize_corpus(cohort.notes), config, "hospital", 0)
-        model_rows, seed = ctx.plan.model, ctx.plan.seed
-        held = ctx.plan.val + [ctx.plan.split.test_indices]
-        for f, fold in enumerate(ctx.folds):
-            full, part = model_rows["none"][f], model_rows["1:4"][f]
-            assert part.size < full.size
-            at = np.searchsorted(full, part)  # fit rows ascend
-            assert np.array_equal(full[at], part)
-            chain, _ = impute_fit_transform(cohort.continuous_matrix(full),
-                                            seed=derive_seed(seed, 1, f))
-            whole = fold.matrix("structured", full)
-            assert (whole.tobytes()
-                    == cohort.encode(fold.encoder, full, chain).tobytes())
-            assert (fold.matrix("structured", part).tobytes()
-                    == whole[at].tobytes())
-            assert_csr_identical(fold.matrix("combined", part),
-                                 fold.matrix("combined", full)[at])
-            rows = held[f]
-            once = apply_imputation(fold.imp_model,
-                                    cohort.continuous_matrix(rows))
-            assert (fold.matrix("structured", rows).tobytes()
-                    == cohort.encode(fold.encoder, rows, once).tobytes())
+        tokens = tokenize_corpus(cohort.notes)
+        for budget in _BUDGETS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dense, "DENSE_VALUES", budget)
+                ctx = experiment._OutcomeContext(cohort, tokens, config,
+                                                 "hospital", 0)
+            model_rows, seed = ctx.plan.model, ctx.plan.seed
+            held = ctx.plan.val + [ctx.plan.split.test_indices]
+            for f, fold in enumerate(ctx.folds):
+                full, part = model_rows["none"][f], model_rows["1:4"][f]
+                assert part.size < full.size
+                at = np.searchsorted(full, part)  # fit rows ascend
+                assert np.array_equal(full[at], part)
+                chain, _ = impute_fit_transform(
+                    cohort.continuous_matrix(full),
+                    seed=derive_seed(seed, 1, f))
+                whole = fold.matrix("structured", full)
+                assert (whole.tobytes()
+                        == cohort.encode(fold.encoder, full, chain).tobytes())
+                assert (fold.matrix("structured", part).tobytes()
+                        == whole[at].tobytes())
+                assert_block_identical(fold.matrix("combined", part),
+                                       fold.matrix("combined", full)[at],
+                                       budget)
+                rows = held[f]
+                once = apply_imputation(fold.imp_model,
+                                        cohort.continuous_matrix(rows))
+                assert (fold.matrix("structured", rows).tobytes()
+                        == cohort.encode(fold.encoder, rows, once).tobytes())
 
     def test_rows_outside_the_fold_are_refused(self):
         cohort = synth_cohort(120, seed=3)
