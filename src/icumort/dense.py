@@ -1,29 +1,23 @@
-"""Fixed-order dense products, and the one budget for dense copies.
+"""Fixed-order products, whose bits no BLAS thread count changes, and the
+one budget for dense copies.
 
-Every product and factor here is a fixed-order sum of BLAS and LAPACK calls
-on blocks small enough that OpenBLAS keeps each on one thread, so a result
-is the same bit for bit at any thread count. One call on a whole block is
-not: its split across threads changes the order of its sums. The interior
-point's Gram matrix and factor work on at most _TILE x _TILE blocks, each
-product summing at most _SPAN terms (48 * 48 * 112 multiply-adds, under the
-2**18 at which OpenBLAS starts a second thread); products of a factor with
-a vector use einsum, which calls no BLAS at all. matvec and rmatvec take a
-dense X in row tiles of at most _ROW_TILE_VALUES values; a CSR X is
-multiplied by scipy, whose sparse products use no threads.
+One BLAS call on a large block may split its sums across threads, changing
+their order. Each call here stays under the 2**18 multiply-adds at which
+OpenBLAS starts a second thread: the interior point's Gram matrix and factor
+work on _TILE x _TILE blocks summing at most _SPAN terms, and matvec and
+rmatvec take a dense X in row tiles of at most _ROW_TILE_VALUES values.
+Vector products of a factor use einsum, which calls no BLAS at all, and
+scipy multiplies a CSR X on one thread.
 """
-
-from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
 
-# The most values of a dense copy: the interior point's [X, 1] (16 MB) and
-# a tree fit's presorted transpose.  Above it a dense copy and an n x d
-# order cost more time and memory than the per-node sorts they replace (on
-# a 3,600 x 7,306 tf-idf block at 3.5% density, 1.8x the peak memory and no
-# less time).  Where between those two shapes the crossover lies has not
-# been measured; 2**21 lies above every paper-scale fold at min_df 10
-# (about 672k values).  Users read it at call time.
+# The most values of a dense copy: a fold's feature table, the interior
+# point's [X, 1] (16 MB), a tree fit's presorted transpose.  It lies above
+# every paper-scale fold at min_df 10; a 3,600 x 7,306 tf-idf block at 3.5%
+# density took 1.8x the peak memory dense, and no less time.  Read at call
+# time, so one monkeypatch reaches every user.
 DENSE_VALUES = 2 ** 21
 
 _TILE = 48
@@ -85,16 +79,11 @@ def _cholesky_solve(factor, b):
     return x
 
 
-def _tile_rows(X):
-    """Rows of one tile of X: at most _ROW_TILE_VALUES values, at least 1."""
-    return max(1, _ROW_TILE_VALUES // max(1, X.shape[1]))
-
-
 def matvec(X, v):
     """X @ v; a dense X is taken in row tiles, whose outputs are joined."""
     if sp.issparse(X):
         return X @ v
-    rows = _tile_rows(X)
+    rows = max(1, _ROW_TILE_VALUES // max(1, X.shape[1]))
     return np.concatenate([X[i:i + rows] @ v
                            for i in range(0, max(1, X.shape[0]), rows)])
 
@@ -104,7 +93,7 @@ def rmatvec(X, r):
     added in tile order."""
     if sp.issparse(X):
         return X.T @ r
-    rows = _tile_rows(X)
+    rows = max(1, _ROW_TILE_VALUES // max(1, X.shape[1]))
     out = X[:rows].T @ r[:rows]
     for i in range(rows, X.shape[0], rows):
         out += X[i:i + rows].T @ r[i:i + rows]

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.sparse
 
 from . import __version__, dense, linmod, neural, trees
 from .cohort import (
@@ -248,6 +247,9 @@ class ExperimentConfig:
                 for combo in itertools.product(*(grid[k] for k in keys))]
 
 
+_INPUTS = ("stopwords", "ranges", "embeddings")  # a manifest's input files
+
+
 def load_run(path):
     """(config, inputs) read from an experiment config or a run's manifest.
 
@@ -263,12 +265,14 @@ def load_run(path):
             raise ConfigError(f"manifest {path}: inputs must be an object "
                               "of file paths or nulls")
         for name, value in inputs.items():
+            if name not in _INPUTS:
+                raise ConfigError(
+                    f"manifest {path}: unknown inputs field {name!r}")
             if value == "":
                 raise ConfigError(
                     f"manifest {path}: inputs {name} is an empty path")
         return (ExperimentConfig.from_obj(obj["config"]),
-                {f"{name}_path": inputs.get(name)
-                 for name in ("stopwords", "ranges", "embeddings")})
+                {f"{name}_path": inputs.get(name) for name in _INPUTS})
     return ExperimentConfig.from_obj(obj), {}
 
 
@@ -342,12 +346,10 @@ class _Fold:
 
     The chained-equation imputer and standardizing encoder are fitted when
     `cohort` is given, the vocabulary and tf-idf when `tokens` (its
-    tokenized notes) are.  The table's rows are the fit rows, with the
-    chain's imputations, then `held_rows`, imputed by one
-    `apply_imputation` call; its columns are the structured block, then the
-    notes block.  It is dense when it holds at most dense.DENSE_VALUES
-    values, and CSR otherwise if it has notes.  Every request gathers its
-    rows from the table and then takes its feature set's columns.
+    tokenized notes) are.  The table holds the fit rows, with the chain's
+    imputations, then `held_rows`, imputed by one `apply_imputation` call,
+    in columns [structured | notes]; it is dense within dense.DENSE_VALUES
+    values, else CSR if it has notes.
     """
 
     def __init__(self, fit_rows, held_rows, seed, cohort, tokens, min_df):
@@ -372,9 +374,8 @@ class _Fold:
             self.tfidf = tfidf_fit(self.vocab)
             blocks.append(transform_corpus(self.tfidf, self._docs))
         if rows.size * sum(b.shape[1] for b in blocks) <= dense.DENSE_VALUES:
-            blocks = [b.toarray() if scipy.sparse.issparse(b) else b
-                      for b in blocks]
-            self._table = np.hstack(blocks) if len(blocks) > 1 else blocks[0]
+            self._table = np.hstack([b if isinstance(b, np.ndarray)
+                                     else b.toarray() for b in blocks])
         else:
             self._table = fuse_matrix(*blocks) if len(blocks) > 1 else blocks[0]
 
@@ -392,9 +393,8 @@ class _Fold:
         columns = {"structured": slice(0, start), "notes": slice(start, None),
                    "combined": slice(None)}[feature_set]
         X = self._table[self._positions(rows), columns]
-        if feature_set == "structured" and scipy.sparse.issparse(X):
-            return X.toarray()
-        return X
+        as_is = feature_set != "structured" or isinstance(X, np.ndarray)
+        return X if as_is else X.toarray()
 
     def cnn_inputs(self, feature_set, rows, max_len):
         """(padded token ids, structured block) for the fusion CNN."""

@@ -1,19 +1,18 @@
 """Regularized linear classifiers with per-instance weighting.
 
 Every objective is sum_i s_i * loss_i + (1/C) * penalty(w), and every fit is
-numpy matrix-vector work on a dense or a CSR X. Each product with a dense X
-is one of dense's fixed-order products, so fits and scores are the same bit
-for bit at any BLAS thread count. Logistic regression (L1 or L2) and the L1
-squared-hinge SVM share one accelerated proximal-gradient loop; only the
-loss and its gradient differ. The L2 hinge SVM solves its box-constrained
-dual, and its `converged` flag certifies the optimum: the relative
-primal-dual gap, recorded as diagnostics["duality_gap"], is <= _TOL. Which
-solver runs depends on input size only. When X has more rows than columns
-and the dense augmented matrix [X, 1] fits dense.DENSE_VALUES (d + 1 < n
-and n * (d + 1) <= 2**21 values), a primal-dual interior-point method takes
-about 10-20 Newton steps; otherwise (wide tf-idf blocks, or fewer rows than
-columns) projected accelerated gradient runs on X as given, without
-densifying it. The tolerance and each solver's step cap are constants.
+numpy matrix-vector work; each product with a dense X is one of dense's
+fixed-order products, so a fit and its scores have the same bits at any BLAS
+thread count. Logistic regression (L1 or L2) and the L1 squared-hinge SVM
+share one accelerated proximal-gradient loop; only the loss and its gradient
+differ. The L2 hinge SVM solves its box-constrained dual, and its
+`converged` flag certifies the optimum: the relative primal-dual gap,
+recorded as diagnostics["duality_gap"], is <= _TOL. When X has more rows
+than columns and [X, 1] fits dense.DENSE_VALUES (d + 1 < n and
+n * (d + 1) <= 2**21), a primal-dual interior-point method takes about 10-20
+Newton steps; otherwise (wide tf-idf blocks, or fewer rows than columns)
+projected accelerated gradient runs on X as given, without densifying it.
+The tolerance and each solver's step cap are constants.
 """
 
 from __future__ import annotations
@@ -239,7 +238,6 @@ def train_logreg(X, y, reg=L2, C=1.0, instance_weights=None):
     return LinearModel(w=w, b=b, loss=LOGISTIC, reg=reg, C=C, diagnostics=diag)
 
 
-# the interior point's products and factors are dense's fixed-order ones
 _EPS = float(np.finfo(float).eps)
 # the fraction of the way to the nearest bound that a step may go
 _BOUNDARY = 0.995

@@ -7,17 +7,15 @@ boundary of a block of candidate columns at once, with Gini gain for the
 forest and second-order gain for boosting.
 
 Each fit transposes X once so that a node reads its candidate columns as
-rows.  When X has at most dense.DENSE_VALUES (2**21) values, the budget
-within which the runner's fold tables are dense too, the transposed copy is
-dense and the fit stable-sorts every column once, over all of its rows;
-boosting reuses that order in every round, and the forest in every tree.  A
-node's sorted rows are then the presorted order filtered to the node, which
-is the node's own stable sort because a node's rows are always kept
-ascending.  A larger X keeps CSR form if sparse, and every node densifies
-and sorts its candidate columns itself, in blocks of about _BLOCK_VALUES
-(2**18) values; such an X is never copied to n x d dense form.  Both ways
-give the same splits, bit for bit, and a prediction reads the same values
-from a dense X as from its CSR form.
+rows.  When X has at most dense.DENSE_VALUES (2**21) values, as every
+dense fold table does, the transposed copy is dense and the fit
+stable-sorts every column once, over all of its rows; boosting reuses that
+order in every round, and the forest in every tree.  A node's sorted rows
+are then the presorted order filtered to the node: the node's own stable
+sort, as a node's rows are kept ascending.  A larger X keeps CSR form if
+sparse, and every node densifies and sorts its candidate columns itself, in
+blocks of about _BLOCK_VALUES (2**18) values, never copying X whole to
+dense.  Both ways give the same splits, bit for bit.
 
 Fits take labels 0 and 1 only, and fits and predictions take finite
 features only; anything else is a TreeError.

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icumort.cohort import synth_cohort_with_truth
+from icumort.cohort import synth_cohort, synth_cohort_with_truth
 from icumort.evaluation import (
     _PERM_BLOCK,
     EvalError,
@@ -20,6 +22,7 @@ from icumort.evaluation import (
     stratified_split,
     undersample,
 )
+from icumort.experiment import ExperimentConfig, fold_plan
 
 
 def brute_auc(scores, labels):
@@ -486,3 +489,71 @@ class TestGridSearch:
         lines = text.strip().split("\n")
         assert len(lines) == 3
         assert lines[0].split("\t")[-1] == "mean"
+
+
+def _digest(*parts):
+    """A short sha256 of strings and integer or float arrays, in order."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, str):
+            h.update(part.encode())
+        else:
+            a = np.asarray(part)
+            h.update(a.astype(np.float64 if a.dtype.kind == "f"
+                              else np.int64).tobytes())
+        h.update(b"|")
+    return h.hexdigest()[:16]
+
+
+def _seeded_draws():
+    """The rows, swaps and cohorts that fixed seeds draw, as digests."""
+    label_sets = [((np.arange(n) * 37) % 100 < rate).astype(np.int64)
+                  for n, rate in ((10, 40), (23, 22), (57, 33), (200, 12),
+                                  (311, 9))]
+    config = ExperimentConfig.from_obj({"cohort": {"synth": {"n": 10}},
+                                        "sampling": ["none", "1:4"],
+                                        "folds": 3})
+    draws = {"split": [], "folds": [], "undersample": [], "fold_plan": []}
+    for y in label_sets:
+        for seed in (0, 7):
+            split = stratified_split(y, seed=seed)
+            draws["split"] += [split.train_indices, split.test_indices]
+            for k in (2, 3):
+                draws["folds"] += stratified_folds(y, k, seed)
+            draws["undersample"].append(undersample(y, seed=seed))
+            plan = fold_plan(y, config, seed)
+            draws["fold_plan"] += [plan.split.train_indices, *plan.val,
+                                   *plan.fit, *plan.model["none"],
+                                   *plan.model["1:4"]]
+    digests = {name: _digest(*parts) for name, parts in draws.items()}
+    rng = np.random.default_rng(5)
+    y = label_sets[2]
+    a, b = rng.normal(size=y.size), rng.normal(size=y.size) + 0.3 * y
+    swaps = []
+    for seed in (0, 3):
+        r = perm_test_auc(a, b, y, n_perm=200, seed=seed)
+        swaps.append(f"{r.count_ge} {r.p_value!r}")
+    digests["perm_test_auc"] = _digest(*swaps)
+    cohorts = []
+    for n, seed in ((10, 0), (57, 3), (300, 1)):
+        c = synth_cohort(n, seed=seed)
+        cohorts += ["\n".join(c.ids), "\n".join(c.notes), c.label_hospital,
+                    c.label_30day, c.values]
+    digests["synth_cohort"] = _digest(*cohorts)
+    return digests
+
+
+def test_seeded_draws_are_pinned():
+    """Golden digests of the rows, swaps and cohorts drawn at fixed seeds:
+    stratified_split, stratified_folds, undersample, fold_plan, the
+    permutation test's swaps (through its counts) and synth_cohort.  A
+    change here changes which rows every run fits on and tests on, so it
+    is by its nature a stated output change."""
+    assert _seeded_draws() == {
+        "split": "c51a6b3bcf43fbe5",
+        "folds": "9a027c3060a3511c",
+        "undersample": "96bab93a6173774b",
+        "fold_plan": "69cfc5d000114e1b",
+        "perm_test_auc": "dcce224bca483949",
+        "synth_cohort": "be2f53424446b5b9",
+    }

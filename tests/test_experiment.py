@@ -675,6 +675,22 @@ class TestDeterminism:
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not (tmp_path / "res").exists()
 
+    def test_cli_refuses_unknown_inputs_field(self, tmp_path, capsys):
+        """A misspelt field in a manifest's inputs is an error line naming
+        the manifest and the field, and nothing is written."""
+        from icumort import cli
+
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "config": _base_obj(), "cells": {},
+            "inputs": {"stopwords": None, "stopword": "missing.txt"}}))
+        rc = cli.main(["run", "--config", str(manifest),
+                       "--out", str(tmp_path / "res")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: manifest {manifest}: unknown inputs field 'stopword'\n")
+        assert not (tmp_path / "res").exists()
+
 
 def _run_bytes(out):
     """Every file a run wrote, by its path under the output directory."""
