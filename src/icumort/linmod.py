@@ -323,13 +323,15 @@ def _hinge_ipm(Z, u):
         a, z, t = a_new, z_new, t_new
         v = np.einsum("ij,i->j", Z, a)
         margins = np.einsum("ij,j->i", Z, v)
-    polished = _polish(Z, u, a, z, t)
-    if polished is not None:
-        v_p = np.einsum("ij,i->j", Z, polished)
-        margins_p = np.einsum("ij,j->i", Z, v_p)
-        gap_p, primal_p = _hinge_gap(u, polished, margins_p, v_p)
-        if gap_p * primal <= gap * primal_p:
-            v, gap, primal = v_p, gap_p, primal_p
+
+    def free_gram(free):
+        ZF = Z[free]  # one copy on both sides: numpy's A.T @ A is a syrk
+        return _gram(ZF.T, ZF.T)
+
+    polished = _polish(u, a, z, t, lambda p: np.einsum("ij,i->j", Z, p),
+                       lambda v: np.einsum("ij,j->i", Z, v), free_gram)
+    if polished is not None and polished[1] * primal <= gap * polished[2]:
+        v, gap, primal = polished
     return v[:-1], float(v[-1]), {
         "iterations": iterations, "converged": gap <= _TOL * primal,
         "duality_gap": gap / primal if primal > 0.0 else 0.0}
@@ -355,29 +357,38 @@ def _woodbury_solve(Z, D, factor, r):
     return da
 
 
-def _polish(Z, u, a, z, t):
-    """The dual point of the bound pattern that a, z, t show, or None.
+def _polish(u, a, z, t, zt, z_of, free_gram):
+    """(v, gap, primal) of the dual point of the bound pattern that a, z, t
+    show, or None.
 
-    Row i is at 0 when a_i / u_i < z_i, at u_i when 1 - a_i / u_i < t_i,
-    and free otherwise; the free rows' a solves Z_F Z.T a = 1 (their margins
-    exactly 1). With the pattern of the optimum this is the optimum itself,
-    up to rounding. None when that system is singular or a leaves the box.
+    z and t are the multipliers of a >= 0 and a <= u. Row i is at 0 when
+    a_i / u_i < z_i, at u_i when 1 - a_i / u_i < t_i, and free otherwise;
+    the free rows' a solves Z_F Z.T a = 1 (their margins exactly 1). zt(p)
+    is Z.T p, z_of(v) is Z v and free_gram(F) the lower block triangle of
+    Z_F Z_F.T. With the pattern of the optimum this is the optimum itself,
+    up to rounding. A free a_i outside [0, u_i] is clipped to the box: rows
+    at 0 with margin 1 make the solve return rounding noise around 0, and
+    every point of the box is a dual point whose gap bounds its
+    suboptimality. None when the system is singular or more rows are free
+    than Z has columns or than dense.DENSE_VALUES allows a square of.
     """
     frac = a / u
     lower = frac < z
     upper = (1.0 - frac < t) & ~lower
     free = np.flatnonzero(~(lower | upper))
     p = np.where(upper, u, 0.0)
-    if free.size > Z.shape[1]:
+    v = zt(p)
+    if free.size > v.size or free.size ** 2 > dense.DENSE_VALUES:
         return None
     if free.size:
-        ZF = Z[free]
-        rhs = 1.0 - np.einsum("ij,j->i", ZF, np.einsum("ij,i->j", Z, p))
+        rhs = 1.0 - z_of(v)[free]
         try:
-            p[free] = _cholesky_solve(_cholesky(_gram(ZF.T, ZF.T)), rhs)
+            p[free] = np.clip(_cholesky_solve(_cholesky(free_gram(free)),
+                                              rhs), 0.0, u[free])
         except np.linalg.LinAlgError:
             return None
-    return p if ((p >= 0.0) & (p <= u)).all() else None
+        v = zt(p)
+    return (v,) + _hinge_gap(u, p, z_of(v), v)
 
 
 def _max_step(a, h, z, t, da, dz, dt):
@@ -395,12 +406,15 @@ def _hinge_dual(X, y_pm, upper):
     Minimizes 0.5 * ||Z.T a||^2 - sum(a) over 0 <= a <= upper, with
     Z = y * [X, 1]: the bias is an implicit all-ones column that shares the
     L2 penalty (the dual of Hsieh et al., ICML 2008). Z is never formed, so
-    memory stays O(nnz). Each step backtracks on the quadratic's exact
+    memory stays O(nnz) plus the polish's square of free rows, within
+    dense.DENSE_VALUES. Each step backtracks on the quadratic's exact
     curvature along the step and then grows by 1.2; momentum restarts when
     the step opposes the previous move (O'Donoghue & Candes 2015). Stops
-    when the duality gap is <= _TOL times the primal objective, or
-    unconverged after _DUAL_STEPS steps; C and the instance weights enter
-    only through upper = C * s. Its iterations grow with n, so it runs only
+    when the duality gap is <= _TOL times the primal objective; after
+    _DUAL_STEPS steps the last iterate is polished (_polish, the multipliers
+    read off its gradient), and the polished point is kept when its
+    relative gap is no larger. C and the instance weights enter only through
+    upper = C * s. Its iterations grow with n, so it runs only
     where _hinge_ipm does not: where Z has no more rows than columns or its
     dense copy would not fit dense.DENSE_VALUES.
     """
@@ -447,9 +461,23 @@ def _hinge_dual(X, y_pm, upper):
         if gap <= _TOL * primal:
             converged = True
             break
+    if not converged:
+        g = m - 1.0
+        polished = _polish(upper, a, np.maximum(g, 0.0), np.maximum(-g, 0.0),
+                           zt, z, lambda free: _row_gram(X, y_pm, free))
+        if polished is not None and polished[1] * primal <= gap * polished[2]:
+            v, gap, primal = polished
+            converged = gap <= _TOL * primal
     return v[:-1], float(v[-1]), {
         "iterations": iterations, "converged": converged,
         "duality_gap": gap / primal if primal > 0.0 else 0.0}
+
+
+def _row_gram(X, y_pm, rows):
+    """Z_F Z_F.T for Z = y * [X, 1] and F = rows, without forming Z."""
+    XF = X[rows]
+    G = (XF @ XF.T).toarray() if sp.issparse(XF) else _gram(XF.T, XF.T)
+    return (G + 1.0) * np.outer(y_pm[rows], y_pm[rows])
 
 
 def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None):

@@ -513,6 +513,30 @@ def test_hinge_gap_bounds_suboptimality(case):
     assert primal - primal_ref <= gap * primal + rounding
 
 
+def test_hinge_dual_polishes_its_last_iterate():
+    """Six rows whose features are 1/60 of the bias column's scale: the
+    dual's curvature spans seven decades, and projected gradient ends its
+    1000 steps at gap 3.7e-6. The polish of the last iterate converges, dense
+    X or CSR."""
+    entries = [(1, 1, -0.07474960145609663), (3, 4, 0.0395367303620608),
+               (3, 5, -0.03962567664857985), (4, 1, 0.027728946892436795),
+               (4, 2, -0.028541884625880344), (4, 4, 0.0839192561614076),
+               (4, 5, 0.047175077527989995), (5, 1, 0.00045831692042032205),
+               (5, 4, 0.003217513751169068)]
+    rows, cols, values = zip(*entries)
+    X = sp.csr_matrix((values, (rows, cols)), shape=(6, 6))
+    y = np.array([1, 0, 0, 0, 0, 0])
+    s = np.array([0.5077824970279398, 2.4553489967029978, 2.136373455606422,
+                  1.7573230145066325, 0.28074947177577775, 2.352138301563488])
+    _, primal_ref = _hinge_reference(X, y, s, 1.0)
+    for Xin in (X, X.toarray()):
+        m = train_linear_svm(Xin, y, reg=L2, C=1.0, instance_weights=s)
+        assert m.diagnostics["iterations"] == linmod._DUAL_STEPS
+        assert m.diagnostics["converged"]
+        primal = m.diagnostics["final_objective"]
+        assert primal - primal_ref <= m.diagnostics["duality_gap"] * primal
+
+
 def test_hinge_factor_spans_several_tiles():
     """The blocked Cholesky factor and solve of a matrix three tiles wide
     agree with numpy's."""
