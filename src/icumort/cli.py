@@ -7,6 +7,7 @@ import sys
 from . import linmod
 from .cohort import (
     CohortError,
+    is_number,
     read_json,
     save_cohort,
     synth_cohort,
@@ -117,16 +118,22 @@ def cmd_rank(args):
         payload = None
     if not isinstance(payload, dict) or payload.get("kind") != "linear":
         raise ConfigError(f"{where}: rank works on linear models only")
+    # what the file gets wrong is named against it, never a traceback
     try:
         model = linmod.LinearModel.from_obj(payload["model"])
-        n_structured = payload["n_structured"]
-        names = payload["feature_names"][:n_structured]
+        n = payload["n_structured"]
+        if not (is_number(n, integral=True) and 0 <= n <= model.w.size):
+            raise ValueError(f"n_structured must be an integer from 0 to "
+                             f"dim {model.w.size}, not {n!r}")
+        if n == 0:
+            raise ValueError("model has no structured block to rank")
+        ranked = linmod.rank_coefficients(
+            model.w[:n], payload["feature_names"][:n], args.k)
     except KeyError as exc:
         raise ConfigError(f"{where} has no key {exc}") from None
-    if n_structured == 0:
-        raise ConfigError(f"{where}: model has no structured block to rank")
-    for name, coef in linmod.rank_coefficients(model.w[:n_structured], names,
-                                               args.k):
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    for name, coef in ranked:
         print(f"{name}\t{coef:+.6f}")
     return 0
 

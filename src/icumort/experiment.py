@@ -9,7 +9,7 @@ the permutation test.
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,34 +69,19 @@ DEFAULT_GRIDS = {
     "cnn": {"filters": [64], "learning_rate": [0.0005]},
 }
 
-_GRID_KEYS = {
-    "l1-lr": {"C"},
-    "l2-lr": {"C"},
-    "l1-svm": {"C"},
-    "l2-svm": {"C"},
-    "rf": {f.name for f in fields(trees.ForestParams)},
-    "gbt": {f.name for f in fields(trees.GbtParams)},
-    "mlp": {f.name for f in fields(neural.MlpParams)},
-    "cnn": {f.name for f in fields(neural.CnnParams)},
-}
-_NEURAL_KEYS = _GRID_KEYS["mlp"] | _GRID_KEYS["cnn"]
+# a family's grid searches its default grid's keys; the neural families'
+# other settings are one value per run (`neural`) or fixed at their defaults
+_GRID_KEYS = {algo: set(grid) for algo, grid in DEFAULT_GRIDS.items()}
+_NEURAL_KEYS = {"embed_dim", "max_len", "max_epochs"}
 _INTEGER_PARAMS = {"n_trees", "max_depth", "rounds", "hidden", "filters",
-                   "embed_dim", "max_len", "batch_size", "max_epochs"}
+                   "embed_dim", "max_len", "max_epochs"}
 
 
 def _check_param(key, value, where):
     """Refuse a grid candidate or neural setting of the wrong type."""
-    if key == "patience":
-        ok, kind = value is None or is_number(value, True), "an integer or null"
-    elif key == "widths":
-        ok = (isinstance(value, (list, tuple)) and len(value) > 0
-              and all(is_number(w, integral=True) for w in value))
-        kind = "a non-empty list of integers"
-    else:
-        integral = key in _INTEGER_PARAMS
-        ok = is_number(value, integral)
+    integral = key in _INTEGER_PARAMS
+    if not is_number(value, integral):
         kind = "an integer" if integral else "a number"
-    if not ok:
         raise ConfigError(f"{where} {key} must be {kind}, not {value!r}")
 
 
@@ -189,6 +174,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown grid parameters for {algo}: {sorted(bad)}")
             for key, values in grid.items():
+                if values == []:
+                    raise ConfigError(f"grid for {algo} {key} is empty")
                 for value in values if isinstance(values, list) else [values]:
                     _check_param(key, value, f"grid value for {algo}")
         bad = set(self.neural) - _NEURAL_KEYS
@@ -358,7 +345,7 @@ class _Fold:
         self._position = np.full(len(cohort if tokens is None else tokens), -1)
         self._position[rows] = np.arange(rows.size)
         self.cohort = cohort
-        self._ids = {}  # the padded token ids, by max_len
+        self._ids = None  # the padded token ids, built on first use
         blocks = []
         if cohort is not None:
             fit_imputed, self.imp_model = impute_fit_transform(
@@ -397,11 +384,12 @@ class _Fold:
         return X if as_is else X.toarray()
 
     def cnn_inputs(self, feature_set, rows, max_len):
-        """(padded token ids, structured block) for the fusion CNN."""
-        if max_len not in self._ids:
-            self._ids[max_len] = neural.pad_sequences(
+        """(padded token ids, structured block) for the fusion CNN; max_len
+        is the run's one value."""
+        if self._ids is None:
+            self._ids = neural.pad_sequences(
                 neural.tokens_to_ids(self._docs, self.vocab), max_len)
-        ids = self._ids[max_len][self._positions(rows)]
+        ids = self._ids[self._positions(rows)]
         if feature_set == "combined":
             return ids, self.matrix("structured", rows)
         return ids, np.zeros((len(rows), 0))
@@ -419,15 +407,11 @@ class _Fold:
 # model family adapters
 
 def _neural_params(cls, config, params):
-    base = asdict(cls())
-    allowed = set(base)
-    for k, v in config.neural.items():
-        if k in allowed:
-            base[k] = v
-    base.update(params)
-    if cls is neural.CnnParams and isinstance(base.get("widths"), list):
-        base["widths"] = tuple(base["widths"])
-    return cls(**base)
+    """The family's settings: the run's `neural` values it has, then the
+    grid cell's; the rest stay at the library defaults."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in config.neural.items() if k in names},
+               **params)
 
 
 def _fit_model(algo, params, fold, feature_set, fit_rows, y_fit, seed,
@@ -597,20 +581,17 @@ def _results_tsv(rows):
 
 
 def _load_pretrained(path, config):
-    """The embedding file's (tokens, matrix), refused unless its width is
-    the embed_dim of every cnn grid cell."""
+    """The embedding file's (tokens, matrix), refused unless a run with cnn
+    cells has its embed_dim as the file's width."""
     try:
         pretrained = neural.load_embedding_file(path)
     except ValueError as exc:
         raise ConfigError(f"embedding file {path}: {exc}") from None
-    if "cnn" in config.algorithms:
-        width = pretrained[1].shape[1]
-        for params in config.grid_cells("cnn"):
-            dim = _neural_params(neural.CnnParams, config, params).embed_dim
-            if dim != width:
-                raise ConfigError(
-                    f"embedding file {path} has width {width}, but cnn grid "
-                    f"cell {params} has embed_dim {dim}")
+    width = pretrained[1].shape[1]
+    dim = _neural_params(neural.CnnParams, config, {}).embed_dim
+    if "cnn" in config.algorithms and dim != width:
+        raise ConfigError(f"embedding file {path} has width {width}, but "
+                          f"the cnn embed_dim is {dim}")
     return pretrained
 
 

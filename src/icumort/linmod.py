@@ -82,8 +82,12 @@ class LinearModel:
 
     @classmethod
     def from_obj(cls, o):
+        if not isinstance(o, dict):
+            raise LinModError("model must be a JSON object")
         w = np.zeros(o["dim"])
         for j, v in o["weights"].items():
+            if not 0 <= int(j) < w.size:
+                raise LinModError(f"weight index {j} is outside dim {w.size}")
             w[int(j)] = v
         return cls(w=w, b=o["intercept"], loss=o["loss"], reg=o["reg"],
                    C=o["C"], diagnostics=o.get("diagnostics", {}))

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -112,9 +113,25 @@ class TestConfig:
         pytest.param("grids", {"rf": {"bootstrap": [1]}},
                      r"unknown grid parameters for rf: \['bootstrap'\]",
                      id="grids-value17-bootstrap must be true or false"),
-        ("neural", {"patience": 2.5}, "patience must be an integer or null"),
-        ("neural", {"widths": []}, "widths must be a non-empty list"),
-        ("grids", {"cnn": {"widths": [3, 4]}}, "widths must be a non-empty list")])
+        # patience and widths are fixed at their defaults; the cases keep
+        # their ids
+        pytest.param("neural", {"patience": 2.5},
+                     r"unknown neural settings: \['patience'\]",
+                     id="neural-value18-patience must be an integer or null"),
+        pytest.param("neural", {"widths": []},
+                     r"unknown neural settings: \['widths'\]",
+                     id="neural-value19-widths must be a non-empty list"),
+        pytest.param("grids", {"cnn": {"widths": [3, 4]}},
+                     r"unknown grid parameters for cnn: \['widths'\]",
+                     id="grids-value20-widths must be a non-empty list"),
+        ("neural", {"embed_dim": 4.0},
+         "neural setting embed_dim must be an integer, not 4.0"),
+        ("neural", {"max_len": None},
+         "neural setting max_len must be an integer, not None"),
+        ("grids", {"cnn": {"filters": [True]}},
+         "grid value for cnn filters must be an integer, not True"),
+        ("grids", {"mlp": {"learning_rate": ["0.1"]}},
+         "grid value for mlp learning_rate must be a number, not '0.1'")])
     def test_wrongly_typed_value_rejected(self, key, value, message):
         with pytest.raises((ConfigError, CohortError), match=message):
             ExperimentConfig.from_obj(_base_obj(**{key: value}))
@@ -176,25 +193,36 @@ class TestConfig:
         ({"grids": {"l2-lr": {"C": [1.0, 0]}}}, [], "C must be positive"),
         ({"algorithms": ["l1-svm"], "grids": {"l1-svm": {"C": -1.0}}}, [],
          "C must be positive"),
-        ({"algorithms": ["mlp"], "neural": {"dropout": 1.0}}, [],
-         "dropout rate must lie in [0, 1)"),
+        # dropout and batch_size are fixed at their defaults, refused by
+        # name in a config (their range checks are test_neural's); the
+        # cases keep their ids
+        pytest.param({"algorithms": ["mlp"], "neural": {"dropout": 1.0}}, [],
+                     "unknown neural settings: ['dropout']",
+                     id="overrides6-args6-dropout rate must lie in [0, 1)"),
         ({"algorithms": ["cnn"], "feature_sets": ["notes"],
-          "grids": {"cnn": {"widths": [[3, 9]]}}, "neural": {"max_len": 8}},
+          "neural": {"max_len": 4}},
          [], "max_len shorter than the widest filter"),
-        ({"algorithms": ["mlp"], "neural": {"batch_size": 0}}, [],
-         "batch_size must be >= 1"),
+        pytest.param({"algorithms": ["mlp"], "neural": {"batch_size": 0}}, [],
+                     "unknown neural settings: ['batch_size']",
+                     id="overrides8-args8-batch_size must be >= 1"),
         ({"algorithms": ["mlp"], "grids": {"mlp": {"hidden": [0]}}}, [],
          "hidden must be >= 1"),
         ({"algorithms": ["mlp"], "neural": {"max_epochs": 0}}, [],
          "max_epochs must be >= 1"),
         ({"algorithms": ["mlp"], "grids": {"mlp": {"learning_rate": [-1]}}},
          [], "learning_rate must be positive"),
-        ({"algorithms": ["cnn"], "feature_sets": ["notes"],
-          "neural": {"batch_size": 0}}, [], "batch_size must be >= 1"),
+        pytest.param({"algorithms": ["cnn"], "feature_sets": ["notes"],
+                      "grids": {"cnn": {"hidden": [0]}}}, [],
+                     "unknown grid parameters for cnn: ['hidden']",
+                     id="overrides12-args12-batch_size must be >= 1"),
         ({"algorithms": ["cnn"], "feature_sets": ["notes"],
           "grids": {"cnn": {"learning_rate": [0]}}}, [],
          "learning_rate must be positive"),
-        ({"min_df": 0}, [], "min_df must be an integer >= 1")])
+        ({"min_df": 0}, [], "min_df must be an integer >= 1"),
+        ({"grids": {"l2-lr": {"C": []}}}, [], "grid for l2-lr C is empty"),
+        ({"algorithms": ["rf"], "grids": {"l2-lr": {"C": [1.0]},
+                                          "rf": {"max_depth": []}}},
+         [], "grid for rf max_depth is empty")])
     def test_cli_refuses_out_of_range_value(self, tmp_path, capsys,
                                             overrides, args, message):
         """Refused before any work: exit 1, an error line, no output."""
@@ -227,12 +255,30 @@ class TestConfig:
           for algo, key, value in (
               ("l1-lr", "tol", 1e-6), ("l2-lr", "max_iter", 10000),
               ("l1-svm", "max_epochs", 1000), ("l2-svm", "tol", 1e-6),
-              ("l2-svm", "max_epochs", 1000)))])
+              ("l2-svm", "max_epochs", 1000))),
+        *(({"algorithms": [algo], "feature_sets": ["notes"],
+            "grids": {algo: {key: [value]}}},
+           f"unknown grid parameters for {algo}: [{key!r}]")
+          for algo, key, value in (
+              ("mlp", "dropout", 0.5), ("mlp", "batch_size", 32),
+              ("mlp", "max_epochs", 20), ("mlp", "patience", 3),
+              ("cnn", "widths", [3, 4, 5]), ("cnn", "hidden", 128),
+              ("cnn", "embed_dim", 64), ("cnn", "max_len", 512))),
+        *(({"algorithms": [algo], "feature_sets": ["notes"],
+            "neural": {key: value}}, f"unknown neural settings: [{key!r}]")
+          for algo, key, value in (
+              ("mlp", "hidden", 100), ("mlp", "learning_rate", 0.0005),
+              ("cnn", "filters", 64), ("cnn", "widths", [3, 4, 5]),
+              ("cnn", "dropout", 0.5), ("cnn", "batch_size", 32),
+              ("cnn", "patience", None)))])
     def test_cli_refuses_removed_setting(self, tmp_path, capsys, overrides,
                                          message):
         """The generator statistics, the forest's bootstrap and node weight,
-        boosting's lambda and the linear solvers' tolerance and step caps are
-        constants: naming one is a config error, even at its fixed value."""
+        boosting's lambda, the linear solvers' tolerance and step caps, and
+        the neural widths, dropout, batch size, patience and CNN hidden width
+        are constants: naming one is a config error, even at its fixed value.
+        A neural value has one home: grid keys are refused in `neural`, and
+        `neural` keys in a grid."""
         from icumort import cli
 
         (tmp_path / "exp.json").write_text(json.dumps(_base_obj(**overrides)))
@@ -268,12 +314,16 @@ class TestConfig:
                 (("grids", "rf", "bootstrap", [True]),
                  "unknown grid parameters for rf: ['bootstrap']"),
                 (("grids", "gbt", "reg_lambda", [1.0]),
-                 "unknown grid parameters for gbt: ['reg_lambda']")):
+                 "unknown grid parameters for gbt: ['reg_lambda']"),
+                (("grids", "cnn", "widths", [[3, 4, 5]]),
+                 "unknown grid parameters for cnn: ['widths']"),
+                (("neural", "patience", 3),
+                 "unknown neural settings: ['patience']")):
             *path, key, value = edit
             changed = json.loads(json.dumps(manifest))
             block = changed["config"]
             for name in path:
-                block = block[name]
+                block = block.setdefault(name, {})
             block[key] = value
             (tmp_path / "m.json").write_text(json.dumps(changed))
             rc = cli.main(["run", "--config", str(tmp_path / "m.json"),
@@ -364,24 +414,24 @@ class TestConfig:
         path = tmp_path / "emb.txt"
         path.write_text("sepsis 0.1 0.2 0.3 0.4\nshock 0.5 0.6 0.7 0.8\n")
         obj = _base_obj(feature_sets=["notes"], algorithms=["cnn"],
-                        grids={"cnn": {"embed_dim": [4, 6], "filters": [2]}})
+                        grids={"cnn": {"filters": [2, 3]}},
+                        neural={"embed_dim": 6})
         (tmp_path / "exp.json").write_text(json.dumps(obj))
         rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
                        "--out", str(tmp_path / "res"),
                        "--embeddings", str(path)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: embedding file {path} has width 4, "
-                              f"but cnn grid cell ")
-        assert err.endswith("'embed_dim': 6} has embed_dim 6\n")
+        assert capsys.readouterr().err == (
+            f"error: embedding file {path} has width 4, but the cnn "
+            f"embed_dim is 6\n")
         assert not (tmp_path / "res").exists()
-        # the width is checked against the resolved embed_dim, which the
-        # neural block sets for every cell without its own
-        obj["grids"]["cnn"] = {"filters": [2]}
+        # embed_dim is one value per run, which every cnn cell shares: the
+        # neural block's, or the default 64 without one
+        del obj["neural"]
         ok = ExperimentConfig.from_obj(dict(obj, neural={"embed_dim": 4}))
         tokens, matrix = experiment._load_pretrained(path, ok)
         assert tokens == ["sepsis", "shock"] and matrix.shape == (2, 4)
-        with pytest.raises(ConfigError, match="has embed_dim 64"):
+        with pytest.raises(ConfigError, match="the cnn embed_dim is 64"):
             experiment._load_pretrained(path, ExperimentConfig.from_obj(obj))
         # without a cnn cell no width is required
         plain = ExperimentConfig.from_obj(_base_obj())
@@ -496,7 +546,43 @@ class TestConfig:
         blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
         assert blocks
         for block in blocks:
-            ExperimentConfig.from_obj(json.loads(block))
+            config = ExperimentConfig.from_obj(json.loads(block)).to_obj()
+            # the echoed form a manifest records is accepted as it is
+            assert ExperimentConfig.from_obj(config).to_obj() == config
+
+    def test_settable_values_are_pinned(self):
+        """Every value a run config sets, by its path.  A new knob has to be
+        added here, on purpose."""
+        settable = (
+            [f.name for f in fields(ExperimentConfig)]
+            + ["cohort.path", "cohort.synth.n"]
+            + [f"grids.{algo}.{key}"
+               for algo, keys in experiment._GRID_KEYS.items()
+               for key in sorted(keys)]
+            + [f"neural.{key}" for key in sorted(experiment._NEURAL_KEYS)])
+        assert settable == [
+            "cohort", "outcomes", "feature_sets", "sampling", "algorithms",
+            "grids", "seed", "folds", "min_df", "neural",
+            "cohort.path", "cohort.synth.n",
+            "grids.l1-lr.C", "grids.l2-lr.C", "grids.l1-svm.C",
+            "grids.l2-svm.C", "grids.rf.max_depth", "grids.rf.n_trees",
+            "grids.gbt.learning_rate", "grids.gbt.max_depth",
+            "grids.gbt.rounds", "grids.mlp.hidden", "grids.mlp.learning_rate",
+            "grids.cnn.filters", "grids.cnn.learning_rate",
+            "neural.embed_dim", "neural.max_epochs", "neural.max_len"]
+        assert len(settable) == 28
+        # each grid key is its default grid's, so every default cell runs
+        assert experiment._GRID_KEYS == {
+            algo: set(grid) for algo, grid in experiment.DEFAULT_GRIDS.items()}
+        # and every listed value is accepted in one config
+        cfg = ExperimentConfig.from_obj(_base_obj(
+            feature_sets=["notes"], algorithms=["l2-lr", "cnn"],
+            grids={algo: {key: [value] for key, value in
+                          ExperimentConfig().grid_cells(algo)[0].items()}
+                   for algo in experiment.ALGORITHMS},
+            neural={"embed_dim": 8, "max_len": 16, "max_epochs": 2}))
+        assert cfg.to_obj()["neural"] == {"embed_dim": 8, "max_len": 16,
+                                          "max_epochs": 2}
 
 
 @pytest.fixture(scope="module")
@@ -597,7 +683,7 @@ class TestDeterminism:
         obj = _base_obj(feature_sets=["structured", "notes", "combined"],
                         algorithms=["mlp"],
                         grids={"mlp": {"hidden": [4, 8]}},
-                        neural={"max_epochs": 3, "patience": 1})
+                        neural={"max_epochs": 3})
         (tmp_path / "exp.json").write_text(json.dumps(obj))
         assert cli.main(["run", "--config", str(tmp_path / "exp.json"),
                          "--out", str(tmp_path / "a")]) == 0
@@ -1210,10 +1296,8 @@ class TestFailureIsolation:
         obj = _base_obj(
             feature_sets=["structured", "notes"],
             algorithms=["l2-lr", "cnn"],
-            grids={"l2-lr": {"C": [1.0]},
-                   "cnn": {"filters": [2], "embed_dim": [4], "hidden": [4],
-                           "widths": [[2]], "max_len": [16],
-                           "max_epochs": [2], "patience": [None]}},
+            grids={"l2-lr": {"C": [1.0]}, "cnn": {"filters": [2]}},
+            neural={"embed_dim": 4, "max_len": 16, "max_epochs": 2},
             min_df=2)
         rows = run_experiment(ExperimentConfig.from_obj(obj), tmp_path)
         combos = {(r["feature_set"], r["algorithm"]) for r in rows}
@@ -1222,6 +1306,16 @@ class TestFailureIsolation:
         cnn_row = next(r for r in rows
                        if r["algorithm"] == "cnn")
         assert cnn_row["error"] is None
+
+
+# a linear model file as rank reads it: three weights, two structured
+_MODEL = {"loss": "logistic", "reg": "l2", "C": 1.0, "intercept": 0.0,
+          "dim": 3, "weights": {"0": 0.5, "2": -0.25}}
+
+
+def _linear_file(**fields):
+    return {"kind": "linear", "model": _MODEL, "n_structured": 2,
+            "feature_names": ["u", "v", "tok"], **fields}
 
 
 class TestCli:
@@ -1307,7 +1401,21 @@ class TestCli:
 
     @pytest.mark.parametrize("payload, message", [
         ({"kind": "linear"}, " has no key 'model'"),
-        ([{"kind": "linear"}], ": rank works on linear models only")])
+        ([{"kind": "linear"}], ": rank works on linear models only"),
+        (_linear_file(n_structured="2"),
+         ": n_structured must be an integer from 0 to dim 3, not '2'"),
+        (_linear_file(n_structured=4),
+         ": n_structured must be an integer from 0 to dim 3, not 4"),
+        (_linear_file(n_structured=-1),
+         ": n_structured must be an integer from 0 to dim 3, not -1"),
+        (_linear_file(n_structured=0),
+         ": model has no structured block to rank"),
+        (_linear_file(model=[_MODEL]), ": model must be a JSON object"),
+        (_linear_file(model=dict(_MODEL, weights={"3": 0.5})),
+         ": weight index 3 is outside dim 3"),
+        (_linear_file(model=dict(_MODEL, weights={"-1": 0.5})),
+         ": weight index -1 is outside dim 3"),
+        (_linear_file(feature_names=["u"]), ": 1 names for 2 coefficients")])
     def test_rank_bad_model_file_names_it(self, tmp_path, capsys, payload,
                                           message):
         from icumort import cli
