@@ -332,8 +332,9 @@ class _Fold:
     table, shared by every feature set.
 
     The chained-equation imputer and standardizing encoder are fitted when
-    `cohort` is given, the vocabulary and tf-idf when `tokens` (its
-    tokenized notes) are.  The table holds the fit rows, with the chain's
+    `cohort` is given, the vocabulary and tf-idf when `tokens` (the run's
+    tokenized notes, a textfeat.Corpus) are; the fold gathers its own
+    documents from them.  The table holds the fit rows, with the chain's
     imputations, then `held_rows`, imputed by one `apply_imputation` call,
     in columns [structured | notes]; it is dense within dense.DENSE_VALUES
     values, else CSR if it has notes.
@@ -356,10 +357,10 @@ class _Fold:
             blocks.append(cohort.encode(self.encoder, rows, imputed))
         self._notes_start = blocks[0].shape[1] if blocks else 0
         if tokens is not None:
-            self._docs = [tokens[i] for i in rows]
-            self.vocab = build_vocab(self._docs[:fit_rows.size], min_df=min_df)
+            self._tokens, self._rows = tokens, rows
+            self.vocab = build_vocab(tokens.take(fit_rows), min_df=min_df)
             self.tfidf = tfidf_fit(self.vocab)
-            blocks.append(transform_corpus(self.tfidf, self._docs))
+            blocks.append(transform_corpus(self.tfidf, tokens.take(rows)))
         if rows.size * sum(b.shape[1] for b in blocks) <= dense.DENSE_VALUES:
             self._table = np.hstack([b if isinstance(b, np.ndarray)
                                      else b.toarray() for b in blocks])
@@ -387,8 +388,8 @@ class _Fold:
         """(padded token ids, structured block) for the fusion CNN; max_len
         is the run's one value."""
         if self._ids is None:
-            self._ids = neural.pad_sequences(
-                neural.tokens_to_ids(self._docs, self.vocab), max_len)
+            self._ids = neural.pad_sequences(neural.tokens_to_ids(
+                self._tokens.take(self._rows), self.vocab), max_len)
         ids = self._ids[self._positions(rows)]
         if feature_set == "combined":
             return ids, self.matrix("structured", rows)
@@ -483,9 +484,9 @@ class _OutcomeContext:
     plan's `fit` (the folds, then the full training split), holding out
     the rows it scores: validation rows, or the test split at the refit.
 
-    `tokens` are the cohort's tokenized notes (None when no feature set has
-    notes); the folds get the cohort itself only when a feature set has a
-    structured block.
+    `tokens` are the cohort's tokenized notes as one textfeat.Corpus (None
+    when no feature set has notes); the folds get the cohort itself only
+    when a feature set has a structured block.
     """
 
     def __init__(self, cohort, tokens, config, outcome, outcome_index):

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .textfeat import Corpus
+
 
 class NetError(ValueError):
     pass
@@ -235,6 +237,9 @@ class CnnParams:
 
     def validate(self):
         _check_training(self)
+        for name in ("filters", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise NetError(f"{name} must be >= 1")
         if len(set(self.widths)) != len(self.widths):
             raise NetError("convolution widths must be distinct")
         if self.max_len < max(self.widths):
@@ -331,11 +336,14 @@ class FusionNet:
 
 
 def pad_sequences(seqs, max_len):
-    """Front-aligned padding/truncation to max_len with id 0, the pad row."""
+    """Front-aligned padding/truncation to max_len with id 0, the pad row;
+    `seqs` is a Corpus of ids or a list of id lists."""
+    seqs = Corpus.of(seqs)
     out = np.zeros((len(seqs), max_len), dtype=np.int64)
-    for i, s in enumerate(seqs):
-        s = list(s)[:max_len]
-        out[i, :len(s)] = s
+    rows = seqs.doc_of_token()
+    cols = np.arange(rows.size) - seqs.indptr[rows]
+    keep = cols < max_len
+    out[rows[keep], cols[keep]] = seqs.terms[seqs.ids[keep]]
     return out
 
 
@@ -550,12 +558,9 @@ def embedding_matrix_for_vocab(vocab_tokens, dim, seed, pretrained=None):
 
 
 def tokens_to_ids(token_docs, vocab):
-    """Map tokens through a Vocabulary to embedding rows (unk = 1, +2 shift)."""
-    out = []
-    for doc in token_docs:
-        ids = []
-        for t in doc:
-            j = vocab.index.get(t)
-            ids.append(1 if j is None else j + 2)
-        out.append(ids)
-    return out
+    """Map tokens through a Vocabulary to embedding rows (unk = 1, +2 shift);
+    returns a Corpus whose term i is embedding row i."""
+    corpus = Corpus.of(token_docs)
+    rows = corpus.lookup(vocab.index) + 2  # absent terms -1 -> unk row 1
+    return Corpus(np.arange(len(vocab.index) + 2), rows[corpus.ids],
+                  corpus.indptr)

@@ -1,12 +1,15 @@
-"""Clinical note featurization: masking-aware tokenization, document-frequency
-vocabulary pruning, tf-idf weighting straight into CSR, and fusion with
-structured features.
+"""Clinical note featurization: masking-aware tokenization into one integer
+corpus, document-frequency vocabulary pruning, tf-idf weighting straight
+into CSR, and fusion with structured features.
 """
 
 from __future__ import annotations
 
+import array
+import collections
 import itertools
 import re
+from collections.abc import Sequence
 from importlib import resources
 
 import numpy as np
@@ -14,7 +17,10 @@ import scipy.sparse as sp
 
 # de-identification placeholders look like "[**First Name 123**]"
 _MASK_RE = re.compile(r"\[\*\*.*?\*\*\]", re.DOTALL)
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Tokens are the runs of a-z and 0-9: after lowercasing, every other
+# character becomes a space (non-ASCII ones by way of "?"), then split.
+_SPACES = str.maketrans({chr(c): " " for c in range(128)
+                         if not ("a" <= chr(c) <= "z" or "0" <= chr(c) <= "9")})
 _DIGITS_RE = re.compile(r"[0-9]+\Z")
 
 
@@ -38,12 +44,74 @@ def default_stopwords():
         resources.files("icumort.data").joinpath("stopwords.txt").read_text("utf-8"))
 
 
+def _raw_tokens(text):
+    """Mask spans deleted, lowercased, split into letter/digit runs."""
+    text = _MASK_RE.sub(" ", text).lower()
+    return text.encode("ascii", "replace").decode("ascii").translate(
+        _SPACES).split()
+
+
+def _kept(token, stopwords):
+    return not _DIGITS_RE.match(token) and token not in stopwords
+
+
 def preprocess_note(text, stopwords):
     """Mask spans deleted, lowercased, split into letter/digit runs;
     pure-digit tokens and stop words dropped."""
-    text = _MASK_RE.sub(" ", text)
-    tokens = _TOKEN_RE.findall(text.lower())
-    return [t for t in tokens if not _DIGITS_RE.match(t) and t not in stopwords]
+    return [t for t in _raw_tokens(text) if _kept(t, stopwords)]
+
+
+class Corpus(Sequence):
+    """Tokenized documents as one integer array: `terms` holds the distinct
+    tokens in sorted order, `ids` one term index per token, all documents
+    in order, and document i is ids[indptr[i]:indptr[i + 1]].  Indexing
+    gives a document's tokens as a list."""
+
+    def __init__(self, terms, ids, indptr):
+        self.terms, self.ids, self.indptr = terms, ids, indptr
+
+    @classmethod
+    def of(cls, docs):
+        """`docs` itself if it is a Corpus, else its token sequences packed
+        one document at a time (a lazy `docs` is never held whole)."""
+        if isinstance(docs, cls):
+            return docs
+        # codes in order of first appearance, then renumbered in term order
+        code = collections.defaultdict(itertools.count().__next__)
+        codes, indptr = array.array("q"), [0]
+        for doc in docs:
+            codes.extend(map(code.__getitem__, doc))
+            indptr.append(len(codes))
+        terms, rank = np.unique(np.array(list(code), dtype=object),
+                                return_inverse=True)
+        return cls(terms, rank[np.frombuffer(codes, dtype=np.int64)],
+                   np.array(indptr, dtype=np.int64))
+
+    def __len__(self):
+        return self.indptr.size - 1
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        return self.terms[self.ids[self.indptr[i]:self.indptr[i + 1]]].tolist()
+
+    def take(self, rows):
+        """The sub-corpus of documents `rows`, in that order, over the same
+        terms."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.concatenate(([0], lengths.cumsum()))
+        at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        return Corpus(self.terms, self.ids[at], indptr)
+
+    def lookup(self, index):
+        """Each term's value in the dict `index`, -1 where it has none."""
+        return np.array([index.get(t, -1) for t in self.terms.tolist()],
+                        dtype=np.int64)
+
+    def doc_of_token(self):
+        """The document index of every token."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
 
 class Vocabulary:
@@ -67,17 +135,21 @@ class Vocabulary:
 
 
 def build_vocab(token_docs, min_df=10):
+    """Tokens in at least `min_df` documents of the corpus, with their
+    document frequencies, from the sorted distinct (document, term) pairs."""
     if min_df < 1:
         raise TextFeatError("min_df must be >= 1")
-    token_docs = list(token_docs)
-    if not token_docs:
+    corpus = Corpus.of(token_docs)
+    if not len(corpus):
         raise TextFeatError("cannot build a vocabulary from an empty corpus")
-    df = {}
-    for doc in token_docs:
-        for token in set(doc):
-            df[token] = df.get(token, 0) + 1
-    kept = sorted(t for t, d in df.items() if d >= min_df)
-    return Vocabulary(kept, [df[t] for t in kept], len(token_docs), min_df)
+    n_terms = len(corpus.terms)
+    pairs = np.sort(corpus.doc_of_token() * n_terms + corpus.ids)
+    first = np.ones(pairs.size, dtype=bool)  # a pair's first occurrence
+    first[1:] = pairs[1:] != pairs[:-1]
+    dfs = np.bincount(pairs[first] % n_terms, minlength=n_terms)
+    kept = np.flatnonzero(dfs >= min_df)
+    return Vocabulary(corpus.terms[kept].tolist(), dfs[kept], len(corpus),
+                      min_df)
 
 
 class TfIdfModel:
@@ -106,33 +178,41 @@ def transform_corpus(model, token_docs):
     column order, divided by its L2 norm; out-of-vocabulary tokens are
     dropped, and a document with none of the vocabulary is an empty row.
     """
-    token_docs = list(token_docs)
-    n, width = len(token_docs), len(model.vocab)
-    lengths = np.fromiter(map(len, token_docs), dtype=np.int64, count=n)
-    index = model.vocab.index
-    tokens = itertools.chain.from_iterable(token_docs)
-    cols = np.fromiter(map(index.get, tokens, itertools.repeat(-1)),
-                       dtype=np.int64, count=int(lengths.sum()))
-    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    corpus = Corpus.of(token_docs)
+    n, width = len(corpus), len(model.vocab)
+    cols = corpus.lookup(model.vocab.index)[corpus.ids]
+    rows = corpus.doc_of_token()
     known = cols >= 0
     # sorted unique (row, col) keys are CSR order: by row, then by column
     keys, counts = np.unique(rows[known] * width + cols[known],
                              return_counts=True)
     rows, cols = np.divmod(keys, width)
     data = counts * model.idf[cols]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    for start, end in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
-        if end > start:
-            # one norm per row: a batched norm rounds differently
-            data[start:end] /= np.linalg.norm(data[start:end])
+    lengths = np.bincount(rows, minlength=n)
+    indptr = np.concatenate(([0], lengths.cumsum()))
+    # each row's squared norm is its own dot product, as np.linalg.norm
+    # takes it (a batched sum of squares rounds differently); square roots
+    # and divisions round each value alone, so they run batched
+    squares = np.fromiter(
+        (data[a:b].dot(data[a:b])
+         for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())),
+        dtype=float, count=n)
+    data /= np.repeat(np.sqrt(squares), lengths)
     return sp.csr_matrix((data, cols, indptr), shape=(n, width))
 
 
 def tokenize_corpus(notes, stopwords=None):
+    """The notes' tokens as preprocess_note gives them, as one Corpus: the
+    stop words and pure-digit runs are dropped once per distinct term."""
     if stopwords is None:
         stopwords = default_stopwords()
-    return [preprocess_note(text, stopwords) for text in notes]
+    raw = Corpus.of(map(_raw_tokens, notes))
+    kept = np.array([_kept(t, stopwords) for t in raw.terms.tolist()],
+                    dtype=bool)
+    keep = kept[raw.ids]
+    before = np.concatenate(([0], keep.cumsum()))  # kept tokens before each
+    return Corpus(raw.terms[kept], (kept.cumsum() - 1)[raw.ids[keep]],
+                  before[raw.indptr])
 
 
 def fuse_matrix(structured, text_csr):

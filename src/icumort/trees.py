@@ -148,6 +148,8 @@ def _fit_inputs(X, y):
     XT is CSR when X is sparse.
     """
     X = _finite_matrix(X)
+    if X.shape[1] == 0:
+        raise TreeError("feature matrix has no columns to split on")
     y = np.asarray(y, dtype=float)
     if y.shape != (X.shape[0],):
         raise TreeError("labels must align with rows")

@@ -222,7 +222,11 @@ class TestConfig:
         ({"grids": {"l2-lr": {"C": []}}}, [], "grid for l2-lr C is empty"),
         ({"algorithms": ["rf"], "grids": {"l2-lr": {"C": [1.0]},
                                           "rf": {"max_depth": []}}},
-         [], "grid for rf max_depth is empty")])
+         [], "grid for rf max_depth is empty"),
+        ({"algorithms": ["cnn"], "feature_sets": ["notes"],
+          "grids": {"cnn": {"filters": [0]}}}, [], "filters must be >= 1"),
+        ({"algorithms": ["cnn"], "feature_sets": ["notes"],
+          "neural": {"embed_dim": 0}}, [], "embed_dim must be >= 1")])
     def test_cli_refuses_out_of_range_value(self, tmp_path, capsys,
                                             overrides, args, message):
         """Refused before any work: exit 1, an error line, no output."""

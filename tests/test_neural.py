@@ -342,15 +342,19 @@ class TestMlp:
         acc = ((predict_proba_net(model, X) >= 0.5).astype(int) == y).mean()
         assert acc >= 0.95
 
-    @pytest.mark.parametrize("family", [MlpParams, CnnParams])
-    @pytest.mark.parametrize("setting, value, message", [
-        ("hidden", 0, "hidden must be >= 1"),
-        ("batch_size", 0, "batch_size must be >= 1"),
-        ("max_epochs", 0, "max_epochs must be >= 1"),
-        ("learning_rate", 0.0, "learning_rate must be positive"),
-        ("learning_rate", -1.0, "learning_rate must be positive"),
-        ("dropout", 1.0, r"dropout rate must lie in \[0, 1\)"),
-        ("dropout", -0.1, r"dropout rate must lie in \[0, 1\)")])
+    @pytest.mark.parametrize("setting, value, message, family", [
+        *((*case, family) for case in [
+            ("hidden", 0, "hidden must be >= 1"),
+            ("batch_size", 0, "batch_size must be >= 1"),
+            ("max_epochs", 0, "max_epochs must be >= 1"),
+            ("learning_rate", 0.0, "learning_rate must be positive"),
+            ("learning_rate", -1.0, "learning_rate must be positive"),
+            ("dropout", 1.0, r"dropout rate must lie in \[0, 1\)"),
+            ("dropout", -0.1, r"dropout rate must lie in \[0, 1\)")]
+          for family in (MlpParams, CnnParams)),
+        # the text branch's sizes: a zero divides by zero in the fit
+        ("filters", 0, "filters must be >= 1", CnnParams),
+        ("embed_dim", 0, "embed_dim must be >= 1", CnnParams)])
     def test_setting_out_of_range_refused(self, family, setting, value,
                                           message):
         family().validate()
@@ -572,7 +576,7 @@ class TestHelpers:
             index = {"sepsis": 0, "shock": 1}
 
         ids = tokens_to_ids([["sepsis", "zebra", "shock"]], FakeVocab())
-        assert ids == [[2, 1, 3]]
+        assert list(ids) == [[2, 1, 3]]
 
     def test_embedding_matrix_layout(self):
         tokens = ["alpha", "beta"]

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icumort.neural import pad_sequences, tokens_to_ids
 from icumort.textfeat import (
+    Corpus,
     TextFeatError,
     build_vocab,
     default_stopwords,
@@ -12,6 +16,7 @@ from icumort.textfeat import (
     load_stopwords,
     preprocess_note,
     tfidf_fit,
+    tokenize_corpus,
     transform_corpus,
 )
 
@@ -81,6 +86,121 @@ def corpora(draw):
     return fit_docs, draw(st.lists(doc, max_size=10)), draw(st.integers(1, 3))
 
 
+# Note text for the tokenizer: fragments that exercise masks (closed,
+# unclosed, spanning lines), case folding, digit runs, stop words,
+# punctuation and non-ASCII case mappings, and arbitrary text between them.
+_FRAGMENTS = ["The", "the", "AND", "120", "5mg", "o2", "[**", "**]",
+              "[**First Name 12**]", "a.m.,", "\n", " ", "Sepsis", "sepsis",
+              "\u0130", "\u212a", "\u03a3", "\x00", "-"]
+_notes = st.lists(
+    st.lists(st.one_of(st.sampled_from(_FRAGMENTS), st.text(max_size=6)),
+             max_size=12).map("".join),
+    max_size=6)
+
+
+def _ref_preprocess(text, stopwords):
+    """Mask spans deleted, lowercased, the a-z/0-9 runs found by a regular
+    expression, pure-digit runs and stop words dropped."""
+    text = re.sub(r"\[\*\*.*?\*\*\]", " ", text, flags=re.DOTALL).lower()
+    return [t for t in re.findall(r"[a-z0-9]+", text)
+            if not t.isdigit() and t not in stopwords]
+
+
+class TestCorpus:
+    """The integer corpus against plain token lists."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(notes=_notes, stopwords=st.sampled_from([None, {"the", "sepsis"}]))
+    def test_tokenize_matches_preprocess_note(self, notes, stopwords):
+        corpus = tokenize_corpus(notes, stopwords)
+        words = default_stopwords() if stopwords is None else stopwords
+        assert len(corpus) == len(notes)
+        for i, text in enumerate(notes):
+            assert corpus[i] == preprocess_note(text, words)
+            assert corpus[i] == _ref_preprocess(text, words)
+        assert list(corpus.terms) == sorted(set(corpus.terms.tolist()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=corpora(), data=st.data())
+    def test_take_equals_list_gather(self, case, data):
+        docs = case[1]
+        rows = data.draw(st.lists(st.integers(0, max(len(docs) - 1, 0)),
+                                  max_size=12 if docs else 0))
+        got = Corpus.of(docs).take(rows)
+        assert list(got) == [docs[i] for i in rows]
+
+    def test_indexing(self):
+        corpus = Corpus.of([["b", "a"], [], ["a"]])
+        assert corpus.terms.tolist() == ["a", "b"]
+        assert corpus[-1] == ["a"] and corpus[1] == []
+        with pytest.raises(IndexError):
+            corpus[3]
+        assert Corpus.of(corpus) is corpus
+
+
+def _ref_vocab(docs, min_df):
+    """(tokens, dfs) by counting each document's distinct tokens in a dict."""
+    df = {}
+    for doc in docs:
+        for token in set(doc):
+            df[token] = df.get(token, 0) + 1
+    kept = sorted(t for t, d in df.items() if d >= min_df)
+    return tuple(kept), tuple(df[t] for t in kept)
+
+
+def _ref_padded_ids(docs, vocab, max_len):
+    """Per token: unk 1, else the vocabulary index + 2; cut to max_len and
+    padded with 0."""
+    out = np.zeros((len(docs), max_len), dtype=np.int64)
+    for i, doc in enumerate(docs):
+        for j, token in enumerate(doc[:max_len]):
+            out[i, j] = vocab.index[token] + 2 if token in vocab.index else 1
+    return out
+
+
+class TestCorpusReferences:
+    @settings(max_examples=150, deadline=None)
+    @given(case=corpora())
+    def test_vocab_matches_dict_count(self, case):
+        fit_docs, docs, min_df = case
+        for corpus in (fit_docs, docs):
+            if not corpus:
+                continue
+            v = build_vocab(corpus, min_df=min_df)
+            assert (v.tokens, v.dfs) == _ref_vocab(corpus, min_df)
+            assert v.n_docs == len(corpus)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=corpora(), max_len=st.integers(1, 14))
+    def test_ids_match_per_token_reference(self, case, max_len):
+        """Truncation, max_len past the longest document, empty documents
+        and documents with no vocabulary token."""
+        fit_docs, docs, min_df = case
+        vocab = build_vocab(fit_docs, min_df=min_df)
+        ids = tokens_to_ids(docs, vocab)
+        assert list(ids) == [[vocab.index[t] + 2 if t in vocab.index else 1
+                              for t in doc] for doc in docs]
+        got = pad_sequences(ids, max_len)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _ref_padded_ids(docs, vocab,
+                                                           max_len))
+        # plain id lists take the same path
+        np.testing.assert_array_equal(pad_sequences(list(ids), max_len), got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=corpora())
+    def test_vocab_transforms_a_corpus_with_other_terms(self, case):
+        """The fit corpus and the transformed one have their own term tables
+        (the transformed one has words the fit corpus lacks)."""
+        fit_docs, docs, min_df = case
+        m = tfidf_fit(build_vocab(Corpus.of(fit_docs), min_df=min_df))
+        assert_csr_identical(transform_corpus(m, Corpus.of(docs)),
+                             _ref_corpus(m, docs))
+        np.testing.assert_array_equal(
+            pad_sequences(tokens_to_ids(Corpus.of(docs), m.vocab), 12),
+            _ref_padded_ids(docs, m.vocab, 12))
+
+
 class TestPreprocess:
     def test_mask_removal_and_stopwords(self):
         tokens = preprocess_note("Pt seen by [**First Name 123**] today", {"by"})
@@ -128,6 +248,10 @@ class TestVocab:
         v = build_vocab(docs, min_df=10)
         assert "word" not in v.index
         assert "other" in v.index
+
+    def test_default_min_df_is_ten(self):
+        v = build_vocab([["word"]] * 10 + [["rare"]] * 9)
+        assert v.tokens == ("word",) and v.min_df == 10
 
     def test_min_df_one_keeps_all(self):
         docs = [["a", "b"], ["c"]]

@@ -277,6 +277,15 @@ def test_trainers_reject_non_matrix_input(train, shape):
 
 
 @pytest.mark.parametrize("train", [train_random_forest, train_gbt])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_trainers_refuse_a_matrix_without_columns(train, sparse):
+    # a fold whose vocabulary is empty gives a notes block with no columns
+    X = sp.csr_matrix((10, 0)) if sparse else np.zeros((10, 0))
+    with pytest.raises(TreeError, match="no columns"):
+        train(X, np.array([0, 1] * 5))
+
+
+@pytest.mark.parametrize("train", [train_random_forest, train_gbt])
 @pytest.mark.parametrize("labels", [[0, 2], [0.0, 0.5], [0.0, np.nan]])
 def test_trainers_refuse_labels_other_than_0_1(train, labels):
     X = np.random.default_rng(24).normal(size=(10, 2))
