@@ -338,13 +338,7 @@ class FusionNet:
 def pad_sequences(seqs, max_len):
     """Front-aligned padding/truncation to max_len with id 0, the pad row;
     `seqs` is a Corpus of ids or a list of id lists."""
-    seqs = Corpus.of(seqs)
-    out = np.zeros((len(seqs), max_len), dtype=np.int64)
-    rows = seqs.doc_of_token()
-    cols = np.arange(rows.size) - seqs.indptr[rows]
-    keep = cols < max_len
-    out[rows[keep], cols[keep]] = seqs.terms[seqs.ids[keep]]
-    return out
+    return Corpus.of(seqs).pad(max_len)
 
 
 def _eval_batches(model, fetch, rows):
@@ -559,8 +553,5 @@ def embedding_matrix_for_vocab(vocab_tokens, dim, seed, pretrained=None):
 
 def tokens_to_ids(token_docs, vocab):
     """Map tokens through a Vocabulary to embedding rows (unk = 1, +2 shift);
-    returns a Corpus whose term i is embedding row i."""
-    corpus = Corpus.of(token_docs)
-    rows = corpus.lookup(vocab.index) + 2  # absent terms -1 -> unk row 1
-    return Corpus(np.arange(len(vocab.index) + 2), rows[corpus.ids],
-                  corpus.indptr)
+    returns the Corpus of those rows."""
+    return Corpus.of(token_docs).map(vocab.index, shift=2, unknown=1)

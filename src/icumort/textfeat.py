@@ -109,6 +109,24 @@ class Corpus(Sequence):
         return np.array([index.get(t, -1) for t in self.terms.tolist()],
                         dtype=np.int64)
 
+    def map(self, index, shift, unknown):
+        """The corpus of integers with each token replaced by its value in
+        the dict `index` plus `shift`, or by `unknown` where it has none."""
+        values = self.lookup(index)
+        values = np.where(values >= 0, values + shift, unknown)
+        terms, rank = np.unique(values, return_inverse=True)
+        return Corpus(terms, rank[self.ids], self.indptr)
+
+    def pad(self, max_len):
+        """(documents, max_len) int64 array of each document's first
+        max_len tokens, front-aligned, 0 after; the terms are integers."""
+        out = np.zeros((len(self), max_len), dtype=np.int64)
+        rows = self.doc_of_token()
+        cols = np.arange(rows.size) - self.indptr[rows]
+        keep = cols < max_len
+        out[rows[keep], cols[keep]] = self.terms[self.ids[keep]]
+        return out
+
     def doc_of_token(self):
         """The document index of every token."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))

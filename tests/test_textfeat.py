@@ -180,6 +180,7 @@ class TestCorpusReferences:
         ids = tokens_to_ids(docs, vocab)
         assert list(ids) == [[vocab.index[t] + 2 if t in vocab.index else 1
                               for t in doc] for doc in docs]
+        assert ids.terms.tolist() == sorted(set(ids.terms.tolist()))
         got = pad_sequences(ids, max_len)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, _ref_padded_ids(docs, vocab,
