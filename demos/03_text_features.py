@@ -32,7 +32,7 @@ print(f"\nvocabulary: {len(vocab)} tokens kept at min_df=5 "
       f"over {vocab.n_docs} documents")
 
 model = tfidf_fit(vocab)
-csr = transform_corpus(model, docs)
+csr = transform_corpus(model, docs).tocsr()
 row = csr[0]
 top = sorted(zip(row.indices, row.data), key=lambda t: -t[1])[:8]
 print("heaviest tf-idf terms in document 0:")

@@ -526,7 +526,8 @@ def _default_missing_rates():
 # The generator's fixed statistics: the size, outcome base rates and
 # per-feature missingness of the published cohort, the weights of the
 # structured and note parts of the true risk, and the note shape (length
-# range, mean count of risk tokens per note). Only the size can be set.
+# range, mean count of risk tokens per note, Zipf-like lexicon weights,
+# full-stop rate). Only the size can be set.
 _PUBLISHED_N = 5396
 _MISSING_RATES = _default_missing_rates()
 _RATE_HOSPITAL = 0.1294
@@ -535,6 +536,9 @@ _STRUCTURED_WEIGHT = 1.8
 _TEXT_WEIGHT = 0.8
 _NOTE_LENGTH = (40, 120)
 _RISK_TOKEN_MEAN = 0.9
+_LEXICON_WEIGHTS = 1.0 / (np.arange(len(_NOTE_LEXICON)) + 5.0)
+_LEXICON_WEIGHTS /= _LEXICON_WEIGHTS.sum()
+_STOP_RATE = 0.08
 
 
 def _check_n(n):
@@ -573,9 +577,8 @@ def _labels_at_rate(thresholds, rate):
 def _make_note(rng, n_risk):
     lo, hi = _NOTE_LENGTH
     length = int(rng.integers(lo, hi + 1))
-    probs = 1.0 / (np.arange(len(_NOTE_LEXICON)) + 5.0)
-    probs /= probs.sum()
-    tokens = list(rng.choice(len(_NOTE_LEXICON), size=length, p=probs))
+    tokens = list(rng.choice(len(_NOTE_LEXICON), size=length,
+                             p=_LEXICON_WEIGHTS))
     words = [_NOTE_LEXICON[t] for t in tokens]
     for _ in range(n_risk):
         pos = int(rng.integers(0, len(words) + 1))
@@ -592,12 +595,9 @@ def _make_note(rng, n_risk):
     if rng.random() < 0.8:
         pos = int(rng.integers(0, len(words) + 1))
         words.insert(pos, str(int(rng.integers(1, 999))))
-    text = []
-    for w in words:
-        text.append(w)
-        if rng.random() < 0.08:
-            text[-1] = text[-1] + "."
-    return " ".join(text)
+    # the note's last draws, one per word: below _STOP_RATE, a full stop
+    stops = (rng.random(len(words)) < _STOP_RATE).tolist()
+    return " ".join(w + "." if s else w for w, s in zip(words, stops))
 
 
 def synth_cohort(n=_PUBLISHED_N, seed=0):

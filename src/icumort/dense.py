@@ -10,8 +10,9 @@ Vector products of a factor use einsum, which calls no BLAS at all, and
 scipy multiplies a CSR X on one thread.
 """
 
+import sys
+
 import numpy as np
-import scipy.sparse as sp
 
 # The most values of a dense copy: a fold's feature table, the interior
 # point's [X, 1] (16 MB), a tree fit's presorted transpose.  It lies above
@@ -23,6 +24,13 @@ DENSE_VALUES = 2 ** 21
 _TILE = 48
 _SPAN = 112
 _ROW_TILE_VALUES = 2 ** 18
+
+
+def issparse(X):
+    """scipy.sparse.issparse(X), without importing scipy.sparse: no sparse
+    matrix exists before that module is imported."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(X)
 
 
 def _dot(x, y):
@@ -81,7 +89,7 @@ def _cholesky_solve(factor, b):
 
 def matvec(X, v):
     """X @ v; a dense X is taken in row tiles, whose outputs are joined."""
-    if sp.issparse(X):
+    if issparse(X):
         return X @ v
     rows = max(1, _ROW_TILE_VALUES // max(1, X.shape[1]))
     return np.concatenate([X[i:i + rows] @ v
@@ -91,7 +99,7 @@ def matvec(X, v):
 def rmatvec(X, r):
     """X.T @ r; a dense X is taken in row tiles, whose partial sums are
     added in tile order."""
-    if sp.issparse(X):
+    if issparse(X):
         return X.T @ r
     rows = max(1, _ROW_TILE_VALUES // max(1, X.shape[1]))
     out = X[:rows].T @ r[:rows]

@@ -39,6 +39,7 @@ from .evaluation import (
 )
 from .impute import apply_imputation, impute_fit_transform
 from .textfeat import (
+    TextFeatError,
     build_vocab,
     default_stopwords,
     fuse_matrix,
@@ -337,7 +338,8 @@ class _Fold:
     documents from them.  The table holds the fit rows, with the chain's
     imputations, then `held_rows`, imputed by one `apply_imputation` call,
     in columns [structured | notes]; it is dense within dense.DENSE_VALUES
-    values, else CSR if it has notes.
+    values, else scipy CSR if it has notes.  A feature set with no columns
+    (notes whose vocabulary is empty) is refused.
     """
 
     def __init__(self, fit_rows, held_rows, seed, cohort, tokens, min_df):
@@ -364,8 +366,10 @@ class _Fold:
         if rows.size * sum(b.shape[1] for b in blocks) <= dense.DENSE_VALUES:
             self._table = np.hstack([b if isinstance(b, np.ndarray)
                                      else b.toarray() for b in blocks])
+        elif len(blocks) > 1:
+            self._table = fuse_matrix(*blocks)
         else:
-            self._table = fuse_matrix(*blocks) if len(blocks) > 1 else blocks[0]
+            self._table = blocks[0] if tokens is None else blocks[0].tocsr()
 
     def _positions(self, rows):
         positions = self._position[rows]
@@ -374,19 +378,28 @@ class _Fold:
             raise IndexError(f"rows {outside} are not in the fold")
         return positions
 
+    def _columns(self, feature_set):
+        """The feature set's column range of the table; refused if empty."""
+        start, width = self._notes_start, self._table.shape[1]
+        columns = {"structured": slice(0, start), "notes": slice(start, None),
+                   "combined": slice(None)}[feature_set]
+        if not range(width)[columns]:
+            raise TextFeatError(
+                f"feature set {feature_set!r} has no columns: the fold's "
+                f"vocabulary is empty at min_df={self.vocab.min_df}")
+        return columns
+
     def matrix(self, feature_set, rows):
         """Design matrix for the linear/tree/MLP families: the feature set's
         columns of the table's `rows`; the structured ones always dense."""
-        start = self._notes_start
-        columns = {"structured": slice(0, start), "notes": slice(start, None),
-                   "combined": slice(None)}[feature_set]
-        X = self._table[self._positions(rows), columns]
+        X = self._table[self._positions(rows), self._columns(feature_set)]
         as_is = feature_set != "structured" or isinstance(X, np.ndarray)
         return X if as_is else X.toarray()
 
     def cnn_inputs(self, feature_set, rows, max_len):
         """(padded token ids, structured block) for the fusion CNN; max_len
         is the run's one value."""
+        self._columns(feature_set)  # refuses a feature set with no columns
         if self._ids is None:
             self._ids = neural.pad_sequences(neural.tokens_to_ids(
                 self._tokens.take(self._rows), self.vocab), max_len)

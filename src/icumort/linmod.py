@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import dense
-from .dense import _cholesky, _cholesky_solve, _dot, _gram, matvec, rmatvec
+from .dense import (_cholesky, _cholesky_solve, _dot, _gram, issparse,
+                    matvec, rmatvec)
 
 LOGISTIC = "logistic"
 HINGE = "hinge"
@@ -103,7 +103,7 @@ def _json_number(v):
 
 
 def _check_matrix(X):
-    if sp.issparse(X):
+    if issparse(X):
         if not np.isfinite(X.data).all():
             raise LinModError("feature matrix contains non-finite entries")
         return X.tocsr()
@@ -430,7 +430,7 @@ def _hinge_dual(X, y_pm, upper):
         return y_pm * (matvec(X, v[:-1]) + v[-1])
 
     n = X.shape[0]
-    sq = X.multiply(X).sum() if sp.issparse(X) else np.einsum("ij,ij->", X, X)
+    sq = X.multiply(X).sum() if issparse(X) else np.einsum("ij,ij->", X, X)
     step = 1.0 / (float(sq) + n)  # 1 / ||Z||_F^2 is a safe first step
     a = a_prev = np.zeros(n)
     m = m_prev = np.zeros(n)
@@ -480,7 +480,7 @@ def _hinge_dual(X, y_pm, upper):
 def _row_gram(X, y_pm, rows):
     """Z_F Z_F.T for Z = y * [X, 1] and F = rows, without forming Z."""
     XF = X[rows]
-    G = (XF @ XF.T).toarray() if sp.issparse(XF) else _gram(XF.T, XF.T)
+    G = (XF @ XF.T).toarray() if issparse(XF) else _gram(XF.T, XF.T)
     return (G + 1.0) * np.outer(y_pm[rows], y_pm[rows])
 
 
@@ -509,7 +509,7 @@ def train_linear_svm(X, y, reg=L2, C=1.0, instance_weights=None):
                 "iterations": 0, "converged": True, "duality_gap": 0.0}
         elif d + 1 < n and n * (d + 1) <= dense.DENSE_VALUES:
             Z = np.ones((n, d + 1))
-            Z[:, :d] = Xk.toarray() if sp.issparse(Xk) else Xk
+            Z[:, :d] = Xk.toarray() if issparse(Xk) else Xk
             Z *= y_pm[keep][:, None]
             w, b, diag = _hinge_ipm(Z, C * s[keep])
         else:

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from .dense import issparse
 from .textfeat import Corpus
 
 
@@ -292,7 +292,7 @@ class FusionNet:
             if X.shape[1] != self.structured_dim:
                 raise NetError(f"feature dimension {X.shape[1]} does not "
                                f"match model dimension {self.structured_dim}")
-            if sp.issparse(X):
+            if issparse(X):
                 if not np.isfinite(X.data).all():
                     raise NetError("features must be finite")
                 return X.shape[0], lambda rows: np.asarray(X[rows].todense())

@@ -1,6 +1,10 @@
 """Clinical note featurization: masking-aware tokenization into one integer
 corpus, document-frequency vocabulary pruning, tf-idf weighting straight
 into CSR, and fusion with structured features.
+
+scipy.sparse is imported only where a scipy matrix is built, by
+CsrBlock.tocsr and fuse_matrix, so a run whose fold tables are all dense
+never loads it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from collections.abc import Sequence
 from importlib import resources
 
 import numpy as np
-import scipy.sparse as sp
 
 # de-identification placeholders look like "[**First Name 123**]"
 _MASK_RE = re.compile(r"\[\*\*.*?\*\*\]", re.DOTALL)
@@ -53,12 +56,6 @@ def _raw_tokens(text):
 
 def _kept(token, stopwords):
     return not _DIGITS_RE.match(token) and token not in stopwords
-
-
-def preprocess_note(text, stopwords):
-    """Mask spans deleted, lowercased, split into letter/digit runs;
-    pure-digit tokens and stop words dropped."""
-    return [t for t in _raw_tokens(text) if _kept(t, stopwords)]
 
 
 class Corpus(Sequence):
@@ -189,8 +186,37 @@ def tfidf_fit(vocab):
     return TfIdfModel(vocab, idf)
 
 
+class CsrBlock:
+    """A matrix in CSR layout, as scipy's csr_matrix holds it: row i's
+    columns are indices[indptr[i]:indptr[i + 1]], ascending, and data holds
+    their values.  It only converts: toarray() to a dense array, tocsr() to
+    a scipy CSR matrix."""
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = shape
+
+    @property
+    def nnz(self):
+        return self.data.size
+
+    def toarray(self):
+        n, width = self.shape
+        out = np.zeros(self.shape)
+        # a stored value's flat position: its row's offset plus its column
+        at = np.repeat(np.arange(n) * width, np.diff(self.indptr))
+        out.reshape(-1)[at + self.indices] = self.data
+        return out
+
+    def tocsr(self):
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr),
+                             shape=self.shape)
+
+
 def transform_corpus(model, token_docs):
-    """tf-idf transform a corpus into one CSR matrix, one row per document.
+    """tf-idf transform a corpus into one CsrBlock, one row per document.
 
     Each row holds count x idf for the document's vocabulary tokens, in
     column order, divided by its L2 norm; out-of-vocabulary tokens are
@@ -216,12 +242,13 @@ def transform_corpus(model, token_docs):
          for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())),
         dtype=float, count=n)
     data /= np.repeat(np.sqrt(squares), lengths)
-    return sp.csr_matrix((data, cols, indptr), shape=(n, width))
+    return CsrBlock(data, cols, indptr, (n, width))
 
 
 def tokenize_corpus(notes, stopwords=None):
-    """The notes' tokens as preprocess_note gives them, as one Corpus: the
-    stop words and pure-digit runs are dropped once per distinct term."""
+    """The notes' tokens as one Corpus: in each note, mask spans deleted,
+    lowercased, split into letter/digit runs, pure-digit runs and stop
+    words dropped; the last two once per distinct term."""
     if stopwords is None:
         stopwords = default_stopwords()
     raw = Corpus.of(map(_raw_tokens, notes))
@@ -234,8 +261,12 @@ def tokenize_corpus(notes, stopwords=None):
 
 
 def fuse_matrix(structured, text_csr):
-    """Row-wise fusion of a dense structured matrix with a text CSR block."""
+    """Row-wise fusion of a dense structured matrix with a text CSR block
+    (a CsrBlock or a scipy matrix) into one scipy CSR matrix."""
+    import scipy.sparse as sp
+
     structured = np.asarray(structured, dtype=float)
     if structured.shape[0] != text_csr.shape[0]:
         raise TextFeatError("row counts differ between blocks")
-    return sp.hstack([sp.csr_matrix(structured), text_csr], format="csr")
+    return sp.hstack([sp.csr_matrix(structured), text_csr.tocsr()],
+                     format="csr")

@@ -27,8 +27,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.sparse as sp
-
 from . import dense
 
 
@@ -119,17 +117,17 @@ class DecisionTree:
 
 def _as_matrix(X):
     """X as a CSR matrix if sparse, else as a float ndarray; must be 2-d."""
-    if not sp.issparse(X):
+    if not dense.issparse(X):
         X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise TreeError("expected a 2-d matrix")
-    return X.tocsr().astype(float, copy=False) if sp.issparse(X) else X
+    return X.tocsr().astype(float, copy=False) if dense.issparse(X) else X
 
 
 def _finite_matrix(X):
     """_as_matrix(X), refused unless every stored value is finite."""
     X = _as_matrix(X)
-    if not np.isfinite(X.data if sp.issparse(X) else X).all():
+    if not np.isfinite(X.data if dense.issparse(X) else X).all():
         raise TreeError("features must be finite")
     return X
 
@@ -156,9 +154,9 @@ def _fit_inputs(X, y):
     if not ((y == 0) | (y == 1)).all():
         raise TreeError("labels must be 0 or 1")
     if X.shape[0] * X.shape[1] <= dense.DENSE_VALUES:
-        XT = X.T.toarray() if sp.issparse(X) else np.ascontiguousarray(X.T)
+        XT = X.T.toarray() if dense.issparse(X) else np.ascontiguousarray(X.T)
         return X, XT, np.argsort(XT, axis=1, kind="stable"), y
-    XT = X.T.tocsr() if sp.issparse(X) else np.ascontiguousarray(X.T)
+    XT = X.T.tocsr() if dense.issparse(X) else np.ascontiguousarray(X.T)
     return X, XT, None, y
 
 
@@ -194,7 +192,7 @@ def _best_split(XT, order, rows, cols, a, b, gain):
         block = cols[start:start + width]
         if order is None:
             V = XT[np.ix_(block, rows)]
-            if sp.issparse(V):
+            if dense.issparse(V):
                 V = V.toarray()
             S = np.argsort(V, axis=1, kind="stable")
             Vs = np.take_along_axis(V, S, axis=1)

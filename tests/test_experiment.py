@@ -1296,6 +1296,33 @@ class TestFailureIsolation:
         assert manifest["cells"]["structured/hospital/none/l2-lr"][
             "status"] == "ok"
 
+    @pytest.mark.parametrize("left_out", ["mlp", "cnn"])
+    def test_cli_fails_every_family_on_notes_without_columns(
+            self, tmp_path, capsys, left_out):
+        """A vocabulary empty at min_df fails each notes cell by name, for
+        every family (mlp and cnn in separate runs), instead of fitting
+        constant scores."""
+        from icumort import cli
+
+        algos = [a for a in experiment.DEFAULT_GRIDS if a != left_out]
+        obj = _base_obj(cohort={"synth": {"n": 100}}, feature_sets=["notes"],
+                        algorithms=algos, grids={}, min_df=1000,
+                        neural={"max_epochs": 1})
+        (tmp_path / "exp.json").write_text(json.dumps(obj))
+        rc = cli.main(["run", "--config", str(tmp_path / "exp.json"),
+                       "--out", str(tmp_path / "res")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"(0 ok, {len(algos)} failed)" in captured.out
+        error = ("TextFeatError: feature set 'notes' has no columns: the "
+                 "fold's vocabulary is empty at min_df=1000")
+        rows = json.loads((tmp_path / "res" / "results.json").read_text())
+        assert {(r["algorithm"], r["auc"], r["error"]) for r in rows} == {
+            (algo, None, error) for algo in algos}
+        for algo in algos:
+            assert f"cell notes/hospital/none/{algo} failed: {error}" in \
+                captured.err
+
     def test_cnn_skipped_on_structured(self, tmp_path):
         obj = _base_obj(
             feature_sets=["structured", "notes"],
@@ -1322,8 +1349,17 @@ def _linear_file(**fields):
             "feature_names": ["u", "v", "tok"], **fields}
 
 
+_LEAN_SCRIPT = """
+import sys
+import icumort.cli
+print("scipy.sparse" in sys.modules)
+rc = icumort.cli.main(["run", "--config", "exp.json", "--out", "res"])
+print(rc, "scipy.sparse" in sys.modules)
+"""
+
+
 class TestCli:
-    def _run(self, *args, cwd):
+    def _python(self, *args, cwd):
         # The subprocess runs in cwd, where a relative PYTHONPATH (such as
         # "src") no longer resolves; lead with the absolute directory this
         # process imported icumort from, so both run the same code.
@@ -1331,9 +1367,23 @@ class TestCli:
         inherited = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [pkg_root, inherited] if inherited else [pkg_root]))
-        return subprocess.run([sys.executable, "-m", "icumort.cli", *args],
-                              capture_output=True, text=True, cwd=cwd,
-                              env=env)
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, cwd=cwd, env=env)
+
+    def _run(self, *args, cwd):
+        return self._python("-m", "icumort.cli", *args, cwd=cwd)
+
+    def test_in_budget_run_never_imports_scipy_sparse(self, tmp_path):
+        """Importing the CLI, and a run whose fold tables are all within
+        dense.DENSE_VALUES, leave scipy.sparse unimported."""
+        obj = _base_obj(feature_sets=["notes", "combined"],
+                        algorithms=["l2-lr", "gbt"],
+                        grids={"l2-lr": {"C": [1.0]}, "gbt": {"rounds": [2]}})
+        (tmp_path / "exp.json").write_text(json.dumps(obj))
+        proc = self._python("-c", _LEAN_SCRIPT, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "False"
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     def test_synth_line_count(self, tmp_path):
         (tmp_path / "s.json").write_text('{"n": 100}')

@@ -646,6 +646,18 @@ def test_tiled_products_match_whole_products():
     assert dense.rmatvec(empty, np.zeros(0)).tobytes() == np.zeros(5).tobytes()
 
 
+def test_issparse_agrees_with_scipy():
+    """dense.issparse, which never imports scipy.sparse, gives scipy's
+    answer for dense inputs and every sparse format, matrix or array."""
+    D = np.eye(3)
+    inputs = [D, D.tolist()]
+    for fmt in ("csr", "csc", "coo"):
+        inputs += [getattr(sp, f"{fmt}_matrix")(D),
+                   getattr(sp, f"{fmt}_array")(D)]
+    assert [dense.issparse(X) for X in inputs] == \
+        [sp.issparse(X) for X in inputs] == [False] * 2 + [True] * 6
+
+
 def _ref_proximal_gradient(smooth, gradient, d, reg, lam, tol, max_iter):
     """The proximal-gradient loop with smooth(w, b) and gradient(w, b) as
     closures that each compute the margins X @ w + b themselves."""

@@ -10,15 +10,23 @@ from icumort.neural import pad_sequences, tokens_to_ids
 from icumort.textfeat import (
     Corpus,
     TextFeatError,
+    _kept,
+    _raw_tokens,
     build_vocab,
     default_stopwords,
     fuse_matrix,
     load_stopwords,
-    preprocess_note,
     tfidf_fit,
     tokenize_corpus,
     transform_corpus,
 )
+
+
+def preprocess_note(text, stopwords):
+    """The per-note reference tokenizer: mask spans deleted, lowercased,
+    split into letter/digit runs; pure-digit tokens and stop words dropped,
+    token by token."""
+    return [t for t in _raw_tokens(text) if _kept(t, stopwords)]
 
 
 # Reference tf-idf: one document at a time, counts in a dict, the weights
@@ -296,7 +304,7 @@ class TestTfIdf:
         v = build_vocab(docs, min_df=1)
         assert v.tokens == ("fever", "sepsis", "shock")
         m = tfidf_fit(v)
-        M = transform_corpus(m, docs)
+        M = transform_corpus(m, docs).tocsr()
         np.testing.assert_allclose(M[0].toarray().ravel(), [0.0, 0.6053, 0.7960],
                                    atol=1e-4)
         assert_tfidf_rows(M)
@@ -315,7 +323,8 @@ class TestTfIdf:
                 for _ in range(40)]
         v = build_vocab(docs, min_df=1)
         m = tfidf_fit(v)
-        norms = sp.linalg.norm(transform_corpus(m, docs + [["zzz"]]), axis=1)
+        norms = sp.linalg.norm(transform_corpus(m, docs + [["zzz"]]).tocsr(),
+                               axis=1)
         for n in norms:
             assert n == pytest.approx(1.0, abs=1e-12) or n == 0.0
         assert norms[-1] == 0.0
@@ -341,9 +350,24 @@ class TestCsrRows:
     def test_invariants_hold(self, case):
         fit_docs, docs, min_df = case
         m = tfidf_fit(build_vocab(fit_docs, min_df=min_df))
-        M = transform_corpus(m, docs)
+        M = transform_corpus(m, docs).tocsr()
         assert M.shape == (len(docs), len(m.vocab))
         assert_tfidf_rows(M)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=corpora())
+    def test_block_converts_as_scipy_does(self, case):
+        """toarray() gives scipy's dense bytes, and tocsr() a well-formed
+        scipy matrix."""
+        fit_docs, docs, min_df = case
+        block = transform_corpus(tfidf_fit(build_vocab(fit_docs, min_df)),
+                                 docs)
+        M = block.tocsr()
+        M.check_format(full_check=True)
+        D, want = block.toarray(), M.toarray()
+        assert (D.shape, D.dtype) == (want.shape, want.dtype)
+        assert D.flags.c_contiguous and D.tobytes() == want.tobytes()
+        assert block.nnz == M.nnz
 
     @settings(max_examples=100, deadline=None)
     @given(case=corpora())
