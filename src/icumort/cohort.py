@@ -538,6 +538,10 @@ _NOTE_LENGTH = (40, 120)
 _RISK_TOKEN_MEAN = 0.9
 _LEXICON_WEIGHTS = 1.0 / (np.arange(len(_NOTE_LEXICON)) + 5.0)
 _LEXICON_WEIGHTS /= _LEXICON_WEIGHTS.sum()
+# rng.choice(n, size, p=weights) is cdf.searchsorted(rng.random(size),
+# side="right") over this cdf; searching it directly skips choice's checks
+_LEXICON_CDF = _LEXICON_WEIGHTS.cumsum()
+_LEXICON_CDF /= _LEXICON_CDF[-1]
 _STOP_RATE = 0.08
 
 
@@ -577,9 +581,8 @@ def _labels_at_rate(thresholds, rate):
 def _make_note(rng, n_risk):
     lo, hi = _NOTE_LENGTH
     length = int(rng.integers(lo, hi + 1))
-    tokens = list(rng.choice(len(_NOTE_LEXICON), size=length,
-                             p=_LEXICON_WEIGHTS))
-    words = [_NOTE_LEXICON[t] for t in tokens]
+    tokens = _LEXICON_CDF.searchsorted(rng.random(length), side="right")
+    words = [_NOTE_LEXICON[t] for t in tokens.tolist()]
     for _ in range(n_risk):
         pos = int(rng.integers(0, len(words) + 1))
         words.insert(pos, _RISK_TOKENS[int(rng.integers(0, len(_RISK_TOKENS)))])
@@ -596,8 +599,9 @@ def _make_note(rng, n_risk):
         pos = int(rng.integers(0, len(words) + 1))
         words.insert(pos, str(int(rng.integers(1, 999))))
     # the note's last draws, one per word: below _STOP_RATE, a full stop
-    stops = (rng.random(len(words)) < _STOP_RATE).tolist()
-    return " ".join(w + "." if s else w for w, s in zip(words, stops))
+    for i in np.flatnonzero(rng.random(len(words)) < _STOP_RATE).tolist():
+        words[i] += "."
+    return " ".join(words)
 
 
 def synth_cohort(n=_PUBLISHED_N, seed=0):
