@@ -526,8 +526,8 @@ def _default_missing_rates():
 # The generator's fixed statistics: the size, outcome base rates and
 # per-feature missingness of the published cohort, the weights of the
 # structured and note parts of the true risk, and the note shape (length
-# range, mean count of risk tokens per note, Zipf-like lexicon weights,
-# full-stop rate). Only the size can be set.
+# range, mean count of risk tokens per note, Zipf-like lexicon weights as
+# a cdf, full-stop rate). Only the size can be set.
 _PUBLISHED_N = 5396
 _MISSING_RATES = _default_missing_rates()
 _RATE_HOSPITAL = 0.1294
@@ -536,11 +536,11 @@ _STRUCTURED_WEIGHT = 1.8
 _TEXT_WEIGHT = 0.8
 _NOTE_LENGTH = (40, 120)
 _RISK_TOKEN_MEAN = 0.9
-_LEXICON_WEIGHTS = 1.0 / (np.arange(len(_NOTE_LEXICON)) + 5.0)
-_LEXICON_WEIGHTS /= _LEXICON_WEIGHTS.sum()
 # rng.choice(n, size, p=weights) is cdf.searchsorted(rng.random(size),
-# side="right") over this cdf; searching it directly skips choice's checks
-_LEXICON_CDF = _LEXICON_WEIGHTS.cumsum()
+# side="right") over this cdf of the weights; searching it directly skips
+# choice's checks of p and keeps its bits
+_LEXICON_CDF = 1.0 / (np.arange(len(_NOTE_LEXICON)) + 5.0)
+_LEXICON_CDF = (_LEXICON_CDF / _LEXICON_CDF.sum()).cumsum()
 _LEXICON_CDF /= _LEXICON_CDF[-1]
 _STOP_RATE = 0.08
 
